@@ -31,14 +31,10 @@ pub use bench_diff::{run_bench_diff, BenchDiffArgs};
 pub use monitor::{run_monitor, MonitorArgs};
 pub use report::{run_report, ReportArgs};
 
-use causalformer::{
-    diag, effective_stride, persist, presets, trainer, CausalFormer, CheckpointConfig, Dtype,
-    StreamOptions,
-};
-use cf_data::{io as csv_io, lorenz96, synthetic, window};
+use causalformer::{diag, presets, CausalFormer, CheckpointConfig, Dtype, StreamOptions, Windows};
+use cf_data::{io as csv_io, lorenz96, synthetic};
 use cf_metrics::graph_dot_plain;
 use cf_store::{FsStorage, SeriesStore, SeriesWriter};
-use cf_tensor::{Tensor, TensorBase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -246,6 +242,34 @@ pub struct DiscoverArgs {
     pub quiet: bool,
 }
 
+impl Default for DiscoverArgs {
+    fn default() -> Self {
+        Self {
+            input: String::new(),
+            store: None,
+            max_windows: None,
+            read_ahead: None,
+            preset: "fmri".into(),
+            window: None,
+            epochs: None,
+            seed: 0,
+            threads: None,
+            dtype: Dtype::F64,
+            dot: None,
+            save: None,
+            metrics_out: None,
+            trace_out: None,
+            diag_out: None,
+            heartbeat_out: None,
+            checkpoint_dir: None,
+            checkpoint_every: None,
+            resume: false,
+            log_level: None,
+            quiet: false,
+        }
+    }
+}
+
 /// Parsed `generate` arguments.
 #[derive(Debug, Clone)]
 pub struct GenerateArgs {
@@ -263,6 +287,20 @@ pub struct GenerateArgs {
     pub chunk_len: usize,
     /// Store chunk codec name.
     pub codec: String,
+}
+
+impl Default for GenerateArgs {
+    fn default() -> Self {
+        Self {
+            dataset: String::new(),
+            length: 600,
+            seed: 0,
+            output: String::new(),
+            store_out: None,
+            chunk_len: 65536,
+            codec: "delta-varint".into(),
+        }
+    }
 }
 
 /// A parsed command.
@@ -289,328 +327,157 @@ pub enum Command {
 
 /// Parses the full argument list (program name already stripped).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let sub = match it.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    let rest: Vec<String> = it.cloned().collect();
-    match sub {
+    let mut f = Flags {
+        rest,
+        i: 0,
+        positionals: matches!(sub.as_str(), "bench-diff" | "monitor"),
+    };
+    match sub.as_str() {
         "-h" | "--help" | "help" => Ok(Command::Help),
         "discover" => {
-            let mut a = DiscoverArgs {
-                input: String::new(),
-                store: None,
-                max_windows: None,
-                read_ahead: None,
-                preset: "fmri".into(),
-                window: None,
-                epochs: None,
-                seed: 0,
-                threads: None,
-                dtype: Dtype::F64,
-                dot: None,
-                save: None,
-                metrics_out: None,
-                trace_out: None,
-                diag_out: None,
-                heartbeat_out: None,
-                checkpoint_dir: None,
-                checkpoint_every: None,
-                resume: false,
-                log_level: None,
-                quiet: false,
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                // Boolean flags take no value.
-                if flag == "--quiet" {
-                    a.quiet = true;
-                    i += 1;
-                    continue;
-                }
-                if flag == "--resume" {
-                    a.resume = true;
-                    i += 1;
-                    continue;
-                }
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?;
+            let mut a = DiscoverArgs::default();
+            while let Some(flag) = f.next() {
                 match flag {
-                    "--input" => a.input = value.clone(),
-                    "--store" => a.store = Some(value.clone()),
-                    "--max-windows" => {
-                        let n: usize = parse_num(flag, value)?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--max-windows must be at least 1".into()));
-                        }
-                        a.max_windows = Some(n);
-                    }
-                    "--read-ahead" => a.read_ahead = Some(parse_num(flag, value)?),
-                    "--preset" => a.preset = value.clone(),
-                    "--window" => {
-                        a.window = Some(parse_num(flag, value)?);
-                    }
-                    "--epochs" => {
-                        a.epochs = Some(parse_num(flag, value)?);
-                    }
-                    "--seed" => a.seed = parse_num::<u64>(flag, value)?,
-                    "--threads" => {
-                        let n: usize = parse_num(flag, value)?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--threads must be at least 1".into()));
-                        }
-                        a.threads = Some(n);
-                    }
-                    "--dtype" => {
-                        a.dtype = value.parse().map_err(CliError::Usage)?;
-                    }
-                    "--dot" => a.dot = Some(value.clone()),
-                    "--save" => a.save = Some(value.clone()),
-                    "--metrics-out" => a.metrics_out = Some(value.clone()),
-                    "--trace-out" => a.trace_out = Some(value.clone()),
-                    "--diag-out" => a.diag_out = Some(value.clone()),
-                    "--heartbeat-out" => a.heartbeat_out = Some(value.clone()),
-                    "--checkpoint-dir" => a.checkpoint_dir = Some(value.clone()),
-                    "--checkpoint-every" => {
-                        let n: usize = parse_num(flag, value)?;
-                        if n == 0 {
-                            return Err(CliError::Usage(
-                                "--checkpoint-every must be at least 1".into(),
-                            ));
-                        }
-                        a.checkpoint_every = Some(n);
-                    }
-                    "--log-level" => a.log_level = Some(value.clone()),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    "--quiet" => a.quiet = true,
+                    "--resume" => a.resume = true,
+                    "--input" => a.input = f.value(flag)?,
+                    "--store" => a.store = Some(f.value(flag)?),
+                    "--max-windows" => a.max_windows = Some(f.count(flag)?),
+                    "--read-ahead" => a.read_ahead = Some(f.num(flag)?),
+                    "--preset" => a.preset = f.value(flag)?,
+                    "--window" => a.window = Some(f.num(flag)?),
+                    "--epochs" => a.epochs = Some(f.num(flag)?),
+                    "--seed" => a.seed = f.num(flag)?,
+                    "--threads" => a.threads = Some(f.count(flag)?),
+                    "--dtype" => a.dtype = f.value(flag)?.parse().map_err(CliError::Usage)?,
+                    "--dot" => a.dot = Some(f.value(flag)?),
+                    "--save" => a.save = Some(f.value(flag)?),
+                    "--metrics-out" => a.metrics_out = Some(f.value(flag)?),
+                    "--trace-out" => a.trace_out = Some(f.value(flag)?),
+                    "--diag-out" => a.diag_out = Some(f.value(flag)?),
+                    "--heartbeat-out" => a.heartbeat_out = Some(f.value(flag)?),
+                    "--checkpoint-dir" => a.checkpoint_dir = Some(f.value(flag)?),
+                    "--checkpoint-every" => a.checkpoint_every = Some(f.count(flag)?),
+                    "--log-level" => a.log_level = Some(f.value(flag)?),
+                    other => return Err(f.unknown(other)),
                 }
-                i += 2;
             }
             if a.input.is_empty() && a.store.is_none() {
-                return Err(CliError::Usage(
-                    "discover requires --input or --store".into(),
-                ));
+                return usage("discover requires --input or --store");
             }
             if !a.input.is_empty() && a.store.is_some() {
-                return Err(CliError::Usage(
-                    "--input and --store are mutually exclusive".into(),
-                ));
+                return usage("--input and --store are mutually exclusive");
             }
             if a.store.is_none() && (a.max_windows.is_some() || a.read_ahead.is_some()) {
-                return Err(CliError::Usage(
-                    "--max-windows / --read-ahead require --store".into(),
-                ));
+                return usage("--max-windows / --read-ahead require --store");
             }
             if a.checkpoint_dir.is_none() && (a.resume || a.checkpoint_every.is_some()) {
-                return Err(CliError::Usage(
-                    "--resume / --checkpoint-every require --checkpoint-dir".into(),
-                ));
+                return usage("--resume / --checkpoint-every require --checkpoint-dir");
             }
             Ok(Command::Discover(a))
         }
         "generate" => {
-            let mut a = GenerateArgs {
-                dataset: String::new(),
-                length: 600,
-                seed: 0,
-                output: String::new(),
-                store_out: None,
-                chunk_len: 65536,
-                codec: "delta-varint".into(),
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?;
+            let mut a = GenerateArgs::default();
+            while let Some(flag) = f.next() {
                 match flag {
-                    "--dataset" => a.dataset = value.clone(),
-                    "--length" => a.length = parse_num(flag, value)?,
-                    "--seed" => a.seed = parse_num::<u64>(flag, value)?,
-                    "--output" => a.output = value.clone(),
-                    "--store-out" => a.store_out = Some(value.clone()),
-                    "--chunk-len" => {
-                        let n: usize = parse_num(flag, value)?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--chunk-len must be at least 1".into()));
-                        }
-                        a.chunk_len = n;
-                    }
-                    "--codec" => a.codec = value.clone(),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    "--dataset" => a.dataset = f.value(flag)?,
+                    "--length" => a.length = f.num(flag)?,
+                    "--seed" => a.seed = f.num(flag)?,
+                    "--output" => a.output = f.value(flag)?,
+                    "--store-out" => a.store_out = Some(f.value(flag)?),
+                    "--chunk-len" => a.chunk_len = f.count(flag)?,
+                    "--codec" => a.codec = f.value(flag)?,
+                    other => return Err(f.unknown(other)),
                 }
-                i += 2;
             }
             if a.dataset.is_empty() || (a.output.is_empty() && a.store_out.is_none()) {
-                return Err(CliError::Usage(
-                    "generate requires --dataset and one of --output / --store-out".into(),
-                ));
+                return usage("generate requires --dataset and one of --output / --store-out");
             }
             Ok(Command::Generate(a))
         }
         "report" => {
-            let mut a = ReportArgs {
-                metrics: None,
-                trace: None,
-                compare_trace: None,
-                diag: None,
-                out: String::new(),
-            };
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?;
+            let mut a = ReportArgs::default();
+            while let Some(flag) = f.next() {
                 match flag {
-                    "--metrics" => a.metrics = Some(value.clone()),
-                    "--trace" => a.trace = Some(value.clone()),
-                    "--compare-trace" => a.compare_trace = Some(value.clone()),
-                    "--diag" => a.diag = Some(value.clone()),
-                    "--out" => a.out = value.clone(),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    "--metrics" => a.metrics = Some(f.value(flag)?),
+                    "--trace" => a.trace = Some(f.value(flag)?),
+                    "--compare-trace" => a.compare_trace = Some(f.value(flag)?),
+                    "--diag" => a.diag = Some(f.value(flag)?),
+                    "--out" => a.out = f.value(flag)?,
+                    other => return Err(f.unknown(other)),
                 }
-                i += 2;
             }
             if a.out.is_empty() {
-                return Err(CliError::Usage("report requires --out".into()));
+                return usage("report requires --out");
             }
             if a.metrics.is_none() && a.trace.is_none() && a.diag.is_none() {
-                return Err(CliError::Usage(
-                    "report requires at least one of --metrics, --trace, --diag".into(),
-                ));
+                return usage("report requires at least one of --metrics, --trace, --diag");
             }
             if a.compare_trace.is_some() && a.trace.is_none() {
-                return Err(CliError::Usage(
-                    "--compare-trace requires --trace (the baseline trace)".into(),
-                ));
+                return usage("--compare-trace requires --trace (the baseline trace)");
             }
             Ok(Command::Report(a))
         }
         "analyze" => {
             let mut a = AnalyzeArgs::default();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                if flag == "--json" {
-                    a.json = true;
-                    i += 1;
-                    continue;
-                }
-                if flag == "--compare" {
-                    let base = rest
-                        .get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--compare requires two files".into()))?;
-                    let scaled = rest
-                        .get(i + 2)
-                        .ok_or_else(|| CliError::Usage("--compare requires two files".into()))?;
-                    a.compare = Some((base.clone(), scaled.clone()));
-                    i += 3;
-                    continue;
-                }
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?;
+            while let Some(flag) = f.next() {
                 match flag {
-                    "--trace" => a.trace = Some(value.clone()),
-                    "--top" => {
-                        let n: usize = parse_num(flag, value)?;
-                        if n == 0 {
-                            return Err(CliError::Usage("--top must be at least 1".into()));
-                        }
-                        a.top = n;
+                    "--json" => a.json = true,
+                    "--compare" => {
+                        let two = || CliError::Usage("--compare requires two files".into());
+                        let base = f.next().ok_or_else(two)?.to_string();
+                        let scaled = f.next().ok_or_else(two)?.to_string();
+                        a.compare = Some((base, scaled));
                     }
-                    "--threads-base" => a.threads_base = Some(parse_num(flag, value)?),
-                    "--threads-scaled" => a.threads_scaled = Some(parse_num(flag, value)?),
-                    "--max-serial-fraction" => {
-                        a.max_serial_fraction = Some(parse_num(flag, value)?)
-                    }
-                    "--flamegraph" => a.flamegraph = Some(value.clone()),
-                    other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+                    "--trace" => a.trace = Some(f.value(flag)?),
+                    "--top" => a.top = f.count(flag)?,
+                    "--threads-base" => a.threads_base = Some(f.num(flag)?),
+                    "--threads-scaled" => a.threads_scaled = Some(f.num(flag)?),
+                    "--max-serial-fraction" => a.max_serial_fraction = Some(f.num(flag)?),
+                    "--flamegraph" => a.flamegraph = Some(f.value(flag)?),
+                    other => return Err(f.unknown(other)),
                 }
-                i += 2;
             }
             match (&a.trace, &a.compare) {
                 (Some(_), None) | (None, Some(_)) => Ok(Command::Analyze(a)),
-                _ => Err(CliError::Usage(
-                    "analyze requires exactly one of --trace FILE or --compare BASE SCALED".into(),
-                )),
+                _ => usage("analyze requires exactly one of --trace FILE or --compare BASE SCALED"),
             }
         }
         "bench-diff" => {
             let mut a = BenchDiffArgs::default();
-            let mut positional = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                if flag == "--json" {
-                    a.json = true;
-                    i += 1;
-                    continue;
+            let mut files = Vec::new();
+            while let Some(flag) = f.next() {
+                match flag {
+                    "--json" => a.json = true,
+                    "--threshold" => a.threshold = f.num(flag)?,
+                    other => files.push(f.positional(other)?),
                 }
-                if flag == "--threshold" {
-                    let value = rest
-                        .get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--threshold requires a value".into()))?;
-                    a.threshold = parse_num(flag, value)?;
-                    i += 2;
-                    continue;
-                }
-                if flag.starts_with("--") {
-                    return Err(CliError::Usage(format!("unknown flag {flag}")));
-                }
-                positional.push(rest[i].clone());
-                i += 1;
             }
-            let [baseline, new] = positional.as_slice() else {
-                return Err(CliError::Usage(
-                    "bench-diff requires exactly two files: BASELINE.json NEW.json".into(),
-                ));
-            };
-            a.baseline = baseline.clone();
-            a.new = new.clone();
+            let [baseline, new] = <[String; 2]>::try_from(files).or_else(|_| {
+                usage("bench-diff requires exactly two files: BASELINE.json NEW.json")
+            })?;
+            a.baseline = baseline;
+            a.new = new;
             Ok(Command::BenchDiff(a))
         }
         "monitor" => {
             let mut a = MonitorArgs::default();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                if flag == "--once" {
-                    a.once = true;
-                    i += 1;
-                    continue;
-                }
-                if flag == "--interval" {
-                    let value = rest
-                        .get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--interval requires a value".into()))?;
-                    let ms: u64 = parse_num(flag, value)?;
-                    if ms == 0 {
-                        return Err(CliError::Usage("--interval must be at least 1".into()));
+            while let Some(flag) = f.next() {
+                match flag {
+                    "--once" => a.once = true,
+                    "--interval" => a.interval_ms = f.count(flag)?,
+                    other if !a.path.is_empty() => {
+                        f.positional(other)?;
+                        return usage("monitor takes exactly one HEARTBEAT.jsonl file");
                     }
-                    a.interval_ms = ms;
-                    i += 2;
-                    continue;
+                    other => a.path = f.positional(other)?,
                 }
-                if flag.starts_with("--") {
-                    return Err(CliError::Usage(format!("unknown flag {flag}")));
-                }
-                if !a.path.is_empty() {
-                    return Err(CliError::Usage(
-                        "monitor takes exactly one HEARTBEAT.jsonl file".into(),
-                    ));
-                }
-                a.path = rest[i].clone();
-                i += 1;
             }
             if a.path.is_empty() {
-                return Err(CliError::Usage(
-                    "monitor requires a HEARTBEAT.jsonl file".into(),
-                ));
+                return usage("monitor requires a HEARTBEAT.jsonl file");
             }
             Ok(Command::Monitor(a))
         }
@@ -618,10 +485,78 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: cannot parse {value:?}")))
+/// The one flag parser behind every subcommand: a cursor over the
+/// arguments. Each subcommand's `match` on [`Flags::next`] is its flag
+/// table; an arm takes as many values as its flag needs (none for a
+/// switch, one through [`Flags::value`] and its typed variants, two for
+/// `analyze --compare`), so errors surface in argument order.
+struct Flags<'a> {
+    rest: &'a [String],
+    i: usize,
+    /// Whether bare (non `--`) arguments are positional files
+    /// (`bench-diff`, `monitor`).
+    positionals: bool,
+}
+
+impl<'a> Flags<'a> {
+    /// The next argument, if any.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.rest.get(self.i)?;
+        self.i += 1;
+        Some(arg)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, CliError> {
+        self.next()
+            .map(str::to_string)
+            .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
+    }
+
+    /// The value following `flag`, parsed as a number.
+    fn num<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|_| CliError::Usage(format!("{flag}: cannot parse {value:?}")))
+    }
+
+    /// The value following `flag`, parsed as a count of at least 1.
+    fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+        &mut self,
+        flag: &str,
+    ) -> Result<T, CliError> {
+        let n = self.num(flag)?;
+        if n == T::from(0) {
+            return Err(CliError::Usage(format!("{flag} must be at least 1")));
+        }
+        Ok(n)
+    }
+
+    /// `arg` as a positional file, or the error for an unknown flag.
+    fn positional(&mut self, arg: &str) -> Result<String, CliError> {
+        if arg.starts_with("--") {
+            return Err(self.unknown(arg));
+        }
+        Ok(arg.to_string())
+    }
+
+    /// The error for an unrecognised `flag`. Subcommands without
+    /// positional files read every argument as a flag and its value, so
+    /// there a trailing unknown flag reports its missing value first.
+    fn unknown(&mut self, flag: &str) -> CliError {
+        if !self.positionals {
+            if let Err(missing) = self.value(flag) {
+                return missing;
+            }
+        }
+        CliError::Usage(format!("unknown flag {flag}"))
+    }
+}
+
+/// A usage error with message `m`.
+fn usage<T>(m: &str) -> Result<T, CliError> {
+    Err(CliError::Usage(m.into()))
 }
 
 /// Builds the pipeline for a preset name and series count.
@@ -728,6 +663,11 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
             .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
     }
     let started = std::time::Instant::now();
+    let defaults = StreamOptions::default();
+    let stream = StreamOptions {
+        max_windows: a.max_windows.unwrap_or(defaults.max_windows),
+        read_ahead: a.read_ahead.unwrap_or(defaults.read_ahead),
+    };
     let store = match &a.store {
         Some(dir) => Some(
             SeriesStore::open_dir(dir)
@@ -735,25 +675,26 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         ),
         None => None,
     };
-    let (series, names): (Option<Tensor>, Vec<String>) = match &store {
-        Some(st) => (
-            None,
-            (1..=st.manifest().n_series)
-                .map(|i| format!("S{i}"))
-                .collect(),
+    let csv = match &store {
+        Some(_) => None,
+        None => Some(
+            csv_io::read_series_csv_file(&a.input)
+                .map_err(|e| CliError::Run(format!("reading {}: {e}", a.input)))?,
         ),
-        None => {
-            let parsed = csv_io::read_series_csv_file(&a.input)
-                .map_err(|e| CliError::Run(format!("reading {}: {e}", a.input)))?;
-            (Some(parsed.series), parsed.names)
+    };
+    let (source, names, len) = match (&store, &csv) {
+        (Some(st), _) => {
+            let m = st.manifest();
+            let names = (1..=m.n_series).map(|i| format!("S{i}")).collect();
+            (Windows::Store(st, stream), names, m.length)
         }
+        (None, Some(parsed)) => {
+            let len = parsed.series.shape()[1];
+            (Windows::InRam(&parsed.series), parsed.names.clone(), len)
+        }
+        (None, None) => unreachable!("exactly one series source"),
     };
     let n = names.len();
-    let len = match (&store, &series) {
-        (Some(st), _) => st.manifest().length,
-        (None, Some(s)) => s.shape()[1],
-        _ => unreachable!("exactly one series source"),
-    };
 
     let mut cf = preset_by_name(&a.preset, n)?;
     cf.train.dtype = a.dtype;
@@ -770,37 +711,17 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         )));
     }
 
-    let stream_opts = {
-        let mut o = StreamOptions::default();
-        if let Some(m) = a.max_windows {
-            o.max_windows = m;
-        }
-        if let Some(r) = a.read_ahead {
-            o.read_ahead = r;
-        }
-        o
-    };
     let mut rng = StdRng::seed_from_u64(a.seed);
-    let result = match (&store, &a.checkpoint_dir) {
-        (Some(st), Some(dir)) => {
+    let result = match (&a.checkpoint_dir, source) {
+        (Some(dir), source) => {
             let ckpt = CheckpointConfig::new(dir).every(a.checkpoint_every.unwrap_or(1));
-            cf.discover_store_resumable(&mut rng, st, &stream_opts, ckpt, a.resume)
+            cf.discover_resumable(&mut rng, source, ckpt, a.resume)
                 .map_err(|e| CliError::Run(format!("resumable discovery: {e}")))?
         }
-        (Some(st), None) => cf
-            .discover_store(&mut rng, st, &stream_opts)
+        (None, Windows::InRam(series)) => cf.discover(&mut rng, series),
+        (None, Windows::Store(st, stream)) => cf
+            .discover_store(&mut rng, st, &stream)
             .map_err(|e| CliError::Run(format!("streaming discovery: {e}")))?,
-        (None, Some(dir)) => {
-            let ckpt = CheckpointConfig::new(dir).every(a.checkpoint_every.unwrap_or(1));
-            cf.discover_resumable(
-                &mut rng,
-                series.as_ref().expect("csv source"),
-                ckpt,
-                a.resume,
-            )
-            .map_err(|e| CliError::Run(format!("resumable discovery: {e}")))?
-        }
-        (None, None) => cf.discover(&mut rng, series.as_ref().expect("csv source")),
     };
 
     let mut out = String::new();
@@ -819,42 +740,12 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         out.push_str(&format!("DOT graph written to {path}\n"));
     }
     if let Some(path) = &a.save {
-        // Retrain once more is wasteful; instead persist by re-running the
-        // training stage through the public API, at the run's dtype so the
-        // saved parameters match what `discover` trained (`.json` stores
-        // f64; `.cft` stores the native dtype).
-        let windows = match (&store, &series) {
-            (Some(st), _) => {
-                let stride = effective_stride(
-                    st.manifest().length,
-                    cf.model.window,
-                    cf.train.stride,
-                    stream_opts.max_windows,
-                );
-                st.standardized_windows(cf.model.window, stride, stream_opts.read_ahead)
-                    .and_then(|scan| scan.collect::<Result<Vec<Tensor>, _>>())
-                    .map_err(|e| CliError::Run(format!("streaming windows: {e}")))?
-            }
-            (None, Some(s)) => {
-                let std_series = window::standardize(s);
-                window::windows(&std_series, cf.model.window, cf.train.stride)
-            }
-            _ => unreachable!("exactly one series source"),
-        };
-        let mut rng2 = StdRng::seed_from_u64(a.seed);
-        let saved = match a.dtype {
-            Dtype::F64 => {
-                let (trained, _) = trainer::train(&mut rng2, cf.model, cf.train, &windows);
-                persist::save(&trained, path)
-            }
-            Dtype::F32 => {
-                let w32: Vec<TensorBase<f32>> =
-                    windows.iter().map(TensorBase::from_f64_tensor).collect();
-                let (trained, _) = trainer::train(&mut rng2, cf.model, cf.train, &w32);
-                persist::save(&trained, path)
-            }
-        };
-        saved.map_err(|e| CliError::Run(format!("saving model to {path}: {e}")))?;
+        // The model discovery trained: `.cft` keeps the run's dtype,
+        // `.json` widens to f64.
+        result
+            .model
+            .save(path)
+            .map_err(|e| CliError::Run(format!("saving model to {path}: {e}")))?;
         out.push_str(&format!("model checkpoint written to {path}\n"));
     }
 
@@ -1015,9 +906,20 @@ pub fn run_generate(a: &GenerateArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causalformer::{persist, DiscoveredModel};
+    use cf_tensor::{Scalar, TensorBase};
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// Serialises the tests that call `run_discover`. cf-obs state (the
+    /// metrics sink, span registry, log level) is process-global, so two
+    /// discoveries running at once write into each other's telemetry. A
+    /// stop-gap until observability state is scoped per run.
+    fn discover_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -1168,6 +1070,7 @@ mod tests {
 
     #[test]
     fn generate_then_discover_end_to_end() {
+        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_fork.csv");
         let dot_path = dir.join("cf_cli_test_fork.dot");
@@ -1304,6 +1207,7 @@ mod tests {
 
     #[test]
     fn generate_store_then_discover_store_end_to_end() {
+        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let store_dir = dir.join(format!("cf_cli_test_store_{}", std::process::id()));
         let csv_path = dir.join(format!("cf_cli_test_store_{}.csv", std::process::id()));
@@ -1413,6 +1317,7 @@ mod tests {
 
     #[test]
     fn discover_rejects_oversized_window() {
+        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_short.csv");
         std::fs::write(&csv_path, "1,2\n3,4\n5,6\n").unwrap();
@@ -1445,6 +1350,7 @@ mod tests {
 
     #[test]
     fn checkpointed_discover_resumes_to_same_graph() {
+        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_ckpt.csv");
         let ckpt_dir = dir.join(format!("cf_cli_test_ckpts_{}", std::process::id()));
@@ -1494,5 +1400,69 @@ mod tests {
 
         std::fs::remove_file(&csv_path).ok();
         std::fs::remove_dir_all(&ckpt_dir).ok();
+    }
+
+    fn param_bits<E: Scalar>(params: &[TensorBase<E>]) -> Vec<u64> {
+        params
+            .iter()
+            .flat_map(|p| p.to_f64_vec())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn save_writes_the_model_discovery_trained() {
+        let _guard = discover_lock();
+        let dir = std::env::temp_dir();
+        let tag = format!("cf_cli_test_save_{}", std::process::id());
+        let csv_path = dir.join(format!("{tag}.csv"));
+        // Row `a` is constant. Its standardised image depends on how the
+        // zero std is floored, so a model trained on windows standardised
+        // any other way than discovery's differs in its bits.
+        let mut csv = String::from("a,b,c\n");
+        for t in 0..200 {
+            let b = (t as f64 * 0.37).sin();
+            let c = (t as f64 * 0.11).cos() + 0.5 * b;
+            csv.push_str(&format!("0.1,{b},{c}\n"));
+        }
+        std::fs::write(&csv_path, csv).unwrap();
+        let input = csv_path.to_string_lossy().into_owned();
+        let series = csv_io::read_series_csv_file(&input).unwrap().series;
+
+        for dtype in [Dtype::F64, Dtype::F32] {
+            let mut cf = preset_by_name("synthetic-sparse", 3).unwrap();
+            cf.model.window = 8;
+            cf.train.max_epochs = 2;
+            cf.train.dtype = dtype;
+            let discovered = cf.discover(&mut StdRng::seed_from_u64(4), &series);
+            let want = match &discovered.model {
+                DiscoveredModel::F64(m) => param_bits(&m.store.snapshot()),
+                DiscoveredModel::F32(m) => param_bits(&m.store.snapshot()),
+            };
+            for ext in ["json", "cft"] {
+                let model_path = dir.join(format!("{tag}.{ext}"));
+                let report = run_discover(&DiscoverArgs {
+                    input: input.clone(),
+                    preset: "synthetic-sparse".into(),
+                    window: Some(8),
+                    epochs: Some(2),
+                    seed: 4,
+                    dtype,
+                    save: Some(model_path.to_string_lossy().into_owned()),
+                    quiet: true,
+                    ..DiscoverArgs::default()
+                })
+                .unwrap();
+                assert!(report.contains("model checkpoint written"), "{report}");
+                let loaded = persist::load(&model_path).unwrap();
+                assert_eq!(
+                    param_bits(&loaded.store.snapshot()),
+                    want,
+                    "{dtype:?} .{ext} model differs from the one discovery trained"
+                );
+                std::fs::remove_file(&model_path).ok();
+            }
+        }
+        std::fs::remove_file(&csv_path).ok();
     }
 }

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Parsed `report` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReportArgs {
     /// JSONL telemetry path (`discover --metrics-out`).
     pub metrics: Option<String>,

@@ -25,7 +25,7 @@
 //! JSON payload and are rejected with a clear [`CheckpointError::Mismatch`].
 //!
 //! The checksum turns silent corruption (torn writes, bad disks) into a
-//! loud [`CheckpointError::Corrupt`]; [`load_latest`] then falls back to
+//! loud [`CheckpointError::Corrupt`]; `load_latest` then falls back to
 //! the next-newest intact file. Writes are atomic — temp file, `fsync`,
 //! `rename`, directory `fsync` — so a crash mid-write can never destroy an
 //! existing checkpoint. Retention keeps the newest

@@ -35,6 +35,13 @@
 //! let result = cf.discover(&mut rng, &data.series);
 //! assert_eq!(result.graph.num_series(), 3);
 //! ```
+//!
+//! The same pipeline streams a chunked on-disk store with
+//! [`CausalFormer::discover_store`], and checkpoints and resumes training
+//! from either source ([`Windows`]) with
+//! [`CausalFormer::discover_resumable`]. Every [`DiscoveryResult`] carries
+//! the model it trained ([`DiscoveredModel`]), ready to
+//! [`save`](DiscoveredModel::save).
 
 // Numeric kernels in this workspace use explicit index loops on purpose:
 // the indices mirror the paper's subscripts (i, j, t, τ, u) and several
@@ -57,7 +64,8 @@ pub use config::{DetectorConfig, DetectorMode, ModelConfig, TrainConfig};
 pub use detector::{detect, CausalScores};
 pub use model::{CausalityAwareTransformer, ForwardTrace};
 pub use pipeline::{
-    effective_stride, presets, CausalFormer, DiscoveryResult, StreamError, StreamOptions,
+    effective_stride, presets, CausalFormer, DiscoveredModel, DiscoveryResult, StreamError,
+    StreamOptions, Windows,
 };
 pub use trainer::{train, TrainError, TrainReport, TrainedModel, TrainedModelBase, Trainer};
 

@@ -34,7 +34,7 @@ struct AttentionHead {
 }
 
 /// The causality-aware transformer. Owns [`ParamId`]s into a
-/// [`ParamStore`]; see [`CausalityAwareTransformer::forward`].
+/// [`ParamStore`](cf_nn::ParamStore); see [`CausalityAwareTransformer::forward`].
 pub struct CausalityAwareTransformer {
     config: ModelConfig,
     w_emb: ParamId,

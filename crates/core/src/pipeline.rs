@@ -1,9 +1,12 @@
 //! End-to-end discovery pipeline and per-dataset presets.
 //!
-//! [`CausalFormer`] bundles the three configs and exposes
-//! [`CausalFormer::discover`]: standardise the series, slice windows, train
-//! the causality-aware transformer, run the decomposition-based detector,
-//! and return the temporal causal graph (the full workflow of Fig. 2).
+//! [`CausalFormer`] bundles the three configs and runs the full workflow of
+//! Fig. 2: standardise the series, slice windows, train the
+//! causality-aware transformer, run the decomposition-based detector, and
+//! return the temporal causal graph. The series comes from memory or from
+//! a chunked store ([`Windows`]); training is plain or checkpointed
+//! ([`CausalFormer::discover_resumable`]). Every entry point runs the same
+//! body, so the sources and training modes cannot drift apart.
 //!
 //! The [`presets`] mirror the paper's per-dataset hyper-parameters (§5.3)
 //! with CPU-scaled model widths — the paper trains d=256–512 on a 4090; the
@@ -12,13 +15,15 @@
 use crate::checkpoint::CheckpointConfig;
 use crate::config::{DetectorConfig, ModelConfig, TrainConfig};
 use crate::detector::{detect, CausalScores};
+use crate::persist::{self, PersistError};
 use crate::trainer::{train, TrainError, TrainReport, TrainedModelBase, Trainer};
 use cf_metrics::CausalGraph;
 use cf_store::{SeriesStore, StoreError};
 use cf_tensor::{Dtype, Scalar, Tensor, TensorBase};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::fmt;
+use std::path::Path;
 
 /// The complete CausalFormer method: model + training + detector configs.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +45,46 @@ pub struct DiscoveryResult {
     /// The aggregated causal scores behind the graph (useful for
     /// threshold-free analyses and the case studies).
     pub scores: CausalScores,
+    /// The trained model the detector interpreted.
+    pub model: DiscoveredModel,
+}
+
+/// The trained model of a discovery, at the precision it trained in
+/// ([`TrainConfig::dtype`]).
+pub enum DiscoveredModel {
+    /// Trained in double precision.
+    F64(TrainedModelBase<f64>),
+    /// Trained in single precision.
+    F32(TrainedModelBase<f32>),
+}
+
+impl DiscoveredModel {
+    /// Writes the model with [`persist::save`]: `.cft` keeps the training
+    /// dtype, any other extension writes JSON widened to f64.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        match self {
+            Self::F64(trained) => persist::save(trained, path),
+            Self::F32(trained) => persist::save(trained, path),
+        }
+    }
+}
+
+/// Where discovery reads its series from.
+#[derive(Clone, Copy)]
+pub enum Windows<'a> {
+    /// An `N×L` series matrix in memory.
+    InRam(&'a Tensor),
+    /// A chunked on-disk store, streamed under the given memory knobs
+    /// (see [`CausalFormer::discover_store`]).
+    Store(&'a SeriesStore, StreamOptions),
+}
+
+/// How the train stage runs. Checkpointing captures and restores RNG
+/// state, so it needs a concrete [`StdRng`]; plain training takes any RNG
+/// (an unsized one behind a second reference).
+enum Fit<'r> {
+    Plain(&'r mut dyn RngCore),
+    Checkpointed(&'r mut StdRng, CheckpointConfig, bool),
 }
 
 impl CausalFormer {
@@ -57,81 +102,15 @@ impl CausalFormer {
 
     /// Runs the full workflow on an `N×L` series matrix. The input series
     /// is always f64; [`TrainConfig::dtype`] selects the precision the
-    /// training and detection stages run in (windows are cast once after
+    /// training and detection stages run in (each window is cast once after
     /// the f64 preprocessing, so standardisation is dtype-invariant).
     ///
     /// # Panics
     /// Panics if the series shape disagrees with the model config or is too
     /// short to produce a single window.
     pub fn discover<R: Rng + ?Sized>(&self, rng: &mut R, series: &Tensor) -> DiscoveryResult {
-        match self.train.dtype {
-            Dtype::F64 => self.discover_typed::<f64, R>(rng, series),
-            Dtype::F32 => self.discover_typed::<f32, R>(rng, series),
-        }
-    }
-
-    fn discover_typed<E: Scalar, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: &Tensor,
-    ) -> DiscoveryResult {
-        let _pipeline_span = cf_obs::span::enter("discover");
-        let _pipeline_trace = cf_obs::trace::span("discover");
-        let windows = self.prepare_typed_windows::<E>(series);
-        let (trained, train_report) = {
-            let _s = cf_obs::span::enter("train");
-            let _t = cf_obs::trace::span("train");
-            let started = std::time::Instant::now();
-            let out = train(rng, self.model, self.train, &windows);
-            emit_stage("train", started.elapsed().as_secs_f64());
-            out
-        };
-        self.detect_stage(rng, trained, train_report, &windows)
-    }
-
-    /// [`CausalFormer::discover`] with crash safety: training checkpoints
-    /// into `checkpoint.dir` and, when `resume` is set, continues from the
-    /// newest usable checkpoint there. A resumed discovery is *bitwise
-    /// identical* to an uninterrupted one — the checkpoint carries the RNG
-    /// state, so the detector's window sampling matches too.
-    ///
-    /// Takes a concrete [`StdRng`] because resumable training must capture
-    /// and restore RNG state.
-    pub fn discover_resumable(
-        &self,
-        rng: &mut StdRng,
-        series: &Tensor,
-        checkpoint: CheckpointConfig,
-        resume: bool,
-    ) -> Result<DiscoveryResult, TrainError> {
-        match self.train.dtype {
-            Dtype::F64 => self.discover_resumable_typed::<f64>(rng, series, checkpoint, resume),
-            Dtype::F32 => self.discover_resumable_typed::<f32>(rng, series, checkpoint, resume),
-        }
-    }
-
-    fn discover_resumable_typed<E: Scalar>(
-        &self,
-        rng: &mut StdRng,
-        series: &Tensor,
-        checkpoint: CheckpointConfig,
-        resume: bool,
-    ) -> Result<DiscoveryResult, TrainError> {
-        let _pipeline_span = cf_obs::span::enter("discover");
-        let _pipeline_trace = cf_obs::trace::span("discover");
-        let windows = self.prepare_typed_windows::<E>(series);
-        let (trained, train_report) = {
-            let _s = cf_obs::span::enter("train");
-            let _t = cf_obs::trace::span("train");
-            let started = std::time::Instant::now();
-            let out = Trainer::new(self.model, self.train)
-                .with_checkpoints(checkpoint)
-                .resume(resume)
-                .fit(rng, &windows)?;
-            emit_stage("train", started.elapsed().as_secs_f64());
-            out
-        };
-        Ok(self.detect_stage(rng, trained, train_report, &windows))
+        self.run(Fit::Plain(&mut { rng }), Windows::InRam(series))
+            .expect("in-RAM discovery without checkpoints cannot fail")
     }
 
     /// Out-of-core discovery: streams training windows from a chunked
@@ -153,200 +132,142 @@ impl CausalFormer {
         store: &SeriesStore,
         stream: &StreamOptions,
     ) -> Result<DiscoveryResult, StreamError> {
-        match self.train.dtype {
-            Dtype::F64 => self.discover_store_typed::<f64, R>(rng, store, stream),
-            Dtype::F32 => self.discover_store_typed::<f32, R>(rng, store, stream),
-        }
+        self.run(Fit::Plain(&mut { rng }), Windows::Store(store, *stream))
     }
 
-    fn discover_store_typed<E: Scalar, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        store: &SeriesStore,
-        stream: &StreamOptions,
-    ) -> Result<DiscoveryResult, StreamError> {
-        let _pipeline_span = cf_obs::span::enter("discover");
-        let _pipeline_trace = cf_obs::trace::span("discover");
-        let windows = self.stream_typed_windows::<E>(store, stream)?;
-        let (trained, train_report) = {
-            let _s = cf_obs::span::enter("train");
-            let _t = cf_obs::trace::span("train");
-            let started = std::time::Instant::now();
-            let out = train(rng, self.model, self.train, &windows);
-            emit_stage("train", started.elapsed().as_secs_f64());
-            out
-        };
-        Ok(self.detect_stage(rng, trained, train_report, &windows))
-    }
-
-    /// [`CausalFormer::discover_store`] with crash-safe checkpointing and
-    /// resume, the out-of-core analogue of
-    /// [`CausalFormer::discover_resumable`].
-    pub fn discover_store_resumable(
+    /// Discovery with crash safety, from either source: training
+    /// checkpoints into `checkpoint.dir` and, when `resume` is set,
+    /// continues from the newest usable checkpoint there. A resumed
+    /// discovery is *bitwise identical* to an uninterrupted one — the
+    /// checkpoint carries the RNG state, so the detector's window sampling
+    /// matches too.
+    ///
+    /// Takes a concrete [`StdRng`] because resumable training must capture
+    /// and restore RNG state.
+    ///
+    /// # Panics
+    /// Panics on an in-RAM series that [`CausalFormer::discover`] would
+    /// reject.
+    pub fn discover_resumable(
         &self,
         rng: &mut StdRng,
-        store: &SeriesStore,
-        stream: &StreamOptions,
+        source: Windows<'_>,
         checkpoint: CheckpointConfig,
         resume: bool,
     ) -> Result<DiscoveryResult, StreamError> {
+        self.run(Fit::Checkpointed(rng, checkpoint, resume), source)
+    }
+
+    /// The one discovery body behind every entry point; the only place the
+    /// compute dtype is chosen.
+    fn run(&self, fit: Fit<'_>, source: Windows<'_>) -> Result<DiscoveryResult, StreamError> {
         match self.train.dtype {
-            Dtype::F64 => {
-                self.discover_store_resumable_typed::<f64>(rng, store, stream, checkpoint, resume)
-            }
-            Dtype::F32 => {
-                self.discover_store_resumable_typed::<f32>(rng, store, stream, checkpoint, resume)
-            }
+            Dtype::F64 => self.run_typed(fit, source, DiscoveredModel::F64),
+            Dtype::F32 => self.run_typed(fit, source, DiscoveredModel::F32),
         }
     }
 
-    fn discover_store_resumable_typed<E: Scalar>(
+    fn run_typed<E: Scalar>(
         &self,
-        rng: &mut StdRng,
-        store: &SeriesStore,
-        stream: &StreamOptions,
-        checkpoint: CheckpointConfig,
-        resume: bool,
+        fit: Fit<'_>,
+        source: Windows<'_>,
+        wrap: fn(TrainedModelBase<E>) -> DiscoveredModel,
     ) -> Result<DiscoveryResult, StreamError> {
         let _pipeline_span = cf_obs::span::enter("discover");
         let _pipeline_trace = cf_obs::trace::span("discover");
-        let windows = self.stream_typed_windows::<E>(store, stream)?;
-        let (trained, train_report) = {
-            let _s = cf_obs::span::enter("train");
-            let _t = cf_obs::trace::span("train");
-            let started = std::time::Instant::now();
-            let out = Trainer::new(self.model, self.train)
-                .with_checkpoints(checkpoint)
-                .resume(resume)
-                .fit(rng, &windows)
+        let windows = self.windows::<E>(source)?;
+        let (rng, (trained, train_report)): (&mut dyn RngCore, _) = match fit {
+            Fit::Plain(rng) => {
+                let out = stage("train", || {
+                    train(&mut *rng, self.model, self.train, &windows)
+                });
+                (rng, out)
+            }
+            Fit::Checkpointed(rng, checkpoint, resume) => {
+                let out = stage("train", || {
+                    Trainer::new(self.model, self.train)
+                        .with_checkpoints(checkpoint)
+                        .resume(resume)
+                        .fit(&mut *rng, &windows)
+                })
                 .map_err(StreamError::Train)?;
-            emit_stage("train", started.elapsed().as_secs_f64());
-            out
-        };
-        Ok(self.detect_stage(rng, trained, train_report, &windows))
-    }
-
-    /// Streams standardized windows out of the store under the window
-    /// budget, casting each window into the compute dtype as it arrives
-    /// (so the f64 staging buffer never holds more than the scan's carry).
-    fn stream_typed_windows<E: Scalar>(
-        &self,
-        store: &SeriesStore,
-        stream: &StreamOptions,
-    ) -> Result<Vec<TensorBase<E>>, StreamError> {
-        let manifest = store.manifest();
-        if manifest.n_series != self.model.n_series {
-            return Err(StreamError::Store(StoreError::Invalid {
-                detail: format!(
-                    "store has {} series, model config expects {}",
-                    manifest.n_series, self.model.n_series
-                ),
-            }));
-        }
-        if manifest.length < self.model.window {
-            return Err(StreamError::Store(StoreError::Invalid {
-                detail: format!(
-                    "store length {} is shorter than one window of {}",
-                    manifest.length, self.model.window
-                ),
-            }));
-        }
-        let stride = effective_stride(
-            manifest.length,
-            self.model.window,
-            self.train.stride,
-            stream.max_windows,
-        );
-        let windows = {
-            let _s = cf_obs::span::enter("windowing");
-            let _t = cf_obs::trace::span("windowing");
-            let started = std::time::Instant::now();
-            let scan = store
-                .standardized_windows(self.model.window, stride, stream.read_ahead)
-                .map_err(StreamError::Store)?;
-            let mut windows: Vec<TensorBase<E>> = Vec::with_capacity(scan.expected_windows());
-            for w in scan {
-                let w = w.map_err(StreamError::Store)?;
-                windows.push(TensorBase::from_f64_tensor(&w));
+                (rng, out)
             }
-            emit_stage("windowing", started.elapsed().as_secs_f64());
-            windows
         };
-        cf_obs::debug!(
-            "discover (store): {} series of {} steps, {} windows at stride {stride}",
-            manifest.n_series,
-            manifest.length,
-            windows.len()
-        );
-        Ok(windows)
-    }
-
-    /// Standardises the series and slices training windows (shared by the
-    /// plain and resumable discovery paths).
-    fn prepare_windows(&self, series: &Tensor) -> Vec<Tensor> {
-        assert_eq!(
-            series.shape()[0],
-            self.model.n_series,
-            "series count disagrees with model config"
-        );
-        let windows = {
-            let _s = cf_obs::span::enter("windowing");
-            let _t = cf_obs::trace::span("windowing");
-            let started = std::time::Instant::now();
-            let std = standardize(series);
-            let windows = slice_windows(&std, self.model.window, self.train.stride);
-            emit_stage("windowing", started.elapsed().as_secs_f64());
-            windows
-        };
-        assert!(
-            !windows.is_empty(),
-            "series of length {} yields no windows of size {}",
-            series.shape()[1],
-            self.model.window
-        );
-        cf_obs::debug!(
-            "discover: {} series, {} windows of {} slots",
-            self.model.n_series,
-            windows.len(),
-            self.model.window
-        );
-        windows
-    }
-
-    /// [`CausalFormer::prepare_windows`] followed by one cast into the
-    /// compute dtype. Standardisation always runs in f64, so the f32 path
-    /// trains on the rounded image of exactly the f64 windows.
-    fn prepare_typed_windows<E: Scalar>(&self, series: &Tensor) -> Vec<TensorBase<E>> {
-        self.prepare_windows(series)
-            .iter()
-            .map(TensorBase::from_f64_tensor)
-            .collect()
-    }
-
-    /// Runs the decomposition-based detector on a trained model and
-    /// assembles the discovery result.
-    fn detect_stage<E: Scalar, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        trained: TrainedModelBase<E>,
-        train_report: TrainReport,
-        windows: &[TensorBase<E>],
-    ) -> DiscoveryResult {
         // `detect` runs relevance propagation (RRP) and graph construction;
         // the finer-grained spans live inside `detector.rs`.
-        let (graph, scores) = {
-            let _s = cf_obs::span::enter("detect");
-            let _t = cf_obs::trace::span("detect");
-            let started = std::time::Instant::now();
-            let out = detect(rng, &trained.model, &trained.store, windows, &self.detector);
-            emit_stage("detect", started.elapsed().as_secs_f64());
-            out
-        };
-        DiscoveryResult {
+        let (graph, scores) = stage("detect", || {
+            detect(
+                rng,
+                &trained.model,
+                &trained.store,
+                &windows,
+                &self.detector,
+            )
+        });
+        Ok(DiscoveryResult {
             graph,
             train_report,
             scores,
-        }
+            model: wrap(trained),
+        })
+    }
+
+    /// Standardises the source and slices it into training windows, each
+    /// cast into the compute dtype as soon as it is cut. Standardisation
+    /// always runs in f64, so the f32 path trains on the rounded image of
+    /// exactly the f64 windows.
+    fn windows<E: Scalar>(&self, source: Windows<'_>) -> Result<Vec<TensorBase<E>>, StreamError> {
+        let window = self.model.window;
+        let (n, len, stride, windows) = match source {
+            Windows::InRam(series) => {
+                let (n, len) = (series.shape()[0], series.shape()[1]);
+                assert_eq!(
+                    n, self.model.n_series,
+                    "series count disagrees with model config"
+                );
+                let stride = self.train.stride;
+                let windows = stage("windowing", || {
+                    slice_windows(&standardize(series), window, stride)
+                });
+                assert!(
+                    !windows.is_empty(),
+                    "series of length {len} yields no windows of size {window}"
+                );
+                (n, len, stride, windows)
+            }
+            Windows::Store(store, stream) => {
+                let (n, len) = (store.manifest().n_series, store.manifest().length);
+                let invalid = |detail| Err(StreamError::Store(StoreError::Invalid { detail }));
+                if n != self.model.n_series {
+                    return invalid(format!(
+                        "store has {n} series, model config expects {}",
+                        self.model.n_series
+                    ));
+                }
+                if len < window {
+                    return invalid(format!(
+                        "store length {len} is shorter than one window of {window}"
+                    ));
+                }
+                let stride = effective_stride(len, window, self.train.stride, stream.max_windows);
+                let windows = stage("windowing", || {
+                    let scan = store.standardized_windows(window, stride, stream.read_ahead)?;
+                    let mut windows = Vec::with_capacity(scan.expected_windows());
+                    for w in scan {
+                        windows.push(TensorBase::from_f64_tensor(&w?));
+                    }
+                    Ok::<_, StoreError>(windows)
+                })
+                .map_err(StreamError::Store)?;
+                (n, len, stride, windows)
+            }
+        };
+        cf_obs::debug!(
+            "discover: {n} series of {len} steps, {} windows of {window} slots at stride {stride}",
+            windows.len()
+        );
+        Ok(windows)
     }
 }
 
@@ -414,24 +335,27 @@ impl CausalFormer {
     }
 }
 
-/// Emits a `stage` JSONL record for one pipeline stage, if a metrics sink
-/// is installed.
-fn emit_stage(stage: &str, wall_secs: f64) {
-    if !cf_obs::sink::is_installed() {
-        return;
+/// Runs one pipeline stage inside its `cf_obs` span and trace span, then
+/// emits a `stage` JSONL record with its wall time (if a metrics sink is
+/// installed).
+fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = cf_obs::span::enter(name);
+    let _trace = cf_obs::trace::span(name);
+    let started = std::time::Instant::now();
+    let out = f();
+    if cf_obs::sink::is_installed() {
+        cf_obs::sink::emit(
+            &cf_obs::json::Obj::new()
+                .str("event", "stage")
+                .f64("ts", cf_obs::unix_time())
+                .str("stage", name)
+                .f64("wall_secs", started.elapsed().as_secs_f64())
+                .finish(),
+        );
     }
-    cf_obs::sink::emit(
-        &cf_obs::json::Obj::new()
-            .str("event", "stage")
-            .f64("ts", cf_obs::unix_time())
-            .str("stage", stage)
-            .f64("wall_secs", wall_secs)
-            .finish(),
-    );
+    out
 }
 
-/// Z-scores each series (duplicated from `cf-data` to keep the core crate
-/// dependency-light; both are covered by tests).
 /// Memory knobs for out-of-core discovery ([`CausalFormer::discover_store`]).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
@@ -506,6 +430,10 @@ pub fn effective_stride(
     base_stride.max(span.div_ceil(max_windows - 1))
 }
 
+/// Z-scores each series, flooring the std at `1e-12` so a constant row
+/// maps to (near) zero instead of NaN. `cf_store`'s streaming statistics
+/// use the same floor, which keeps store and in-RAM discovery bitwise
+/// equal.
 fn standardize(series: &Tensor) -> Tensor {
     let (n, l) = (series.shape()[0], series.shape()[1]);
     let mut out = series.clone();
@@ -521,16 +449,19 @@ fn standardize(series: &Tensor) -> Tensor {
     out
 }
 
-fn slice_windows(series: &Tensor, t_window: usize, stride: usize) -> Vec<Tensor> {
+/// Cuts `t_window`-slot windows every `stride` slots, casting each element
+/// into the compute dtype as the window is filled.
+fn slice_windows<E: Scalar>(series: &Tensor, t_window: usize, stride: usize) -> Vec<TensorBase<E>> {
     let (n, l) = (series.shape()[0], series.shape()[1]);
     let mut out = Vec::new();
     let mut start = 0;
     while start + t_window <= l {
         let mut data = Vec::with_capacity(n * t_window);
         for i in 0..n {
-            data.extend_from_slice(&series.row(i)[start..start + t_window]);
+            let row = &series.row(i)[start..start + t_window];
+            data.extend(row.iter().map(|&v| E::from_f64(v)));
         }
-        out.push(Tensor::from_vec(vec![n, t_window], data).expect("consistent"));
+        out.push(TensorBase::from_vec(vec![n, t_window], data).expect("consistent"));
         start += stride;
     }
     out

@@ -1,6 +1,6 @@
 //! Regression relevance propagation (RRP, paper §4.2.1).
 //!
-//! RRP extends layer-wise relevance propagation [45] from classifiers to
+//! RRP extends layer-wise relevance propagation \[45\] from classifiers to
 //! regression models. Starting from a one-hot relevance seed on the target
 //! series' output row, relevance is decomposed layer by layer using the
 //! generic rule (Eq. 17)
@@ -25,7 +25,7 @@
 //! lets large positive and negative contributions cancel in the
 //! denominator and blow relevance up with arbitrary sign — a well-known
 //! failure mode of LRP on attention models. Following the transformer-LRP
-//! practice the paper builds on (Chefer et al. [11] propagate only
+//! practice the paper builds on (Chefer et al. \[11\] propagate only
 //! positive elements), the product decompositions here use the **z⁺
 //! rule**: relevance is distributed proportionally to the *positive*
 //! contributions, `R_i = Σ_j (z_ij)⁺ / (Σ_i' (z_i'j)⁺ [+ (b_j)⁺]) · R_j`.

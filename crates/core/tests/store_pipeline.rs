@@ -8,7 +8,7 @@
 
 use causalformer::{
     effective_stride, CausalFormer, CheckpointConfig, DetectorConfig, DiscoveryResult, ModelConfig,
-    StreamError, StreamOptions, TrainConfig,
+    StreamError, StreamOptions, TrainConfig, Windows,
 };
 use cf_data::synthetic;
 use cf_store::{FsStorage, SeriesStore, SeriesWriter};
@@ -187,13 +187,23 @@ fn store_resume_is_bitwise_identical_via_v3_checkpoints() {
     let ckpt = tmp_dir("resume_ckpts");
     let mut rng = StdRng::seed_from_u64(17);
     let first_half = cf3
-        .discover_store_resumable(&mut rng, &store, &opts, CheckpointConfig::new(&ckpt), false)
+        .discover_resumable(
+            &mut rng,
+            Windows::Store(&store, opts),
+            CheckpointConfig::new(&ckpt),
+            false,
+        )
         .unwrap();
     assert_eq!(first_half.train_report.train_losses.len(), 3);
 
     let mut rng = StdRng::seed_from_u64(999_999); // wrong on purpose
     let resumed = cf6
-        .discover_store_resumable(&mut rng, &store, &opts, CheckpointConfig::new(&ckpt), true)
+        .discover_resumable(
+            &mut rng,
+            Windows::Store(&store, opts),
+            CheckpointConfig::new(&ckpt),
+            true,
+        )
         .unwrap();
     assert_eq!(resumed.train_report.resumed_at, Some(3));
 
