@@ -12,9 +12,9 @@
 //! proximal shrinkage step after each Adam update, and survivors are
 //! selected by k-means on the group norms.
 
-use crate::common::standardize;
 use crate::sweep_cache::{fingerprint_payload, SweepCache};
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Linear, LstmCell, Optimizer, ParamStore};

@@ -13,9 +13,10 @@
 //! are selected by k-means on the group norms, which reduces to a non-zero
 //! check when the proximal operator has zeroed the rest.
 
-use crate::common::{group_norm, lag_norm, lagged_design, standardize};
+use crate::common::{group_norm, lag_norm, lagged_design};
 use crate::sweep_cache::{fingerprint_payload, SweepCache};
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Linear, Optimizer, ParamStore};

@@ -1,24 +1,7 @@
 //! Shared utilities for the baseline methods: lagged design matrices,
-//! standardisation, group norms, and TCDF's largest-gap threshold.
+//! group norms, and TCDF's largest-gap threshold.
 
 use cf_tensor::Tensor;
-
-/// Z-scores each row of an `N×L` matrix (same recipe as the core pipeline).
-pub(crate) fn standardize(series: &Tensor) -> Tensor {
-    let _span = cf_obs::span::enter("baseline.standardize");
-    let (n, l) = (series.shape()[0], series.shape()[1]);
-    let mut out = series.clone();
-    for i in 0..n {
-        let row = series.row(i);
-        let mean = row.iter().sum::<f64>() / l as f64;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / l as f64;
-        let std = var.sqrt().max(1e-12);
-        for t in 0..l {
-            out.set2(i, t, (row[t] - mean) / std);
-        }
-    }
-    out
-}
 
 /// Builds the lagged regression design for one-step-ahead prediction.
 ///
@@ -109,6 +92,7 @@ pub fn largest_gap_threshold(scores: &[f64]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_data::window::standardize;
 
     #[test]
     fn lagged_design_layout() {

@@ -13,8 +13,9 @@
 //! score of `i → j` is the maximum gate over lags; k-means selects the
 //! causal class. CUTS does not output delays (Table 2 omits it).
 
-use crate::common::{lagged_design, standardize};
+use crate::common::lagged_design;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Linear, Optimizer, ParamStore};

@@ -14,8 +14,8 @@
 //! predictor, trained end-to-end with a sparsity penalty. DVGNN does not
 //! output causal delays (Table 2 omits it).
 
-use crate::common::standardize;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Optimizer, ParamStore};

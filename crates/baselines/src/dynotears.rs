@@ -10,8 +10,8 @@
 //! rare. Trained with the workspace autodiff tape and Adam; edges are the
 //! top k-means class of `max_τ |W^τ_{i,j}|` and the delay is the argmax τ.
 
-use crate::common::standardize;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Optimizer, ParamStore};

@@ -11,8 +11,8 @@
 //! target's selected parents only — adequate at benchmark sizes and
 //! documented in DESIGN.md.
 
-use crate::common::standardize;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::CausalGraph;
 use cf_stats::{fisher_z_test, partial_correlation};
 use cf_tensor::Tensor;

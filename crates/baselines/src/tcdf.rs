@@ -16,8 +16,9 @@
 //! validation step is omitted — it prunes borderline causes and does not
 //! change the scoring mechanism.
 
-use crate::common::{largest_gap_threshold, standardize};
+use crate::common::largest_gap_threshold;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Optimizer, ParamStore};
 use cf_tensor::{he_normal, with_pooled_tape, Tensor};

@@ -8,8 +8,9 @@
 //! delay annotation is the lag with the largest absolute coefficient in
 //! the full model.
 
-use crate::common::{lagged_design, standardize};
+use crate::common::lagged_design;
 use crate::Discoverer;
+use cf_data::window::standardize;
 use cf_metrics::CausalGraph;
 use cf_stats::{f_test_nested, ols};
 use cf_tensor::Tensor;

@@ -631,13 +631,45 @@ fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
 /// DESIGN.md §5.7); the `--metrics-out` stream is unchanged.
 pub const METRICS_SCHEMA_VERSION: &str = "2.2";
 
+/// Closes the writers `discover` installed — the `--metrics-out` sink and
+/// the `--diag-out` writer — when it goes out of scope, so every exit,
+/// error returns included, flushes them and leaves none installed.
+struct RunOutputs {
+    sink: bool,
+    diag: bool,
+}
+
+impl RunOutputs {
+    fn close_sink(&mut self) {
+        if std::mem::take(&mut self.sink) {
+            cf_obs::sink::uninstall();
+        }
+    }
+
+    fn close_diag(&mut self) {
+        if std::mem::take(&mut self.diag) {
+            diag::uninstall();
+        }
+    }
+}
+
+impl Drop for RunOutputs {
+    fn drop(&mut self) {
+        self.close_sink();
+        self.close_diag();
+    }
+}
+
 /// Executes `discover`, returning the human-readable report that `main`
 /// prints.
 pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     if let Some(n) = a.threads {
         cf_par::set_threads(n);
     }
-    let sink_installed = setup_observability(a)?;
+    let mut outputs = RunOutputs {
+        sink: setup_observability(a)?,
+        diag: false,
+    };
     if a.trace_out.is_some() {
         cf_obs::trace::reset();
         cf_obs::trace::set_enabled(true);
@@ -661,6 +693,7 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     if let Some(path) = &a.diag_out {
         diag::install_file(std::path::Path::new(path))
             .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
+        outputs.diag = true;
     }
     let started = std::time::Instant::now();
     let defaults = StreamOptions::default();
@@ -749,7 +782,7 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         out.push_str(&format!("model checkpoint written to {path}\n"));
     }
 
-    if sink_installed {
+    if outputs.sink {
         cf_obs::sink::emit(
             &cf_obs::json::Obj::new()
                 .str("event", "discovery")
@@ -771,12 +804,12 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         // summary includes mem.pool.* and mem.alloc.count.
         cf_tensor::pool::publish_obs();
         cf_obs::sink::emit_summaries();
-        cf_obs::sink::uninstall();
+        outputs.close_sink();
         let path = a.metrics_out.as_deref().unwrap_or("?");
         out.push_str(&format!("metrics written to {path}\n"));
     }
     if let Some(path) = &a.diag_out {
-        diag::uninstall();
+        outputs.close_diag();
         out.push_str(&format!("diagnostics written to {path}\n"));
     }
     if let Some(path) = &a.trace_out {
@@ -1346,6 +1379,41 @@ mod tests {
         };
         assert!(matches!(run_discover(&disc), Err(CliError::Run(_))));
         std::fs::remove_file(&csv_path).ok();
+    }
+
+    #[test]
+    fn failing_discover_flushes_and_uninstalls_its_outputs() {
+        let _guard = discover_lock();
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let csv_path = dir.join(format!("cf_cli_test_fail_{id}.csv"));
+        let metrics_path = dir.join(format!("cf_cli_test_fail_{id}.jsonl"));
+        let diag_path = dir.join(format!("cf_cli_test_fail_{id}.cfdiag"));
+        std::fs::write(&csv_path, "1,2\n3,4\n5,6\n").unwrap();
+        let disc = DiscoverArgs {
+            input: csv_path.to_string_lossy().into_owned(),
+            window: Some(1000),
+            metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
+            diag_out: Some(diag_path.to_string_lossy().into_owned()),
+            quiet: true,
+            ..DiscoverArgs::default()
+        };
+        let err = run_discover(&disc).unwrap_err();
+        assert!(err.to_string().contains("does not fit"), "{err}");
+        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(
+            metrics
+                .lines()
+                .next()
+                .unwrap_or("")
+                .contains(r#""event":"meta""#),
+            "metrics file lacks its meta record: {metrics:?}"
+        );
+        assert!(!cf_obs::sink::is_installed(), "metrics sink left installed");
+        assert!(!diag::is_installed(), "diagnostics writer left installed");
+        for p in [&csv_path, &metrics_path, &diag_path] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]

@@ -1,23 +1,33 @@
 //! The decomposition-based causality detector (paper §4.2).
 //!
-//! For each target series `i` the detector:
+//! For each sample window the detector:
 //!
-//! 1. runs [RRP](crate::rrp) to get the relevance of every attention matrix
-//!    `𝒜` and of the causal convolution kernel bank `𝒦` (Fig. 6a),
-//! 2. obtains the gradients `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦` from the
-//!    autodiff tape and *modulates* the relevance: `S = E_h(|∇f| ⊙ R)⁺`
-//!    (Eq. 19, Fig. 6b),
+//! 1. runs one [RRP](crate::rrp) pass to get the relevance of every
+//!    attention matrix `𝒜` and of the causal convolution kernel bank `𝒦`
+//!    (Fig. 6a),
+//! 2. runs one backward pass on the autodiff tape for the gradients
+//!    `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦`, and *modulates* the relevance:
+//!    `S = E_h(|∇f| ⊙ R)⁺` (Eq. 19, Fig. 6b),
 //! 3. averages causal scores over a batch of sample windows,
 //! 4. k-means-clusters each target's attention scores and keeps the top
 //!    `m/n` classes as causal edges; the causal delay of an edge comes from
 //!    the argmax kernel tap (Eq. 20, Fig. 6c).
 //!
+//! Both passes are seeded with ones on every target row at once, and
+//! target `i` reads its scores from attention row `𝒜[h][i,:]` and kernel
+//! slab `𝒦[:, i, :]`. That is exact, not an approximation: prediction row
+//! `i` reads only those entries (`attn_apply` row `i` reads `shifted[:, i,
+//! :]`, the FFN and output layer act row-wise), so no other target's seed
+//! reaches them; and RRP is linear in its seed and skips zero relevance,
+//! so each row and slab holds bitwise what a one-hot seed on row `i`
+//! would give.
+//!
 //! Every ablation of the paper's Table 3 is a [`DetectorMode`] switch (plus
 //! `ModelConfig::single_kernel` for the conv ablation).
 
 use crate::config::{DetectorConfig, DetectorMode};
-use crate::model::CausalityAwareTransformer;
-use crate::rrp::{self, RrpLayers};
+use crate::model::{CausalityAwareTransformer, ForwardTrace};
+use crate::rrp::{self, RrpLayers, RrpResult};
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::ParamStoreBase;
@@ -64,9 +74,11 @@ impl CausalScores {
     }
 }
 
-/// Computes the causal scores contributed by a single window. Scores are
-/// always f64 — for an f32-trained model the forward values cross into
-/// f64 at the RRP/read-out boundary below.
+/// Computes the causal scores contributed by a single window: one forward
+/// pass, then one gradient pass and one relevance pass, each seeded with
+/// ones on every target row (see the module docs for why the rows stay
+/// apart). Scores are always f64 — for an f32-trained model the forward
+/// values cross into f64 at the RRP/read-out boundary.
 pub fn window_scores<E: Scalar>(
     model: &CausalityAwareTransformer,
     store: &ParamStoreBase<E>,
@@ -75,20 +87,42 @@ pub fn window_scores<E: Scalar>(
 ) -> CausalScores {
     let _span = cf_obs::span::enter("window_scores");
     let _trace = cf_obs::trace::span("window_scores");
+    score_window(model, store, x_window, mode, |tape, trace, layers| {
+        let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
+        let grads = (mode != DetectorMode::NoGradient)
+            .then(|| cut_gradients(tape, trace, TensorBase::ones(&[n, t])));
+        let rel = (mode != DetectorMode::NoRelevance)
+            .then(|| rrp::propagate(layers, &Tensor::ones(&[n, t])));
+        let shape = (n, t, trace.attn.len());
+        let (attn, kernel) = (0..n)
+            .map(|i| combine_target(mode, i, shape, grads.as_ref(), rel.as_ref()))
+            .unzip();
+        CausalScores { attn, kernel }
+    })
+}
+
+/// Runs the forward pass on a pooled tape and hands `passes` the tape, the
+/// trace, and the RRP inputs read off it. `NoInterpretation` reads the
+/// model weights directly and never calls `passes`.
+fn score_window<E: Scalar>(
+    model: &CausalityAwareTransformer,
+    store: &ParamStoreBase<E>,
+    x_window: &TensorBase<E>,
+    mode: DetectorMode,
+    passes: impl FnOnce(&TapeBase<E>, &ForwardTrace, &RrpLayers<'_>) -> CausalScores,
+) -> CausalScores {
     let cfg = model.config();
     let (n, t) = (cfg.n_series, cfg.window);
     with_pooled_tape(|tape| {
         let bound = store.bind(tape);
         let trace = model.forward(tape, &bound, x_window);
-        // The forward pass is done recording; reborrow shared so the
-        // per-target backward passes can fan out over `&Tape`.
+        // The forward pass is done recording; the passes only read it.
         let tape: &TapeBase<E> = tape;
-
-        let mut scores = CausalScores::zeros(n, t);
-        let heads = trace.attn.len();
 
         if mode == DetectorMode::NoInterpretation {
             // Read model weights directly: attention matrices and |kernel|.
+            let mut scores = CausalScores::zeros(n, t);
+            let heads = trace.attn.len();
             let bank = tape.value(trace.bank);
             for i in 0..n {
                 for j in 0..n {
@@ -162,90 +196,76 @@ pub fn window_scores<E: Scalar>(
             with_bias: mode != DetectorMode::NoBias,
         };
         layers.validate_shapes();
-
-        let need_relevance = mode != DetectorMode::NoRelevance;
-        let need_gradient = mode != DetectorMode::NoGradient;
-
-        // Per-target passes are independent given the shared forward tape
-        // (`backward_with_seed` takes `&self`): fan the i-loop out across the
-        // pool, each target producing its own attention row and kernel matrix.
-        let per_target: Vec<(Vec<f64>, Tensor)> = cf_par::par_map(n, |i| {
-            // Gradient pass: seed the prediction with the target's row.
-            let (grad_attn, grad_bank) = if need_gradient {
-                let mut seed = TensorBase::<E>::zeros(&[n, t]);
-                for tt in 0..t {
-                    seed.set2(i, tt, 1.0);
-                }
-                let mut grads = tape.backward_with_seed(trace.pred, seed);
-                let ga: Vec<TensorBase<E>> = trace
-                    .attn
-                    .iter()
-                    .map(|&a| grads.take(a).unwrap_or_else(|| TensorBase::zeros(&[n, n])))
-                    .collect();
-                let gb = grads
-                    .take(trace.bank)
-                    .unwrap_or_else(|| TensorBase::zeros(&[n, n, t]));
-                (ga, gb)
-            } else {
-                (Vec::new(), TensorBase::zeros(&[n, n, t]))
-            };
-
-            // Relevance pass.
-            let rel = if need_relevance {
-                Some(rrp::propagate(&layers, i))
-            } else {
-                None
-            };
-
-            // Combine per Eq. 19 (or the ablated variants).
-            let mut attn_row = vec![0.0; n];
-            let mut kernel_i = Tensor::zeros(&[n, t]);
-            for j in 0..n {
-                let mut acc = 0.0;
-                for h in 0..heads {
-                    let val = match mode {
-                        DetectorMode::NoRelevance => grad_attn[h].get2(i, j).abs(),
-                        DetectorMode::NoGradient => {
-                            rel.as_ref().expect("relevance computed").attn[h].get2(i, j)
-                        }
-                        _ => {
-                            grad_attn[h].get2(i, j).abs()
-                                * rel.as_ref().expect("relevance computed").attn[h].get2(i, j)
-                        }
-                    };
-                    acc += val.max(0.0); // the (·)⁺ rectifier
-                }
-                attn_row[j] = acc / heads as f64;
-
-                for u in 0..t {
-                    let val = match mode {
-                        DetectorMode::NoRelevance => grad_bank.get3(j, i, u).abs(),
-                        DetectorMode::NoGradient => rel
-                            .as_ref()
-                            .expect("relevance computed")
-                            .kernel
-                            .get3(j, i, u),
-                        _ => {
-                            grad_bank.get3(j, i, u).abs()
-                                * rel
-                                    .as_ref()
-                                    .expect("relevance computed")
-                                    .kernel
-                                    .get3(j, i, u)
-                        }
-                    };
-                    let prev = kernel_i.get2(j, u);
-                    kernel_i.set2(j, u, prev + val.max(0.0));
-                }
-            }
-            (attn_row, kernel_i)
-        });
-        for (i, (attn_row, kernel_i)) in per_target.into_iter().enumerate() {
-            scores.attn[i] = attn_row;
-            scores.kernel[i] = kernel_i;
-        }
-        scores
+        passes(tape, &trace, &layers)
     })
+}
+
+/// Gradients of the seeded prediction at the two tensors the detector
+/// scores.
+struct CutGradients<E: Scalar> {
+    /// `∂/∂𝒜` per head (`N×N`).
+    attn: Vec<TensorBase<E>>,
+    /// `∂/∂𝒦` (`N×N×T`).
+    bank: TensorBase<E>,
+}
+
+/// One backward pass from the prediction, seeded with `seed` (`N×T`).
+fn cut_gradients<E: Scalar>(
+    tape: &TapeBase<E>,
+    trace: &ForwardTrace,
+    seed: TensorBase<E>,
+) -> CutGradients<E> {
+    let (n, t) = (seed.shape()[0], seed.shape()[1]);
+    let mut grads = tape.backward_with_seed(trace.pred, seed);
+    CutGradients {
+        attn: trace
+            .attn
+            .iter()
+            .map(|&a| grads.take(a).unwrap_or_else(|| TensorBase::zeros(&[n, n])))
+            .collect(),
+        bank: grads
+            .take(trace.bank)
+            .unwrap_or_else(|| TensorBase::zeros(&[n, n, t])),
+    }
+}
+
+/// Eq. 19 (or its ablated variants) for target `i`: row `i` of every
+/// attention gradient and relevance, slab `[:, i, :]` of the kernel ones.
+/// Returns the target's attention-score row and its `N×T` kernel scores.
+fn combine_target<E: Scalar>(
+    mode: DetectorMode,
+    i: usize,
+    (n, t, heads): (usize, usize, usize),
+    grads: Option<&CutGradients<E>>,
+    rel: Option<&RrpResult>,
+) -> (Vec<f64>, Tensor) {
+    let grad = || grads.expect("gradient computed");
+    let rel = || rel.expect("relevance computed");
+    let mut attn_row = vec![0.0; n];
+    let mut kernel_i = Tensor::zeros(&[n, t]);
+    for j in 0..n {
+        let mut acc = 0.0;
+        for h in 0..heads {
+            let val = match mode {
+                DetectorMode::NoRelevance => grad().attn[h].get2(i, j).abs(),
+                DetectorMode::NoGradient => rel().attn[h].get2(i, j),
+                _ => grad().attn[h].get2(i, j).abs() * rel().attn[h].get2(i, j),
+            };
+            acc += val.max(0.0); // the (·)⁺ rectifier
+        }
+        attn_row[j] = acc / heads as f64;
+
+        for u in 0..t {
+            let val = match mode {
+                DetectorMode::NoRelevance => grad().bank.get3(j, i, u).abs(),
+                DetectorMode::NoGradient => rel().kernel.get3(j, i, u),
+                _ => grad().bank.get3(j, i, u).abs() * rel().kernel.get3(j, i, u),
+            };
+            let prev = kernel_i.get2(j, u);
+            kernel_i.set2(j, u, prev + val.max(0.0));
+        }
+    }
+    (attn_row, kernel_i)
 }
 
 /// Averages [`window_scores`] over up to `cfg.sample_windows` windows
@@ -272,10 +292,11 @@ pub fn aggregate_scores<E: Scalar>(
     // accumulating past `total`.
     cf_obs::heartbeat::progress("detect.window", 0, k as u64);
     // Each sampled window is an independent, rng-free scoring pass — the
-    // coarse grain the scheduler wants. Fan the windows out as tasks
-    // (each one's per-target passes are themselves stealable subtasks),
-    // then accumulate sequentially in sample order: the same left fold
-    // the old serial loop performed, so the sum stays bitwise identical.
+    // coarse grain the scheduler wants, and the only fan-out of detection:
+    // within a window, one gradient pass and one relevance pass serve every
+    // target. Fan the windows out as tasks, then accumulate sequentially in
+    // sample order: the same left fold the old serial loop performed, so
+    // the sum stays bitwise identical.
     let per_window: Vec<CausalScores> = cf_par::par_map(k, |s| {
         let idx = (s as f64 * step) as usize;
         let scores = window_scores(model, store, &windows[idx.min(windows.len() - 1)], cfg.mode);
@@ -471,6 +492,90 @@ mod tests {
                 }
                 assert!(s.kernel[i].all_finite(), "{mode:?} kernel[{i}]");
             }
+        }
+    }
+
+    /// The per-target detector the one-pass [`window_scores`] replaced:
+    /// for each target `i`, one backward pass and one RRP pass, each seeded
+    /// one-hot on row `i`.
+    fn per_target_scores<E: Scalar>(
+        model: &CausalityAwareTransformer,
+        store: &ParamStoreBase<E>,
+        x_window: &TensorBase<E>,
+        mode: DetectorMode,
+    ) -> CausalScores {
+        score_window(model, store, x_window, mode, |tape, trace, layers| {
+            let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
+            let shape = (n, t, trace.attn.len());
+            let (attn, kernel) = (0..n)
+                .map(|i| {
+                    let mut seed = Tensor::zeros(&[n, t]);
+                    for tt in 0..t {
+                        seed.set2(i, tt, 1.0);
+                    }
+                    let grads = (mode != DetectorMode::NoGradient).then(|| {
+                        cut_gradients(tape, trace, TensorBase::<E>::from_f64_tensor(&seed))
+                    });
+                    let rel =
+                        (mode != DetectorMode::NoRelevance).then(|| rrp::propagate(layers, &seed));
+                    combine_target(mode, i, shape, grads.as_ref(), rel.as_ref())
+                })
+                .unzip();
+            CausalScores { attn, kernel }
+        })
+    }
+
+    fn assert_one_pass_matches_per_target<E: Scalar>(n: usize) {
+        const MODES: [DetectorMode; 5] = [
+            DetectorMode::Full,
+            DetectorMode::NoInterpretation,
+            DetectorMode::NoRelevance,
+            DetectorMode::NoGradient,
+            DetectorMode::NoBias,
+        ];
+        let t = 6;
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut store = ParamStoreBase::<E>::new();
+        let cfg = ModelConfig {
+            d_model: 8,
+            d_qk: 8,
+            d_ffn: 8,
+            ..ModelConfig::compact(n, t)
+        };
+        let model = CausalityAwareTransformer::new(&mut store, &mut rng, cfg);
+        let x = TensorBase::<E>::from_f64_tensor(&uniform(&mut rng, &[n, t], -1.0, 1.0));
+        for mode in MODES {
+            let one = window_scores(&model, &store, &x, mode);
+            let reference = per_target_scores(&model, &store, &x, mode);
+            let mut nonzero = 0;
+            for i in 0..n {
+                for j in 0..n {
+                    let (a, b) = (one.attn[i][j], reference.attn[i][j]);
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{mode:?} n={n} attn[{i}][{j}]: {a} vs {b}"
+                    );
+                    nonzero += usize::from(a != 0.0);
+                    for u in 0..t {
+                        let (a, b) = (one.kernel[i].get2(j, u), reference.kernel[i].get2(j, u));
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{mode:?} n={n} kernel[{i}]({j},{u}): {a} vs {b}"
+                        );
+                    }
+                }
+            }
+            assert!(nonzero > 0, "{mode:?} n={n}: all-zero scores pin nothing");
+        }
+    }
+
+    #[test]
+    fn one_pass_scores_match_per_target_passes_bitwise() {
+        for n in [3, 8, 20] {
+            assert_one_pass_matches_per_target::<f64>(n);
+            assert_one_pass_matches_per_target::<f32>(n);
         }
     }
 

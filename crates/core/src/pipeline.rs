@@ -17,6 +17,7 @@ use crate::config::{DetectorConfig, ModelConfig, TrainConfig};
 use crate::detector::{detect, CausalScores};
 use crate::persist::{self, PersistError};
 use crate::trainer::{train, TrainError, TrainReport, TrainedModelBase, Trainer};
+use cf_data::window::standardize;
 use cf_metrics::CausalGraph;
 use cf_store::{SeriesStore, StoreError};
 use cf_tensor::{Dtype, Scalar, Tensor, TensorBase};
@@ -430,25 +431,6 @@ pub fn effective_stride(
     base_stride.max(span.div_ceil(max_windows - 1))
 }
 
-/// Z-scores each series, flooring the std at `1e-12` so a constant row
-/// maps to (near) zero instead of NaN. `cf_store`'s streaming statistics
-/// use the same floor, which keeps store and in-RAM discovery bitwise
-/// equal.
-fn standardize(series: &Tensor) -> Tensor {
-    let (n, l) = (series.shape()[0], series.shape()[1]);
-    let mut out = series.clone();
-    for i in 0..n {
-        let row = series.row(i);
-        let mean = row.iter().sum::<f64>() / l as f64;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / l as f64;
-        let std = var.sqrt().max(1e-12);
-        for t in 0..l {
-            out.set2(i, t, (row[t] - mean) / std);
-        }
-    }
-    out
-}
-
 /// Cuts `t_window`-slot windows every `stride` slots, casting each element
 /// into the compute dtype as the window is filled.
 fn slice_windows<E: Scalar>(series: &Tensor, t_window: usize, stride: usize) -> Vec<TensorBase<E>> {
@@ -701,5 +683,58 @@ mod tests {
         let series = Tensor::full(&[2, 50], 3.0);
         let s = standardize(&series);
         assert!(s.all_finite());
+    }
+
+    /// A row whose std is nonzero but below the `1e-12` floor: cf-data's
+    /// windows (what the bench tools and the decomposed pipeline train on)
+    /// and `discover`'s own must agree bitwise, down to the scores.
+    #[test]
+    fn cf_data_windows_match_discover_on_a_near_constant_row() {
+        use cf_data::window;
+        let len = 60;
+        let data: Vec<f64> = (0..3 * len)
+            .map(|k| match k / len {
+                0 => (k as f64 * 0.7).sin(),
+                1 => (k as f64 * 0.3).cos(),
+                _ => 0.1 + 1e-14 * ((k % 7) as f64),
+            })
+            .collect();
+        let series = Tensor::from_vec(vec![3, len], data).unwrap();
+        let mut cf = presets::synthetic_sparse(3);
+        cf.model.window = 6;
+        cf.model.d_model = 8;
+        cf.model.d_qk = 8;
+        cf.model.d_ffn = 8;
+        cf.train.max_epochs = 2;
+        cf.train.stride = 3;
+
+        let std_series = window::standardize(&series);
+        let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+        let sliced: Vec<Tensor> = slice_windows(&std_series, cf.model.window, cf.train.stride);
+        assert_eq!(windows, sliced);
+        // The floored row is rescaled, not left at its raw ~1e-14 spread.
+        assert!(windows.iter().any(|w| w.get2(2, 0).abs() > 1e-3));
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let result = cf.discover(&mut rng, &series);
+        let mut rng = StdRng::seed_from_u64(5);
+        let (trained, _) = train(&mut rng, cf.model, cf.train, &windows);
+        let (graph, scores) = detect(
+            &mut rng,
+            &trained.model,
+            &trained.store,
+            &windows,
+            &cf.detector,
+        );
+        assert_eq!(graph, result.graph);
+        for i in 0..3 {
+            for j in 0..3 {
+                assert_eq!(
+                    scores.attn[i][j].to_bits(),
+                    result.scores.attn[i][j].to_bits(),
+                    "attn[{i}][{j}]"
+                );
+            }
+        }
     }
 }

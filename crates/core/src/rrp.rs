@@ -1,8 +1,8 @@
 //! Regression relevance propagation (RRP, paper §4.2.1).
 //!
 //! RRP extends layer-wise relevance propagation \[45\] from classifiers to
-//! regression models. Starting from a one-hot relevance seed on the target
-//! series' output row, relevance is decomposed layer by layer using the
+//! regression models. Starting from a relevance seed on the output rows of
+//! the target series, relevance is decomposed layer by layer using the
 //! generic rule (Eq. 17)
 //!
 //! ```text
@@ -16,6 +16,14 @@
 //! attention matrices `𝒜` and the causal convolution kernel bank `𝒦`
 //! (paper §4.2.3: the embedding and Q/K projections are not decomposed —
 //! they never mix information *across* series' value paths).
+//!
+//! The paper seeds one target at a time (a one-hot seed on its row). Every
+//! rule below is linear in the incoming relevance, works row by row
+//! (attention row `a` and kernel slab `[:, a, :]` receive relevance only
+//! from output row `a`), and skips zero relevance, so a seed of ones on
+//! every row yields, in row `a` and slab `a`, bitwise what the one-hot seed
+//! on `a` would. The detector relies on that to score all targets in one
+//! pass.
 //!
 //! Leaky ReLU propagates relevance unchanged: applying Eq. 17 to an
 //! elementwise `y = φ(x)` gives `R·x·φ'(x)/φ(x) = R` for both branches of
@@ -53,7 +61,7 @@ fn pos(v: f64) -> f64 {
     v.max(0.0)
 }
 
-/// Relevance results of one RRP pass for one target series.
+/// Relevance results of one RRP pass.
 #[derive(Debug, Clone)]
 pub struct RrpResult {
     /// Per-head relevance of the attention matrix `𝒜` (`N×N` each).
@@ -106,20 +114,18 @@ pub struct RrpLayers<'a> {
     pub with_bias: bool,
 }
 
-/// Runs RRP for `target` (the series whose causes are being sought) and
+/// Runs RRP from the relevance `seed` on the prediction (`N×T`; Fig. 6a
+/// seeds ones on the row of the series whose causes are sought) and
 /// returns the relevance of every attention matrix and of the kernel bank.
-pub fn propagate(layers: &RrpLayers<'_>, target: usize) -> RrpResult {
+///
+/// # Panics
+/// Panics if `seed` is not shaped like the prediction.
+pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     let _span = cf_obs::span::enter("rrp.propagate");
     let _trace = cf_obs::trace::span("rrp.propagate");
     let n = layers.pred.shape()[0];
     let t = layers.pred.shape()[1];
-    assert!(target < n, "target series out of range");
-
-    // Seed (Fig. 6a): one-hot over series — relevance 1 on the target row.
-    let mut r_pred = Tensor::zeros(&[n, t]);
-    for tt in 0..t {
-        r_pred.set2(target, tt, 1.0);
-    }
+    assert_eq!(seed.shape(), layers.pred.shape(), "seed shape");
 
     // Output layer: pred = ffn_out · W_out + b_out.
     let r_ffn_out = linear_rrp(
@@ -127,7 +133,7 @@ pub fn propagate(layers: &RrpLayers<'_>, target: usize) -> RrpResult {
         layers.w_out,
         layers.pred,
         layers.b_out,
-        &r_pred,
+        seed,
         layers.with_bias,
     );
 
@@ -349,8 +355,18 @@ mod tests {
         assert_eq!(r_x.get2(0, 1), 0.0, "negative contributor gets none");
     }
 
-    /// Builds a real forward state via the model and runs a propagation.
-    fn run_on_model(target: usize) -> (RrpResult, usize) {
+    /// Relevance 1 on every slot of `target`'s row, zero elsewhere.
+    fn one_hot(target: usize, n: usize, t: usize) -> Tensor {
+        let mut seed = Tensor::zeros(&[n, t]);
+        for tt in 0..t {
+            seed.set2(target, tt, 1.0);
+        }
+        seed
+    }
+
+    /// Builds a real forward state via the model and runs a propagation
+    /// from `seed` (`3×6`).
+    fn run_on_model(seed: &Tensor) -> (RrpResult, usize) {
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = ModelConfig {
             d_model: 8,
@@ -394,13 +410,16 @@ mod tests {
             with_bias: true,
         };
         layers.validate_shapes();
-        (propagate(&layers, target), cfg.heads)
+        (propagate(&layers, seed), cfg.heads)
     }
 
     #[test]
     fn relevance_is_nonnegative_and_lands_on_target_row_only() {
+        // The all-target seed the detector uses must give each target's
+        // row and slab bitwise what its own one-hot seed gives.
+        let (all, _) = run_on_model(&Tensor::ones(&[3, 6]));
         for target in 0..3 {
-            let (rel, heads) = run_on_model(target);
+            let (rel, heads) = run_on_model(&one_hot(target, 3, 6));
             assert_eq!(rel.attn.len(), heads);
             for head_rel in &rel.attn {
                 for i in 0..3 {
@@ -413,6 +432,15 @@ mod tests {
                     }
                 }
             }
+            for (head_rel, head_all) in rel.attn.iter().zip(&all.attn) {
+                for j in 0..3 {
+                    assert_eq!(
+                        head_rel.get2(target, j).to_bits(),
+                        head_all.get2(target, j).to_bits(),
+                        "all-target seed differs on attention row {target}"
+                    );
+                }
+            }
             // Kernel relevance lands only on the target's value slabs
             // [:, target, :].
             for a in 0..3 {
@@ -422,6 +450,12 @@ mod tests {
                         assert!(v >= 0.0 && v.is_finite());
                         if b != target {
                             assert_eq!(v, 0.0, "kernel relevance leaked to slab {b}");
+                        } else {
+                            assert_eq!(
+                                v.to_bits(),
+                                all.kernel.get3(a, b, u).to_bits(),
+                                "all-target seed differs on kernel slab {b}"
+                            );
                         }
                     }
                 }
@@ -435,7 +469,7 @@ mod tests {
         // relevance (bias shares are dropped, zero-denominator slots lose
         // theirs), so the total at the attention matrices cannot exceed the
         // seed total (T = 6).
-        let (rel, _) = run_on_model(1);
+        let (rel, _) = run_on_model(&one_hot(1, 3, 6));
         let total: f64 = rel.attn.iter().map(|t| t.sum()).sum();
         assert!(total > 0.0, "some relevance must survive");
         assert!(total <= 6.0 + 1e-6, "total {total} exceeds seed");

@@ -9,7 +9,13 @@
 use cf_tensor::Tensor;
 
 /// Z-scores each row (series) of an `N×L` matrix: zero mean, unit variance.
-/// Constant series are left centred at zero instead of dividing by zero.
+/// The std is floored at `1e-12`, so a constant row maps to zero instead of
+/// NaN.
+///
+/// This is the one z-score of the workspace: `CausalFormer::discover` and
+/// the baselines call it, and cf-store's streaming statistics reproduce its
+/// expressions fold for fold, so every path trains on bitwise the same
+/// windows.
 pub fn standardize(series: &Tensor) -> Tensor {
     assert_eq!(series.rank(), 2, "standardize expects N×L");
     let (n, l) = (series.shape()[0], series.shape()[1]);
@@ -18,10 +24,9 @@ pub fn standardize(series: &Tensor) -> Tensor {
         let row = series.row(i);
         let mean = row.iter().sum::<f64>() / l as f64;
         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / l as f64;
-        let std = var.sqrt();
+        let std = var.sqrt().max(1e-12);
         for t in 0..l {
-            let v = (row[t] - mean) / if std > 1e-12 { std } else { 1.0 };
-            out.set2(i, t, v);
+            out.set2(i, t, (row[t] - mean) / std);
         }
     }
     out

@@ -67,7 +67,7 @@
 //! [`should_fan_out`]`(work, threshold)`: below the threshold the loop
 //! stays serial on the executing worker. When the caller is already
 //! inside a scheduler task (`in_task()`), the threshold is multiplied by
-//! [`NESTED_FANOUT_FACTOR`] — coarse tasks (per-target detector passes,
+//! [`NESTED_FANOUT_FACTOR`] — coarse tasks (per-window detector passes,
 //! per-target baseline training, bench cells) have already claimed the
 //! workers, so only genuinely large nested kernels are worth splitting
 //! into stealable subtasks.
@@ -87,7 +87,9 @@
 //! (parallel vs inline dispatches), `par.tasks` (chunks executed),
 //! `par.spawns` (scope tasks spawned), `par.steals` (tasks taken from
 //! another worker's deque), `par.overflow` (tasks routed through the
-//! shared injector), `par.busy_ns` (summed chunk execution time), and
+//! shared injector), `par.busy_ns` (summed chunk execution time, each
+//! nanosecond once: a chunk excludes nested chunks its thread ran while
+//! it waited), and
 //! `par.idle_ns` (pool-size × job wall-clock minus busy time). The
 //! `par.threads` gauge records the pool size. Trace spans: `par.job`
 //! (a parallel-for dispatch), `par.chunk` (one chunk), `par.task` (one
@@ -162,6 +164,7 @@ impl ForJob {
                 break;
             }
             let started = Instant::now();
+            let nested_before = CHUNK_NS.with(|c| c.get());
             if !self.panicked.load(Ordering::SeqCst) {
                 let _chunk_span = cf_obs::trace::span("par.chunk");
                 // SAFETY: i < total, so the publisher is still blocked in
@@ -179,11 +182,15 @@ impl ForJob {
                 }
             }
             let chunk_ns = started.elapsed().as_nanos() as u64;
-            self.busy_ns.fetch_add(chunk_ns, Ordering::Relaxed);
+            // Nested chunks this thread ran inside this one already
+            // counted their own time; count only the remainder here.
+            let nested_ns = CHUNK_NS.with(|c| c.replace(nested_before + chunk_ns)) - nested_before;
+            let own_ns = chunk_ns.saturating_sub(nested_ns);
+            self.busy_ns.fetch_add(own_ns, Ordering::Relaxed);
             // Heartbeat accounting: the chunk ran on *this* thread, so
             // its busy time and the stall-watchdog progress epoch are
             // attributed here, not to the publisher.
-            cf_obs::heartbeat::add_busy_ns(chunk_ns);
+            cf_obs::heartbeat::add_busy_ns(own_ns);
             cf_obs::heartbeat::bump_progress();
             if self.done.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
                 shared.signal();
@@ -245,6 +252,10 @@ std::thread_local! {
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
     /// Per-thread xorshift state for random victim selection.
     static STEAL_RNG: Cell<u64> = const { Cell::new(0) };
+    /// Wall time of the outermost chunks this thread has finished. A
+    /// chunk that helps run nested chunks while it waits subtracts their
+    /// share, so `par.busy_ns` counts each nanosecond once.
+    static CHUNK_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn rng_next() -> u64 {
@@ -1152,6 +1163,30 @@ mod tests {
         for (i, r) in ran.iter().enumerate() {
             assert_eq!(r.load(Ordering::SeqCst), 1, "task {i} ran exactly once");
         }
+    }
+
+    #[test]
+    fn nested_busy_time_counts_once() {
+        let _g = pool_lock();
+        set_threads(2);
+        let busy = cf_obs::metrics::counter("par.busy_ns");
+        let before = busy.get();
+        let started = Instant::now();
+        // Each outer chunk waits on an inner job whose chunks its own
+        // thread runs: without the nested subtraction every inner
+        // nanosecond would be counted twice.
+        par_map(2, |_| {
+            par_map(4, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(5))
+            })
+        });
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        let busy_ns = busy.get() - before;
+        assert!(busy_ns > 0, "parallel chunks recorded no busy time");
+        assert!(
+            busy_ns <= 2 * wall_ns,
+            "busy {busy_ns} ns exceeds 2 threads x {wall_ns} ns wall"
+        );
     }
 
     #[test]

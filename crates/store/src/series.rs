@@ -386,8 +386,10 @@ impl SeriesStore {
     }
 
     /// Per-series standardization statistics, streamed in two passes.
-    /// Addition order per series is ascending `t` — bitwise identical to
-    /// the in-RAM pipeline's `row.iter().sum()` folds.
+    /// Both folds, the `1e-12` std floor and the final division are those
+    /// of `cf_data::window::standardize`, the workspace's one z-score:
+    /// addition order per series is ascending `t`, so the results are
+    /// bitwise identical to its `row.iter().sum()` folds.
     pub fn stats(&self) -> Result<StandardizeStats, StoreError> {
         let m = &self.manifest;
         let n = m.n_series;
@@ -472,7 +474,7 @@ impl SeriesStore {
 pub struct StandardizeStats {
     /// Per-series mean.
     pub means: Vec<f64>,
-    /// Per-series std, floored at `1e-12` like the in-RAM pipeline.
+    /// Per-series std, floored at `1e-12` like `cf_data::window::standardize`.
     pub stds: Vec<f64>,
 }
 
@@ -568,7 +570,7 @@ impl Iterator for WindowScan<'_> {
             let mean = self.stats.means[i];
             let std = self.stats.stds[i];
             for &v in &self.buf[i][off..off + self.window] {
-                // The exact expression of the in-RAM standardize().
+                // The exact expression of `cf_data::window::standardize`.
                 data.push((v - mean) / std);
             }
         }
@@ -660,6 +662,8 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             let mean = row.iter().sum::<f64>() / row.len() as f64;
             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / row.len() as f64;
+            // `cf_data::window::standardize`'s expressions, spelled out
+            // here because cf-store does not depend on cf-data.
             let std = var.sqrt().max(1e-12);
             assert_eq!(
                 stats.means[i].to_bits(),

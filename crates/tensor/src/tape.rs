@@ -629,8 +629,11 @@ impl<E: Scalar> TapeBase<E> {
 
     /// Backpropagates from `root` with an explicit output gradient `seed`
     /// (same shape as `root`'s value). This is how the causality detector
-    /// obtains `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦`: seed the prediction with a
-    /// one-hot row mask.
+    /// obtains `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦` for every target `i` at once:
+    /// it seeds the prediction with ones on every row, and because
+    /// prediction row `i` depends only on attention row `i` and kernel
+    /// slab `[:, i, :]`, those entries of the result are exactly target
+    /// `i`'s gradients.
     pub fn backward_with_seed(&self, root: VarId, seed: TensorBase<E>) -> GradientsBase<E> {
         assert_eq!(
             self.value(root).shape(),

@@ -205,7 +205,11 @@ proptest! {
             w_o: &w_o,
             with_bias: true,
         };
-        let rel = propagate(&layers, target);
+        let mut seed = Tensor::zeros(&[3, 4]);
+        for tt in 0..4 {
+            seed.set2(target, tt, 1.0);
+        }
+        let rel = propagate(&layers, &seed);
         for h in &rel.attn {
             for i in 0..3 {
                 for j in 0..3 {
