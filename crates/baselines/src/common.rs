@@ -10,7 +10,7 @@ use cf_tensor::Tensor;
 /// series-major (`i·lag + (ℓ−1)`) — and `targets` is `S×N` with the values
 /// at time `t`. `S = L − lag` samples.
 pub(crate) fn lagged_design(series: &Tensor, lag: usize) -> (Tensor, Tensor) {
-    let _span = cf_obs::span::enter("baseline.lagged_design");
+    let _span = cf_obs::span!("baseline.lagged_design");
     let (n, l) = (series.shape()[0], series.shape()[1]);
     assert!(lag >= 1 && lag < l, "lag {lag} out of range for length {l}");
     let s = l - lag;
@@ -63,7 +63,7 @@ pub(crate) fn lag_norm(w: &Tensor, series_idx: usize, lag: usize, which_lag: usi
 /// mask aligned with `scores`. With fewer than 2 distinct values, selects
 /// everything (no gap to find).
 pub fn largest_gap_threshold(scores: &[f64]) -> Vec<bool> {
-    let _span = cf_obs::span::enter("baseline.gap_threshold");
+    let _span = cf_obs::span!("baseline.gap_threshold");
     if scores.len() < 2 {
         return vec![true; scores.len()];
     }

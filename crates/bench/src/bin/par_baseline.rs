@@ -389,8 +389,7 @@ fn main() {
             for &threads in &thread_counts {
                 cf_par::set_threads(threads);
                 eprintln!("running {label} on {dataset:?} with {threads} thread(s) …");
-                let _cell_span =
-                    cf_obs::trace::span_dyn(format!("cell {label} {dataset:?} {threads}t"));
+                let _cell_span = cf_obs::span!(format!("cell {label} {dataset:?} {threads}t"));
                 let (cell, mut timing) =
                     timed(threads, || run_cell(method, dataset, &cell_opts(dtype)));
                 f1_mean = cell.f1.map(|m| m.mean);
@@ -471,7 +470,7 @@ fn main() {
             config.n
         );
         let (result, timing) = {
-            let _cell_span = cf_obs::trace::span_dyn(format!("lorenz96 n={} {threads}t", config.n));
+            let _cell_span = cf_obs::span!(format!("lorenz96 n={} {threads}t", config.n));
             timed(threads, || cf.discover(&mut rng, &data.series))
         };
         println!(
@@ -548,8 +547,7 @@ fn main() {
             config.n
         );
         let (result, timing) = {
-            let _cell_span =
-                cf_obs::trace::span_dyn(format!("lorenz96 n={} f32 {threads}t", config.n));
+            let _cell_span = cf_obs::span!(format!("lorenz96 n={} f32 {threads}t", config.n));
             timed(threads, || cf.discover(&mut rng, &data.series))
         };
         println!(

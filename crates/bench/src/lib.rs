@@ -89,7 +89,7 @@ impl std::fmt::Display for SerMeanStd {
 pub fn run_cell(method_kind: MethodKind, dataset_kind: DatasetKind, options: &Options) -> Cell {
     // Nested spans give the registry a "<Dataset>.<method>" path whose
     // total is this cell's discovery wall time.
-    let _dataset_span = cf_obs::span::enter(dataset_display_name(dataset_kind));
+    let _dataset_span = cf_obs::span!(dataset_display_name(dataset_kind));
     let mut f1s = Vec::new();
     let mut precisions = Vec::new();
     let mut recalls = Vec::new();
@@ -118,7 +118,7 @@ pub fn run_cell(method_kind: MethodKind, dataset_kind: DatasetKind, options: &Op
             );
             let started = std::time::Instant::now();
             let graph = {
-                let _method_span = cf_obs::span::enter(method_kind.name());
+                let _method_span = cf_obs::span!(method_kind.name());
                 method.discover(&mut rng, &data.series)
             };
             wall_secs += started.elapsed().as_secs_f64();
@@ -204,9 +204,8 @@ pub fn maybe_dump_json<T: serde::Serialize>(options: &Options, value: &T) {
 /// the top of an experiment binary, before any cells run.
 pub fn init_metrics(options: &Options) {
     if options.metrics {
-        cf_obs::profile::reset();
-        cf_obs::span::reset();
-        cf_obs::profile::set_enabled(true);
+        cf_obs::reset();
+        cf_obs::span::set_op_detail(true);
     }
 }
 
@@ -220,7 +219,7 @@ pub fn metrics_path(options: &Options) -> String {
 }
 
 /// Writes the per-run metrics artifact (per-cell method/dataset wall times,
-/// tape op profile, span registry summary) if `--metrics` was given.
+/// tape op profile, span summary) if `--metrics` was given.
 pub fn maybe_dump_metrics(options: &Options, cells: &[Cell]) {
     if !options.metrics {
         return;
@@ -243,8 +242,8 @@ pub fn maybe_dump_metrics(options: &Options, cells: &[Cell]) {
         .u64("seeds", options.seeds as u64)
         .bool("quick", options.quick)
         .raw("runs", &runs.finish())
-        .raw("op_profile", &cf_obs::profile::snapshot_json())
-        .raw("spans", &cf_obs::span::snapshot_json())
+        .raw("op_profile", &cf_obs::span::ops_json())
+        .raw("spans", &cf_obs::span::summary_json())
         .raw("metrics", &cf_obs::metrics::snapshot_json())
         .finish();
     let path = metrics_path(options);

@@ -511,7 +511,7 @@ pub fn run_analyze(a: &AnalyzeArgs) -> Result<(String, usize), CliError> {
                 single_trace_tables(path, &trace, a.top)
             };
             if let Some(folded_path) = &a.flamegraph {
-                cf_obs::export::write_folded_stacks(std::path::Path::new(folded_path), &trace)
+                std::fs::write(folded_path, cf_obs::export::folded_stacks(&trace))
                     .map_err(|e| CliError::Run(format!("writing {folded_path}: {e}")))?;
                 if !a.json {
                     let _ = writeln!(out, "collapsed stacks written to {folded_path}");

@@ -575,8 +575,10 @@ pub fn preset_by_name(name: &str, n: usize) -> Result<CausalFormer, CliError> {
     })
 }
 
-/// Configures logging, the JSONL sink, and op profiling from the parsed
-/// `discover` flags. Returns whether a sink was installed.
+/// Configures logging, the JSONL sink, and the two observability
+/// switches (op detail, ring recording) from the parsed `discover` flags,
+/// after clearing what an earlier run in this process accumulated.
+/// Returns whether a sink was installed.
 fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
     if a.quiet {
         cf_obs::log::set_level(cf_obs::log::Level::Warn);
@@ -592,12 +594,10 @@ fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
         // opted out via --quiet, --log-level, or CF_LOG.
         cf_obs::log::set_level(cf_obs::log::Level::Info);
     }
+    cf_obs::reset();
+    cf_obs::span::set_op_detail(a.metrics_out.is_some());
+    cf_obs::trace::set_enabled(a.trace_out.is_some());
     if let Some(path) = &a.metrics_out {
-        cf_obs::span::reset();
-        cf_obs::metrics::reset();
-        cf_obs::profile::reset();
-        cf_obs::hist::reset();
-        cf_obs::profile::set_enabled(true);
         cf_obs::sink::install_file(path)
             .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
         // First record identifies the stream so consumers (`report`) can
@@ -663,16 +663,15 @@ impl Drop for RunOutputs {
 /// Executes `discover`, returning the human-readable report that `main`
 /// prints.
 pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
-    if let Some(n) = a.threads {
-        cf_par::set_threads(n);
-    }
     let mut outputs = RunOutputs {
         sink: setup_observability(a)?,
         diag: false,
     };
-    if a.trace_out.is_some() {
-        cf_obs::trace::reset();
-        cf_obs::trace::set_enabled(true);
+    // After the reset in `setup_observability`, so the `par.threads`
+    // gauge the new pool publishes survives into the metrics summary and
+    // the heartbeat.
+    if let Some(n) = a.threads {
+        cf_par::set_threads(n);
     }
     // Live telemetry: the sampler thread runs whenever a heartbeat file is
     // requested, and also (file-less) when CF_WATCHDOG arms the stall
@@ -947,7 +946,7 @@ mod tests {
     }
 
     /// Serialises the tests that call `run_discover`. cf-obs state (the
-    /// metrics sink, span registry, log level) is process-global, so two
+    /// metrics sink, span records, log level) is process-global, so two
     /// discoveries running at once write into each other's telemetry. A
     /// stop-gap until observability state is scoped per run.
     fn discover_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -1175,6 +1174,74 @@ mod tests {
 
         std::fs::remove_file(&csv_path).ok();
         std::fs::remove_file(&dot_path).ok();
+        std::fs::remove_file(&metrics_path).ok();
+    }
+
+    /// Span paths name where in the pipeline a span ran, not which
+    /// thread ran it: a span opened inside a cf-par task nests under the
+    /// span open where the task was published.
+    #[test]
+    fn span_summary_paths_do_not_depend_on_the_thread_count() {
+        let _guard = discover_lock();
+        let dir = std::env::temp_dir();
+        let tag = format!("cf_cli_test_paths_{}", std::process::id());
+        let csv_path = dir.join(format!("{tag}.csv"));
+        let metrics_path = dir.join(format!("{tag}.jsonl"));
+        run_generate(&GenerateArgs {
+            dataset: "fork".into(),
+            length: 200,
+            seed: 1,
+            output: csv_path.to_string_lossy().into_owned(),
+            ..GenerateArgs::default()
+        })
+        .unwrap();
+        let summary_at = |threads: usize| {
+            run_discover(&DiscoverArgs {
+                input: csv_path.to_string_lossy().into_owned(),
+                preset: "synthetic-sparse".into(),
+                window: Some(8),
+                epochs: Some(2),
+                seed: 1,
+                threads: Some(threads),
+                metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
+                quiet: true,
+                ..DiscoverArgs::default()
+            })
+            .unwrap();
+            let text = std::fs::read_to_string(&metrics_path).unwrap();
+            let line = text
+                .lines()
+                .find(|l| l.contains(r#""event":"span_summary""#))
+                .expect("span_summary record");
+            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            v["spans"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|s| {
+                    (
+                        s["span"].as_str().unwrap().to_string(),
+                        s["count"].as_u64().unwrap(),
+                    )
+                })
+                .filter(|(path, _)| !path.split('.').any(|part| part == "par"))
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let serial = summary_at(1);
+        assert_eq!(
+            serial.get("discover.detect.aggregate_scores.window_scores"),
+            Some(&8),
+            "{serial:?}"
+        );
+        for threads in [2, 4] {
+            assert_eq!(
+                summary_at(threads),
+                serial,
+                "span paths at {threads} threads"
+            );
+        }
+        cf_par::set_threads(cf_par::default_threads());
+        std::fs::remove_file(&csv_path).ok();
         std::fs::remove_file(&metrics_path).ok();
     }
 

@@ -718,8 +718,10 @@ fn thread_timeline(trace: &Trace) -> String {
     }
     if trace.dropped > 0 {
         out.push_str(&note(&format!(
-            "{} events were dropped by the bounded recorder (raise capacity via cf_obs::trace::set_capacity)",
-            trace.dropped
+            "{} events were dropped by the bounded recorder (each thread keeps its newest {}); \
+             span counts in the metrics stream are complete",
+            trace.dropped,
+            cf_obs::trace::CAPACITY
         )));
     }
     out

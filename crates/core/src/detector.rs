@@ -85,8 +85,7 @@ pub fn window_scores<E: Scalar>(
     x_window: &TensorBase<E>,
     mode: DetectorMode,
 ) -> CausalScores {
-    let _span = cf_obs::span::enter("window_scores");
-    let _trace = cf_obs::trace::span("window_scores");
+    let _span = cf_obs::span!("window_scores");
     score_window(model, store, x_window, mode, |tape, trace, layers| {
         let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
         let grads = (mode != DetectorMode::NoGradient)
@@ -276,8 +275,7 @@ pub fn aggregate_scores<E: Scalar>(
     windows: &[TensorBase<E>],
     cfg: &DetectorConfig,
 ) -> CausalScores {
-    let _span = cf_obs::span::enter("aggregate_scores");
-    let _trace = cf_obs::trace::span("aggregate_scores");
+    let _span = cf_obs::span!("aggregate_scores");
     assert!(
         !windows.is_empty(),
         "need at least one window for detection"
@@ -323,8 +321,7 @@ pub fn build_graph<R: Rng + ?Sized>(
     window: usize,
     cfg: &DetectorConfig,
 ) -> CausalGraph {
-    let _span = cf_obs::span::enter("build_graph");
-    let _trace = cf_obs::trace::span("build_graph");
+    let _span = cf_obs::span!("build_graph");
     let n = scores.attn.len();
     let mut graph = CausalGraph::new(n);
     for i in 0..n {
@@ -379,8 +376,7 @@ pub fn permutation_scores<E: Scalar, R: Rng + ?Sized>(
     windows: &[TensorBase<E>],
 ) -> CausalScores {
     use rand::seq::SliceRandom;
-    let _span = cf_obs::span::enter("permutation_scores");
-    let _trace = cf_obs::trace::span("permutation_scores");
+    let _span = cf_obs::span!("permutation_scores");
     assert!(!windows.is_empty(), "need at least one window");
     let cfg = model.config();
     let (n, t) = (cfg.n_series, cfg.window);

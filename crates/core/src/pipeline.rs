@@ -174,8 +174,7 @@ impl CausalFormer {
         source: Windows<'_>,
         wrap: fn(TrainedModelBase<E>) -> DiscoveredModel,
     ) -> Result<DiscoveryResult, StreamError> {
-        let _pipeline_span = cf_obs::span::enter("discover");
-        let _pipeline_trace = cf_obs::trace::span("discover");
+        let _pipeline_span = cf_obs::span!("discover");
         let windows = self.windows::<E>(source)?;
         let (rng, (trained, train_report)): (&mut dyn RngCore, _) = match fit {
             Fit::Plain(rng) => {
@@ -336,12 +335,11 @@ impl CausalFormer {
     }
 }
 
-/// Runs one pipeline stage inside its `cf_obs` span and trace span, then
-/// emits a `stage` JSONL record with its wall time (if a metrics sink is
+/// Runs one pipeline stage inside its `cf_obs` span, then emits a
+/// `stage` JSONL record with its wall time (if a metrics sink is
 /// installed).
 fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _span = cf_obs::span::enter(name);
-    let _trace = cf_obs::trace::span(name);
+    let _span = cf_obs::span!(name);
     let started = std::time::Instant::now();
     let out = f();
     if cf_obs::sink::is_installed() {

@@ -121,8 +121,7 @@ pub struct RrpLayers<'a> {
 /// # Panics
 /// Panics if `seed` is not shaped like the prediction.
 pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
-    let _span = cf_obs::span::enter("rrp.propagate");
-    let _trace = cf_obs::trace::span("rrp.propagate");
+    let _span = cf_obs::span!("rrp.propagate");
     let n = layers.pred.shape()[0];
     let t = layers.pred.shape()[1];
     assert_eq!(seed.shape(), layers.pred.shape(), "seed shape");

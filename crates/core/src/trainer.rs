@@ -385,8 +385,7 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
     }
 
     while epoch < train_config.max_epochs {
-        let _epoch_span = cf_obs::span::enter("epoch");
-        let _epoch_trace = cf_obs::trace::span("epoch");
+        let _epoch_span = cf_obs::span!("epoch");
         // Fault point: the run wedges here without crashing (models a
         // deadlocked worker). The epoch span above stays open, so the
         // watchdog's thread dump names where the hang sits; only
@@ -678,7 +677,7 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                 );
                 // A failed checkpoint write must not kill a healthy run:
                 // warn and keep training (the previous checkpoint stands).
-                let _ckpt_trace = cf_obs::trace::span("checkpoint.write");
+                let _ckpt_span = cf_obs::span!("checkpoint.write");
                 match checkpoint::save(cfg, &saved, done) {
                     Ok(path) => cf_obs::debug!("checkpoint written: {}", path.display()),
                     Err(e) => cf_obs::warn!("checkpoint write failed (training continues): {e}"),

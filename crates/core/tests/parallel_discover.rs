@@ -3,8 +3,8 @@
 //! The data-parallel trainer and the parallel detector promise the same
 //! determinism contract as the tensor kernels (DESIGN.md, "Parallelism"):
 //! per-window gradients are combined by a fixed-shape tree reduction whose
-//! association depends only on the batch size, and per-target relevance
-//! passes write disjoint score rows. Consequently the *entire* pipeline —
+//! association depends only on the batch size, and the per-window
+//! detector passes are summed in window order. Consequently the *entire* pipeline —
 //! loss curves, gradient norms, and the discovered graph — must be bitwise
 //! identical at any thread count. These tests run the same seeded problem
 //! at 1, 2, and 4 threads and compare exactly.

@@ -112,8 +112,8 @@ fn per_thread_sums() -> (u64, u64, u64) {
 #[test]
 fn pool_is_invisible_to_numerics_and_allocation_free_in_steady_state() {
     // --- 1 + 2: pooled vs unpooled bitwise equivalence, per thread count.
-    // The multi-thread runs drive the full steal path: coarse per-window /
-    // per-target tasks migrate between workers (and back to the main
+    // The multi-thread runs drive the full steal path: coarse per-window
+    // training and detector tasks migrate between workers (and back to the main
     // thread while it help-waits), so every pool grab below may execute on
     // a thread other than the one that queued the work — exactly the
     // attribution the per-thread counter invariant at the end pins down.

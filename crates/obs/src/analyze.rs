@@ -1,8 +1,8 @@
 //! Trace analysis: turns raw span timelines into answers.
 //!
-//! The [`crate::trace`] recorder and [`crate::export`] writer produce
-//! Chrome trace JSON a human can eyeball in Perfetto; this module is the
-//! mechanical counterpart. Given one trace it computes per-name
+//! The [trace recorder](mod@crate::trace) and [`crate::export`] writer
+//! produce Chrome trace JSON a human can eyeball in Perfetto; this
+//! module is the mechanical counterpart. Given one trace it computes per-name
 //! aggregates ([`aggregate`]: count, total, **self** time), per-thread
 //! utilization ([`thread_utilization`]), the concurrency-based serial
 //! fraction ([`serial_fraction`]), and a critical-path decomposition
@@ -112,14 +112,10 @@ impl Trace {
 
     /// `[t0, t1]` covered by any span, or `None` for a spanless trace.
     pub fn wall_us(&self) -> Option<(f64, f64)> {
-        let mut t0 = f64::INFINITY;
-        let mut t1 = f64::NEG_INFINITY;
-        for t in &self.threads {
-            for s in &t.spans {
-                t0 = t0.min(s.ts_us);
-                t1 = t1.max(s.end_us());
-            }
-        }
+        let spans = self.threads.iter().flat_map(|t| &t.spans);
+        let (t0, t1) = spans.fold((f64::INFINITY, f64::NEG_INFINITY), |(t0, t1), s| {
+            (t0.min(s.ts_us), t1.max(s.end_us()))
+        });
         (t0.is_finite() && t1.is_finite()).then_some((t0, t1))
     }
 
@@ -131,9 +127,8 @@ impl Trace {
         let workers = self
             .threads
             .iter()
-            .filter(|t| t.name.starts_with("cf-par-"))
-            .count();
-        workers.max(1)
+            .filter(|t| t.name.starts_with("cf-par-"));
+        workers.count().max(1)
     }
 
     /// One-line description of a trace that has nothing to analyze, or
@@ -157,9 +152,10 @@ impl Trace {
             )
         } else if self.dropped > 0 {
             format!(
-                "trace is empty apart from {} dropped event(s) — raise the ring capacity \
-                 (cf_obs::trace::set_capacity) and re-record",
-                self.dropped
+                "trace is empty apart from {} dropped event(s) — the per-thread ring keeps \
+                 the newest {} events; trace a shorter region",
+                self.dropped,
+                crate::trace::CAPACITY
             )
         } else {
             "trace contains no events (was tracing enabled?)".to_string()
@@ -196,49 +192,54 @@ fn nesting_order(spans: &[Span]) -> Vec<&Span> {
     v
 }
 
+/// Replays one thread's RAII nesting: calls `closed(open, span,
+/// self_us)` as each span closes, with `open` the spans still open
+/// around it (outermost first) and `self_us` its duration minus its
+/// direct children's, floored at 0.
+fn replay<'a>(spans: &'a [Span], mut closed: impl FnMut(&[&'a Span], &'a Span, f64)) {
+    let mut open: Vec<&Span> = Vec::new();
+    let mut child_us: Vec<f64> = Vec::new();
+    let mut close = |open: &mut Vec<&'a Span>, child_us: &mut Vec<f64>| {
+        let (span, kids) = (open.pop().unwrap(), child_us.pop().unwrap());
+        closed(open, span, (span.dur_us - kids).max(0.0));
+    };
+    for s in nesting_order(spans) {
+        while open.last().is_some_and(|top| top.end_us() <= s.ts_us) {
+            close(&mut open, &mut child_us);
+        }
+        if let Some(kids) = child_us.last_mut() {
+            // `s` is a direct child of the current top.
+            *kids += s.dur_us;
+        }
+        open.push(s);
+        child_us.push(0.0);
+    }
+    while !open.is_empty() {
+        close(&mut open, &mut child_us);
+    }
+}
+
 /// Per-name self/total aggregates, sorted by self time descending.
 pub fn aggregate(trace: &Trace) -> Vec<NameStat> {
-    use std::collections::HashMap;
-    fn finalize<'a>(entry: (f64, f64, &'a Span), by_name: &mut HashMap<&'a str, NameStat>) {
-        let (_, child_us, span) = entry;
-        let stat = by_name
-            .entry(span.name.as_str())
-            .or_insert_with(|| NameStat {
-                name: span.name.clone(),
-                count: 0,
-                total_us: 0.0,
-                self_us: 0.0,
-                min_us: f64::INFINITY,
-                max_us: 0.0,
-            });
-        stat.count += 1;
-        stat.total_us += span.dur_us;
-        stat.self_us += (span.dur_us - child_us).max(0.0);
-        stat.min_us = stat.min_us.min(span.dur_us);
-        stat.max_us = stat.max_us.max(span.dur_us);
-    }
-    let mut by_name: HashMap<&str, NameStat> = HashMap::new();
+    let mut by_name: std::collections::HashMap<&str, NameStat> = Default::default();
     for t in &trace.threads {
-        // Stack of (end_us, child_us) reconstructing RAII nesting.
-        let mut stack: Vec<(f64, f64, &Span)> = Vec::new();
-        for s in nesting_order(&t.spans) {
-            while let Some(&(end, _, _)) = stack.last() {
-                if end <= s.ts_us {
-                    let entry = stack.pop().unwrap();
-                    finalize(entry, &mut by_name);
-                } else {
-                    break;
-                }
-            }
-            if let Some(top) = stack.last_mut() {
-                // `s` is a direct child of the current top.
-                top.1 += s.dur_us;
-            }
-            stack.push((s.end_us(), 0.0, s));
-        }
-        while let Some(entry) = stack.pop() {
-            finalize(entry, &mut by_name);
-        }
+        replay(&t.spans, |_, span, self_us| {
+            let stat = by_name
+                .entry(span.name.as_str())
+                .or_insert_with(|| NameStat {
+                    name: span.name.clone(),
+                    count: 0,
+                    total_us: 0.0,
+                    self_us: 0.0,
+                    min_us: f64::INFINITY,
+                    max_us: 0.0,
+                });
+            stat.count += 1;
+            stat.total_us += span.dur_us;
+            stat.self_us += self_us;
+            stat.min_us = stat.min_us.min(span.dur_us);
+            stat.max_us = stat.max_us.max(span.dur_us);
+        });
     }
     let mut out: Vec<NameStat> = by_name.into_values().collect();
     out.sort_by(|a, b| b.self_us.total_cmp(&a.self_us).then(a.name.cmp(&b.name)));
@@ -259,45 +260,20 @@ pub struct FoldedStack {
 
 /// Collapses a trace into per-stack self times — the math behind
 /// `analyze --flamegraph` and the report's icicle panel. Nesting is
-/// reconstructed with the same start-time/longest-first order as
-/// [`aggregate`], so a span's self time lands on the full path that
-/// was open while it ran. Output is sorted lexically by path, which
-/// makes the folded file deterministic and diffable.
+/// reconstructed exactly as for [`aggregate`], so a span's self time
+/// lands on the full path that was open while it ran. Output is sorted
+/// lexically by path, which makes the folded file deterministic and
+/// diffable.
 pub fn collapse_stacks(trace: &Trace) -> Vec<FoldedStack> {
-    use std::collections::BTreeMap;
-    let mut by_path: BTreeMap<Vec<String>, f64> = BTreeMap::new();
+    let mut by_path: std::collections::BTreeMap<Vec<String>, f64> = Default::default();
     for t in &trace.threads {
-        // Stack of (end_us, child_us, dur_us) mirroring aggregate();
-        // `path` holds the thread name plus the open span names so a
-        // pop knows the full stack its self time belongs to.
-        let mut stack: Vec<(f64, f64, f64)> = Vec::new();
-        let mut path: Vec<String> = vec![t.name.clone()];
-        for s in nesting_order(&t.spans) {
-            while let Some(&(end, child_us, dur_us)) = stack.last() {
-                if end <= s.ts_us {
-                    stack.pop();
-                    let self_us = (dur_us - child_us).max(0.0);
-                    if self_us > 0.0 {
-                        *by_path.entry(path.clone()).or_insert(0.0) += self_us;
-                    }
-                    path.pop();
-                } else {
-                    break;
-                }
-            }
-            if let Some(top) = stack.last_mut() {
-                top.1 += s.dur_us;
-            }
-            stack.push((s.end_us(), 0.0, s.dur_us));
-            path.push(s.name.clone());
-        }
-        while let Some((_, child_us, dur_us)) = stack.pop() {
-            let self_us = (dur_us - child_us).max(0.0);
+        replay(&t.spans, |open, span, self_us| {
             if self_us > 0.0 {
-                *by_path.entry(path.clone()).or_insert(0.0) += self_us;
+                let mut frames = vec![t.name.clone()];
+                frames.extend(open.iter().chain([&span]).map(|s| s.name.clone()));
+                *by_path.entry(frames).or_insert(0.0) += self_us;
             }
-            path.pop();
-        }
+        });
     }
     by_path
         .into_iter()
@@ -305,23 +281,25 @@ pub fn collapse_stacks(trace: &Trace) -> Vec<FoldedStack> {
         .collect()
 }
 
+/// The union of a span set's intervals as disjoint `(start, end)`
+/// pairs in time order: nested and overlapping spans merge.
+fn merged_intervals(spans: &[Span]) -> Vec<(f64, f64)> {
+    let mut iv: Vec<(f64, f64)> = spans.iter().map(|s| (s.ts_us, s.end_us())).collect();
+    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut out: Vec<(f64, f64)> = Vec::new();
+    for (a, b) in iv {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
 /// Merged-interval busy time of a span set: nested and overlapping
 /// spans are counted once.
 pub fn busy_us(spans: &[Span]) -> f64 {
-    let mut iv: Vec<(f64, f64)> = spans.iter().map(|s| (s.ts_us, s.end_us())).collect();
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut busy = 0.0;
-    let mut end = f64::NEG_INFINITY;
-    for (a, b) in iv {
-        if a > end {
-            busy += b - a;
-            end = b;
-        } else if b > end {
-            busy += b - end;
-            end = b;
-        }
-    }
-    busy
+    merged_intervals(spans).iter().map(|(a, b)| b - a).sum()
 }
 
 /// One thread's busy summary.
@@ -389,23 +367,9 @@ pub fn serial_fraction(trace: &Trace) -> Option<SerialFraction> {
     // makes nested spans on one thread count as one active thread).
     let mut edges: Vec<(f64, i32)> = Vec::new();
     for t in &trace.threads {
-        let mut iv: Vec<(f64, f64)> = t.spans.iter().map(|s| (s.ts_us, s.end_us())).collect();
-        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut cur: Option<(f64, f64)> = None;
-        for (a, b) in iv {
-            match cur {
-                Some((ca, cb)) if a <= cb => cur = Some((ca, cb.max(b))),
-                Some((ca, cb)) => {
-                    edges.push((ca, 1));
-                    edges.push((cb, -1));
-                    cur = Some((a, b));
-                }
-                None => cur = Some((a, b)),
-            }
-        }
-        if let Some((ca, cb)) = cur {
-            edges.push((ca, 1));
-            edges.push((cb, -1));
+        for (a, b) in merged_intervals(&t.spans) {
+            edges.push((a, 1));
+            edges.push((b, -1));
         }
     }
     edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -468,40 +432,20 @@ pub fn critical_path(trace: &Trace) -> Vec<CriticalSeg> {
     else {
         return Vec::new();
     };
+    // With RAII nesting, the wall time a span is innermost is exactly
+    // its self time; gaps between the merged busy intervals are idle.
     let mut acc: HashMap<&str, f64> = HashMap::new();
-    let mut stack: Vec<(f64, &Span)> = Vec::new();
-    let ordered = nesting_order(&driver.spans);
-    let mut cur = ordered.first().map(|s| s.ts_us).unwrap_or(0.0);
-    fn bump<'a>(acc: &mut std::collections::HashMap<&'a str, f64>, key: &'a str, dt: f64) {
-        if dt > 0.0 {
-            *acc.entry(key).or_insert(0.0) += dt;
+    replay(&driver.spans, |_, span, self_us| {
+        if self_us > 0.0 {
+            *acc.entry(span.name.as_str()).or_insert(0.0) += self_us;
         }
-    }
-    for s in &ordered {
-        // Close finished spans, attributing their tail to them and then
-        // reverting to their parent.
-        while let Some(&(end, top)) = stack.last() {
-            if end <= s.ts_us {
-                bump(&mut acc, top.name.as_str(), end - cur);
-                cur = cur.max(end);
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        // Time between `cur` and this span's start belongs to the
-        // current top (or idle when the stack is empty).
-        let key = stack
-            .last()
-            .map(|(_, t)| t.name.as_str())
-            .unwrap_or("(idle)");
-        bump(&mut acc, key, s.ts_us - cur);
-        cur = cur.max(s.ts_us);
-        stack.push((s.end_us(), s));
-    }
-    while let Some((end, top)) = stack.pop() {
-        bump(&mut acc, top.name.as_str(), end - cur);
-        cur = cur.max(end);
+    });
+    let idle: f64 = merged_intervals(&driver.spans)
+        .windows(2)
+        .map(|w| w[1].0 - w[0].1)
+        .sum();
+    if idle > 0.0 {
+        acc.insert("(idle)", idle);
     }
     let mut out: Vec<CriticalSeg> = acc
         .into_iter()
@@ -567,27 +511,20 @@ pub fn amdahl_serial_fraction(t1: f64, tp: f64, p: f64) -> Option<f64> {
 /// scaling. `p` is the parallelism ratio (e.g. 4 for a 1-thread vs
 /// 4-thread pair); names missing from one side contribute 0 there.
 pub fn scaling_attribution(base: &Trace, scaled: &Trace, p: f64) -> ScalingReport {
-    use std::collections::HashMap;
     let p = p.max(1.0);
-    let base_agg = aggregate(base);
-    let scaled_agg = aggregate(scaled);
-    let mut names: Vec<&str> = Vec::new();
-    let mut b: HashMap<&str, &NameStat> = HashMap::new();
-    let mut sc: HashMap<&str, &NameStat> = HashMap::new();
-    for st in &base_agg {
-        b.insert(st.name.as_str(), st);
-        names.push(st.name.as_str());
-    }
-    for st in &scaled_agg {
-        if sc.insert(st.name.as_str(), st).is_none() && !b.contains_key(st.name.as_str()) {
-            names.push(st.name.as_str());
+    let (base_agg, scaled_agg) = (aggregate(base), aggregate(scaled));
+    // Each name with its (baseline, scaled) aggregate, either side absent.
+    let mut pairs: std::collections::BTreeMap<&str, [Option<&NameStat>; 2]> = Default::default();
+    for (side, agg) in [&base_agg, &scaled_agg].into_iter().enumerate() {
+        for st in agg {
+            pairs.entry(st.name.as_str()).or_default()[side] = Some(st);
         }
     }
-    let mut rows: Vec<ScalingRow> = names
+    let mut rows: Vec<ScalingRow> = pairs
         .into_iter()
-        .map(|name| {
-            let base_us = b.get(name).map_or(0.0, |s| s.total_us);
-            let scaled_us = sc.get(name).map_or(0.0, |s| s.total_us);
+        .map(|(name, [b, sc])| {
+            let base_us = b.map_or(0.0, |s| s.total_us);
+            let scaled_us = sc.map_or(0.0, |s| s.total_us);
             ScalingRow {
                 name: name.to_string(),
                 base_us,
@@ -598,8 +535,8 @@ pub fn scaling_attribution(base: &Trace, scaled: &Trace, p: f64) -> ScalingRepor
                     f64::INFINITY
                 },
                 lost_us: scaled_us - base_us / p,
-                count_base: b.get(name).map_or(0, |s| s.count),
-                count_scaled: sc.get(name).map_or(0, |s| s.count),
+                count_base: b.map_or(0, |s| s.count),
+                count_scaled: sc.map_or(0, |s| s.count),
             }
         })
         .collect();

@@ -1,4 +1,4 @@
-//! Chrome `trace_event` export for the [`crate::trace`] recorder.
+//! Chrome `trace_event` export for the [trace recorder](mod@crate::trace).
 //!
 //! Produces the JSON Object Format (`{"traceEvents":[...]}`) that
 //! `chrome://tracing` and Perfetto load directly: one `M` (metadata)
@@ -111,14 +111,6 @@ pub fn folded_stacks(trace: &crate::analyze::Trace) -> String {
     out
 }
 
-/// Writes the collapsed-stacks rendering of `trace` to `path`.
-pub fn write_folded_stacks(
-    path: &std::path::Path,
-    trace: &crate::analyze::Trace,
-) -> std::io::Result<()> {
-    std::fs::write(path, folded_stacks(trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,23 +201,23 @@ mod tests {
         }
     }
 
-    /// Satellite: the drop path end-to-end. A tiny ring forces
-    /// `trace.dropped > 0`; export must still produce valid Chrome
-    /// JSON that reports the drop count instead of silently skewing.
+    /// The drop path end-to-end: pushing past the ring capacity forces
+    /// `dropped() > 0`; export must still produce valid Chrome JSON
+    /// that reports the drop count instead of silently skewing.
     #[test]
     fn t_overflowing_ring_still_exports_valid_chrome_json() {
         use crate::trace;
         let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
         trace::reset();
-        trace::set_capacity(4);
         trace::set_enabled(true);
-        trace::register_thread("t_export_drop");
-        for i in 0..32 {
-            let _g = trace::span_dyn(format!("flood.{i}"));
+        crate::span::register_thread("t_export_drop");
+        let flood = trace::CAPACITY + 28;
+        for i in 0..flood {
+            let _g = crate::span!(format!("flood.{i}"));
         }
         trace::set_enabled(false);
-        assert!(trace::dropped() > 0, "tiny ring must have dropped events");
         let dropped = trace::dropped();
+        assert_eq!(dropped, 28, "a full ring drops one event per push");
 
         let threads = trace::drain();
         let json = chrome_trace_json(&threads);
@@ -233,14 +225,16 @@ mod tests {
             serde_json::from_str(&json).expect("chrome JSON stays valid under drops");
         assert_eq!(parsed["droppedEvents"].as_u64(), Some(dropped));
         let events = parsed["traceEvents"].as_array().unwrap();
-        // 4 surviving spans + the thread_name metadata record.
-        assert_eq!(events.len(), 5, "ring capacity bounds exported events");
+        // CAPACITY surviving spans + the thread_name metadata record.
+        assert_eq!(
+            events.len(),
+            trace::CAPACITY + 1,
+            "ring capacity bounds exported events"
+        );
         assert!(
-            json.contains("flood.31"),
+            json.contains(&format!("flood.{}", flood - 1)) && !json.contains("\"flood.0\""),
             "newest events survive, oldest are the ones dropped"
         );
-
-        trace::set_capacity(trace::DEFAULT_CAPACITY);
         trace::reset();
     }
 }

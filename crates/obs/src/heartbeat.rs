@@ -2,15 +2,13 @@
 //! progress epochs, deterministic progress events, and a stall
 //! watchdog.
 //!
-//! All observability before this module was post-hoc — traces and
-//! metrics only say what happened once a run finishes. The heartbeat
-//! flips that: [`start`] spawns a sampler thread that every period
-//! (default 250 ms, `CF_HEARTBEAT_MS`) snapshots process RSS/VmHWM,
-//! the `mem.pool.*` and `par.*` metrics, per-thread progress epochs,
-//! and the latest progress units, and appends one `heartbeat` JSON
-//! line to a file. Each line is written with a single `write_all` and
-//! flushed immediately, so the file can be tailed mid-run
-//! (`causalformer monitor <file>`).
+//! Traces and metrics say what happened once a run finishes; the
+//! heartbeat says what is happening. [`start`] spawns a sampler that
+//! every period (default 250 ms, `CF_HEARTBEAT_MS`) snapshots process
+//! RSS/VmHWM, the `mem.pool.*` and `par.*` metrics, per-thread progress
+//! epochs, and the latest progress units, and appends one `heartbeat`
+//! JSON line to a file with a single `write_all`, so the file can be
+//! tailed mid-run (`causalformer monitor <file>`).
 //!
 //! **Determinism contract.** The compute path never reads the wall
 //! clock on behalf of this module: workers only bump relaxed atomic
@@ -22,7 +20,7 @@
 //! **Watchdog.** The sampler tracks the global progress epoch; when it
 //! does not advance for the stall window it flags `stalled: true` and
 //! attaches a lightweight thread dump (each thread's currently-open
-//! span stack, from [`crate::trace::open_spans`]). Under
+//! span stack, from [`crate::span::open_spans`]). Under
 //! `CF_WATCHDOG=fatal:SECS` a stall additionally aborts the process
 //! with exit code [`STALL_EXIT_CODE`], naming the stalled threads on
 //! stderr — a stuck worker kills the run instead of hanging a fleet.
@@ -35,10 +33,10 @@
 //! registers its publisher at startup.
 
 use crate::json::{Arr, Obj};
+use crate::lock;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default sampler period (`CF_HEARTBEAT_MS` overrides).
@@ -58,44 +56,13 @@ pub const STALL_EXIT_CODE: i32 = 3;
 
 static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-struct ThreadSlot {
-    name: Mutex<String>,
-    epoch: AtomicU64,
-    busy_ns: AtomicU64,
-}
-
-fn slots() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
-    static SLOTS: OnceLock<Mutex<Vec<Arc<ThreadSlot>>>> = OnceLock::new();
-    SLOTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static SLOT: Arc<ThreadSlot> = {
-        let slot = Arc::new(ThreadSlot {
-            name: Mutex::new(
-                std::thread::current()
-                    .name()
-                    .unwrap_or("thread")
-                    .to_string(),
-            ),
-            epoch: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-        });
-        slots()
-            .lock()
-            .expect("heartbeat slot registry poisoned")
-            .push(Arc::clone(&slot));
-        slot
-    };
-}
-
 /// Bumps the calling thread's progress epoch (and the global one).
 /// Called by the scheduler on every task/chunk completion and by the
 /// serial progress emitters; two relaxed atomic adds, safe on any hot
 /// path.
 #[inline]
 pub fn bump_progress() {
-    SLOT.with(|s| s.epoch.fetch_add(1, Ordering::Relaxed));
+    crate::span::local(|r| r.epoch.fetch_add(1, Ordering::Relaxed));
     GLOBAL_EPOCH.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -104,7 +71,7 @@ pub fn bump_progress() {
 /// it, which is what the monitor's per-thread busy % derives from.
 #[inline]
 pub fn add_busy_ns(ns: u64) {
-    SLOT.with(|s| s.busy_ns.fetch_add(ns, Ordering::Relaxed));
+    crate::span::local(|r| r.busy_ns.fetch_add(ns, Ordering::Relaxed));
 }
 
 /// The global progress epoch: total completions across all threads
@@ -113,32 +80,28 @@ pub fn progress_epoch() -> u64 {
     GLOBAL_EPOCH.load(Ordering::Relaxed)
 }
 
-/// Per-thread progress snapshot: `(thread name, epoch, busy_ns)`.
-/// Entries are aggregated by name: slots of exited threads are never
-/// removed (the registry holds the only surviving `Arc`), and rebuilt
-/// worker pools reuse names (`cf-par-0`, …), so summing per name keeps
-/// one monotone row per logical thread instead of one per generation.
+/// Per-thread progress snapshot: `(thread name, epoch, busy_ns)`, one
+/// row per name in registration order. Records of exited threads are
+/// never removed, and rebuilt worker pools reuse names (`cf-par-0`, …),
+/// so summing per name keeps one monotone row per logical thread
+/// instead of one per generation.
 pub fn thread_progress() -> Vec<(String, u64, u64)> {
-    let reg = slots().lock().expect("heartbeat slot registry poisoned");
-    let mut order: Vec<String> = Vec::new();
-    let mut by_name: std::collections::HashMap<String, (u64, u64)> =
-        std::collections::HashMap::new();
-    for s in reg.iter() {
-        let name = s.name.lock().expect("heartbeat slot name poisoned").clone();
-        let entry = by_name.entry(name.clone()).or_insert_with(|| {
-            order.push(name);
-            (0, 0)
-        });
-        entry.0 += s.epoch.load(Ordering::Relaxed);
-        entry.1 += s.busy_ns.load(Ordering::Relaxed);
+    let mut rows: Vec<(String, u64, u64)> = Vec::new();
+    for r in crate::span::records() {
+        let name = lock(&r.state).name.clone();
+        let (epoch, busy) = (
+            r.epoch.load(Ordering::Relaxed),
+            r.busy_ns.load(Ordering::Relaxed),
+        );
+        match rows.iter_mut().find(|row| row.0 == name) {
+            Some(row) => {
+                row.1 += epoch;
+                row.2 += busy;
+            }
+            None => rows.push((name, epoch, busy)),
+        }
     }
-    order
-        .into_iter()
-        .map(|name| {
-            let (epoch, busy) = by_name[&name];
-            (name, epoch, busy)
-        })
-        .collect()
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -151,16 +114,13 @@ struct UnitState {
     total: u64,
 }
 
-fn units() -> &'static Mutex<BTreeMap<String, UnitState>> {
-    static UNITS: OnceLock<Mutex<BTreeMap<String, UnitState>>> = OnceLock::new();
-    UNITS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
+static UNITS: Mutex<BTreeMap<String, UnitState>> = Mutex::new(BTreeMap::new());
 
 /// Clears all progress units (done/total state). [`start`] calls this
 /// so back-to-back runs in one process don't inherit stale counts; the
 /// monotone progress epochs are deliberately left alone.
 pub fn reset_progress() {
-    units().lock().expect("heartbeat units poisoned").clear();
+    lock(&UNITS).clear();
 }
 
 /// Reports absolute progress on a unit (e.g. `train.epoch` 3 of 20)
@@ -171,10 +131,7 @@ pub fn reset_progress() {
 /// deterministic.
 pub fn progress(unit: &str, done: u64, total: u64) {
     bump_progress();
-    units()
-        .lock()
-        .expect("heartbeat units poisoned")
-        .insert(unit.to_string(), UnitState { done, total });
+    lock(&UNITS).insert(unit.to_string(), UnitState { done, total });
     emit_progress_event(unit, done, total);
 }
 
@@ -185,7 +142,7 @@ pub fn progress(unit: &str, done: u64, total: u64) {
 pub fn progress_inc(unit: &str, total: u64) {
     bump_progress();
     let done = {
-        let mut map = units().lock().expect("heartbeat units poisoned");
+        let mut map = lock(&UNITS);
         let st = map
             .entry(unit.to_string())
             .or_insert(UnitState { done: 0, total });
@@ -203,7 +160,7 @@ fn emit_progress_event(unit: &str, done: u64, total: u64) {
         .u64("done", done)
         .u64("total", total)
         .finish();
-    emit_line(&line);
+    SINK.emit(&line);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,21 +169,17 @@ fn emit_progress_event(unit: &str, done: u64, total: u64) {
 
 type Hook = Box<dyn Fn() + Send + Sync>;
 
-fn hooks() -> &'static Mutex<Vec<Hook>> {
-    static HOOKS: OnceLock<Mutex<Vec<Hook>>> = OnceLock::new();
-    HOOKS.get_or_init(|| Mutex::new(Vec::new()))
-}
+static HOOKS: Mutex<Vec<Hook>> = Mutex::new(Vec::new());
 
 /// Registers a closure the sampler runs before every snapshot.
 /// `cf-tensor` registers its pool publisher here so `mem.pool.*`
 /// gauges are fresh in each heartbeat without cf-obs depending on it.
 pub fn add_sampler_hook(hook: Hook) {
-    hooks().lock().expect("heartbeat hooks poisoned").push(hook);
+    lock(&HOOKS).push(hook);
 }
 
 fn run_hooks() {
-    let guard = hooks().lock().expect("heartbeat hooks poisoned");
-    for h in guard.iter() {
+    for h in lock(&HOOKS).iter() {
         h();
     }
 }
@@ -239,34 +192,19 @@ fn run_hooks() {
 /// `/proc/self/status` (`VmRSS` / `VmHWM`). Returns zeros on
 /// non-Linux platforms or if the file is unreadable.
 pub fn proc_rss_bytes() -> (u64, u64) {
-    #[cfg(target_os = "linux")]
-    {
-        let mut rss = 0u64;
-        let mut hwm = 0u64;
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                let field = |rest: &str| -> u64 {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    kb * 1024
-                };
-                if let Some(rest) = line.strip_prefix("VmRSS:") {
-                    rss = field(rest);
-                } else if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    hwm = field(rest);
-                }
-            }
-        }
-        (rss, hwm)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        (0, 0)
-    }
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let field = |key: &str| {
+        let kb = status.lines().find_map(|l| l.strip_prefix(key));
+        kb.and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        })
+        .map_or(0, |kb| kb * 1024)
+    };
+    (field("VmRSS:"), field("VmHWM:"))
 }
 
 /// Peak resident set size in bytes (`VmHWM`); the bench RSS gates use
@@ -275,46 +213,14 @@ pub fn peak_rss_bytes() -> u64 {
     proc_rss_bytes().1
 }
 
-// ---------------------------------------------------------------------------
-// The heartbeat sink: one write_all + flush per line, tail-safe.
-// ---------------------------------------------------------------------------
-
-fn sink() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static SINK: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
-}
-
-/// Appends one line to the heartbeat file, if installed. The whole
-/// line (with its newline) goes through a single `write_all` followed
-/// by a flush, so a concurrent `tail -f`/`monitor` never observes a
-/// torn line.
-fn emit_line(line: &str) {
-    let mut guard = sink().lock().expect("heartbeat sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        let _ = w.write_all(buf.as_bytes());
-        let _ = w.flush();
-    }
-}
-
-fn install_sink(w: Box<dyn Write + Send>) {
-    *sink().lock().expect("heartbeat sink poisoned") = Some(w);
-}
-
-fn uninstall_sink() {
-    let mut guard = sink().lock().expect("heartbeat sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
-    }
-    *guard = None;
-}
+/// The heartbeat file: an unbuffered file, one `write_all` per line,
+/// so a concurrent `tail -f`/`monitor` never observes a torn line.
+static SINK: crate::sink::Sink = crate::sink::Sink::new();
 
 /// Whether a heartbeat sink is currently installed (i.e. progress
 /// events are being written somewhere).
 pub fn sink_installed() -> bool {
-    sink().lock().expect("heartbeat sink poisoned").is_some()
+    SINK.is_installed()
 }
 
 // ---------------------------------------------------------------------------
@@ -401,17 +307,18 @@ fn parse_watchdog(spec: Option<&str>) -> (Duration, WatchdogMode) {
 // The sampler thread.
 // ---------------------------------------------------------------------------
 
-struct Stop {
-    flag: Mutex<bool>,
-    cond: Condvar,
+/// What the caller and the sampler thread share.
+struct Shared {
+    stopping: Mutex<bool>,
+    wake: Condvar,
+    samples: AtomicU64,
 }
 
 /// Handle to a running heartbeat sampler; stop (or drop) it to join
 /// the thread and finalise the file with a `run_end` event.
 pub struct Heartbeat {
-    stop: Arc<Stop>,
+    shared: Arc<Shared>,
     handle: Option<std::thread::JoinHandle<()>>,
-    samples: Arc<AtomicU64>,
 }
 
 /// Starts the heartbeat sampler. With a path, the JSONL sink is
@@ -419,16 +326,14 @@ pub struct Heartbeat {
 /// as they happen); with `None` only the in-memory sampling and the
 /// watchdog run — `CF_WATCHDOG=fatal` works without a file.
 ///
-/// Also clears stale progress units and enables open-span tracking so
-/// stall dumps can name what each thread is doing. One sampler at a
-/// time: starting a second heartbeat while another runs replaces the
-/// sink out from under it — stop the first one first.
+/// Also clears stale progress units. One sampler at a time: starting a
+/// second heartbeat while another runs replaces the sink out from under
+/// it — stop the first one first.
 pub fn start(path: Option<&std::path::Path>, cfg: Config) -> std::io::Result<Heartbeat> {
     reset_progress();
-    crate::trace::set_open_tracking(true);
     if let Some(path) = path {
         let file = std::fs::File::create(path)?;
-        install_sink(Box::new(file));
+        SINK.install(Box::new(file));
         let mode = match cfg.mode {
             WatchdogMode::Warn => "warn",
             WatchdogMode::Fatal => "fatal",
@@ -442,24 +347,22 @@ pub fn start(path: Option<&std::path::Path>, cfg: Config) -> std::io::Result<Hea
             .str("watchdog", mode)
             .f64("ts", crate::unix_time())
             .finish();
-        emit_line(&meta);
+        SINK.emit(&meta);
     }
 
-    let stop = Arc::new(Stop {
-        flag: Mutex::new(false),
-        cond: Condvar::new(),
+    let shared = Arc::new(Shared {
+        stopping: Mutex::new(false),
+        wake: Condvar::new(),
+        samples: AtomicU64::new(0),
     });
-    let samples = Arc::new(AtomicU64::new(0));
-    let thread_stop = Arc::clone(&stop);
-    let thread_samples = Arc::clone(&samples);
+    let sampler = Arc::clone(&shared);
     let handle = std::thread::Builder::new()
         .name("cf-heartbeat".to_string())
-        .spawn(move || sampler_loop(cfg, thread_stop, thread_samples))
+        .spawn(move || sampler_loop(cfg, &sampler))
         .expect("spawn heartbeat sampler");
     Ok(Heartbeat {
-        stop,
+        shared,
         handle: Some(handle),
-        samples,
     })
 }
 
@@ -472,27 +375,23 @@ impl Heartbeat {
 
     /// Samples written so far (for tests and the CLI summary line).
     pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
+        self.shared.samples.load(Ordering::Relaxed)
     }
 
     fn shutdown(&mut self) {
         let Some(handle) = self.handle.take() else {
             return;
         };
-        {
-            let mut flag = self.stop.flag.lock().expect("heartbeat stop poisoned");
-            *flag = true;
-        }
-        self.stop.cond.notify_all();
+        *lock(&self.shared.stopping) = true;
+        self.shared.wake.notify_all();
         let _ = handle.join();
         let end = Obj::new()
             .str("event", "run_end")
             .f64("ts", crate::unix_time())
-            .u64("samples", self.samples.load(Ordering::Relaxed))
+            .u64("samples", self.samples())
             .finish();
-        emit_line(&end);
-        uninstall_sink();
-        crate::trace::set_open_tracking(false);
+        SINK.emit(&end);
+        SINK.uninstall();
     }
 }
 
@@ -510,27 +409,27 @@ struct UnitAnchor {
     first_done: u64,
 }
 
-fn sampler_loop(cfg: Config, stop: Arc<Stop>, samples: Arc<AtomicU64>) {
+fn sampler_loop(cfg: Config, shared: &Shared) {
     let mut last_epoch = progress_epoch();
     let mut last_advance = Instant::now();
     let mut anchors: BTreeMap<String, UnitAnchor> = BTreeMap::new();
     let mut seq = 0u64;
     loop {
         let stopping = {
-            let guard = stop.flag.lock().expect("heartbeat stop poisoned");
+            let guard = lock(&shared.stopping);
             if *guard {
                 true
             } else {
-                let (guard, _timeout) = stop
-                    .cond
+                let (guard, _timeout) = shared
+                    .wake
                     .wait_timeout(guard, cfg.period)
-                    .expect("heartbeat stop poisoned");
+                    .unwrap_or_else(|e| e.into_inner());
                 *guard
             }
         };
         seq += 1;
         sample(&cfg, seq, &mut last_epoch, &mut last_advance, &mut anchors);
-        samples.store(seq, Ordering::Relaxed);
+        shared.samples.store(seq, Ordering::Relaxed);
         if stopping {
             break;
         }
@@ -560,50 +459,44 @@ fn sample(
     // The scheduler and pool publish into the shared metrics registry;
     // read them back by name (creating an untouched counter reads 0).
     let m = |name: &'static str| crate::metrics::counter(name).get();
-    let pool_hit = m("mem.pool.hit");
-    let pool_miss = m("mem.pool.miss");
-    let pool_bytes = crate::metrics::gauge("mem.pool.bytes_outstanding").get();
-    let par_threads = crate::metrics::gauge("par.threads").get();
+    let g = |name: &'static str| crate::metrics::gauge(name).get();
 
-    let mut threads = Arr::new();
-    for (name, ep, busy) in thread_progress() {
-        threads = threads.raw(
-            &Obj::new()
-                .str("name", &name)
-                .u64("epoch", ep)
-                .u64("busy_ns", busy)
-                .finish(),
-        );
-    }
+    let threads = thread_progress()
+        .iter()
+        .fold(Arr::new(), |arr, (name, ep, busy)| {
+            arr.raw(
+                &Obj::new()
+                    .str("name", name)
+                    .u64("epoch", *ep)
+                    .u64("busy_ns", *busy)
+                    .finish(),
+            )
+        });
 
     // ETA per unit, computed only here: rate from this thread's own
     // first observation of the unit, never from worker timestamps.
-    let mut progress_arr = Arr::new();
-    {
-        let map = units().lock().expect("heartbeat units poisoned");
-        for (unit, st) in map.iter() {
-            let anchor = anchors.entry(unit.clone()).or_insert(UnitAnchor {
-                first_seen: now,
-                first_done: st.done,
-            });
-            let elapsed = now.duration_since(anchor.first_seen).as_secs_f64();
-            let advanced = st.done.saturating_sub(anchor.first_done);
-            let eta_secs = if advanced > 0 && elapsed > 0.0 && st.done < st.total {
-                let rate = advanced as f64 / elapsed;
-                (st.total - st.done) as f64 / rate
-            } else {
-                f64::NAN // serialises as null: ETA unknown
-            };
-            progress_arr = progress_arr.raw(
-                &Obj::new()
-                    .str("unit", unit)
-                    .u64("done", st.done)
-                    .u64("total", st.total)
-                    .f64("eta_secs", eta_secs)
-                    .finish(),
-            );
-        }
-    }
+    let progress = lock(&UNITS).iter().fold(Arr::new(), |arr, (unit, st)| {
+        let anchor = anchors.entry(unit.clone()).or_insert(UnitAnchor {
+            first_seen: now,
+            first_done: st.done,
+        });
+        let elapsed = now.duration_since(anchor.first_seen).as_secs_f64();
+        let advanced = st.done.saturating_sub(anchor.first_done);
+        let eta_secs = if advanced > 0 && elapsed > 0.0 && st.done < st.total {
+            let rate = advanced as f64 / elapsed;
+            (st.total - st.done) as f64 / rate
+        } else {
+            f64::NAN // serialises as null: ETA unknown
+        };
+        arr.raw(
+            &Obj::new()
+                .str("unit", unit)
+                .u64("done", st.done)
+                .u64("total", st.total)
+                .f64("eta_secs", eta_secs)
+                .finish(),
+        )
+    });
 
     let mut hb = Obj::new()
         .str("event", "heartbeat")
@@ -611,10 +504,10 @@ fn sample(
         .u64("seq", seq)
         .u64("rss_bytes", rss)
         .u64("hwm_bytes", hwm)
-        .u64("pool_hit", pool_hit)
-        .u64("pool_miss", pool_miss)
-        .f64("pool_bytes_outstanding", pool_bytes)
-        .f64("par_threads", par_threads)
+        .u64("pool_hit", m("mem.pool.hit"))
+        .u64("pool_miss", m("mem.pool.miss"))
+        .f64("pool_bytes_outstanding", g("mem.pool.bytes_outstanding"))
+        .f64("par_threads", g("par.threads"))
         .u64("par_tasks", m("par.tasks"))
         .u64("par_steals", m("par.steals"))
         .u64("par_busy_ns", m("par.busy_ns"))
@@ -623,58 +516,52 @@ fn sample(
         .bool("stalled", stalled)
         .f64("stall_secs", stall_secs)
         .raw("threads", &threads.finish())
-        .raw("progress", &progress_arr.finish());
+        .raw("progress", &progress.finish());
 
     let open = if stalled {
-        crate::trace::open_spans()
+        crate::span::open_spans()
     } else {
         Vec::new()
     };
     if stalled {
-        let mut dump = Arr::new();
-        for t in &open {
-            let mut spans = Arr::new();
-            for s in &t.spans {
-                spans = spans.str(s);
-            }
-            dump = dump.raw(
+        let dump = open.iter().fold(Arr::new(), |arr, t| {
+            let spans = t.spans.iter().fold(Arr::new(), |a, s| a.str(s));
+            arr.raw(
                 &Obj::new()
                     .str("thread", &t.thread)
                     .raw("spans", &spans.finish())
                     .finish(),
-            );
-        }
+            )
+        });
         hb = hb.raw("open_spans", &dump.finish());
     }
-    emit_line(&hb.finish());
+    SINK.emit(&hb.finish());
 
     if stalled && cfg.mode == WatchdogMode::Fatal {
-        let mut dump = String::new();
-        for t in &open {
-            dump.push_str(&format!("\n  {}: {}", t.thread, t.spans.join(" > ")));
-        }
+        let mut dump: String = open
+            .iter()
+            .map(|t| format!("\n  {}: {}", t.thread, t.spans.join(" > ")))
+            .collect();
         if dump.is_empty() {
             for (name, ep, _busy) in thread_progress() {
                 dump.push_str(&format!("\n  {name}: epoch {ep} (no open spans)"));
             }
         }
+        if dump.is_empty() {
+            dump.push_str(" <none registered>");
+        }
         eprintln!(
-            "cf-obs watchdog: no progress for {:.1}s (window {:.1}s); stalled threads:{}",
+            "cf-obs watchdog: no progress for {:.1}s (window {:.1}s); stalled threads:{dump}",
             stall_secs,
             cfg.stall_window.as_secs_f64(),
-            if dump.is_empty() {
-                " <none registered>"
-            } else {
-                &dump
-            }
         );
         let fatal = Obj::new()
             .str("event", "watchdog_fatal")
             .f64("ts", crate::unix_time())
             .f64("stall_secs", stall_secs)
             .finish();
-        emit_line(&fatal);
-        uninstall_sink();
+        SINK.emit(&fatal);
+        SINK.uninstall();
         std::process::exit(STALL_EXIT_CODE);
     }
 }
@@ -725,8 +612,8 @@ mod tests {
         }
     }
 
-    /// One end-to-end test over the global sampler state (sink, open
-    /// tracking, progress units) so scenarios can't race each other.
+    /// One end-to-end test over the global sampler state (sink and
+    /// progress units) so scenarios can't race each other.
     #[test]
     fn t_heartbeat_end_to_end() {
         let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
@@ -806,8 +693,8 @@ mod tests {
         };
         let hb = start(Some(&path), cfg).expect("heartbeat start");
         {
-            let _outer = crate::trace::span("t_heartbeat.stuck_outer");
-            let _inner = crate::trace::span("t_heartbeat.stuck_inner");
+            let _outer = crate::span!("t_heartbeat.stuck_outer");
+            let _inner = crate::span!("t_heartbeat.stuck_inner");
             std::thread::sleep(Duration::from_millis(120));
         }
         hb.stop();

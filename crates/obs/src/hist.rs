@@ -1,11 +1,11 @@
 //! Deterministic fixed-memory span-duration histograms.
 //!
-//! Every completed [`crate::span`] path feeds a histogram with **fixed,
-//! deterministic bucket boundaries**: bucket `k` (k ≥ 1) covers
-//! durations `d` with `2^(k-1) µs < d ≤ 2^k µs`; bucket 0 covers
-//! `d ≤ 1 µs`, and one overflow bucket catches everything above
+//! Every closed span path keeps a histogram (in its
+//! [`crate::span::Stats`]) with **fixed, deterministic bucket
+//! boundaries**: bucket `k` (k ≥ 1) covers durations `d` with
+//! `2^(k-1) µs < d ≤ 2^k µs`; bucket 0 covers `d ≤ 1 µs`, and one overflow bucket catches everything above
 //! `2^26 µs` (~67 s). The edge schema is a compile-time constant
-//! ([`BUCKET_EDGES_US`], [`SCHEMA`]) shared by every run at every
+//! ([`bucket_edges_us`], [`SCHEMA`]) shared by every run at every
 //! thread count, so *bucket counts* — unlike raw wall times — are
 //! directly comparable across runs and machines, and identical inputs
 //! produce bitwise-identical counts no matter how many threads recorded
@@ -13,10 +13,6 @@
 //!
 //! Percentiles (p50/p95/p99) come from linear interpolation inside the
 //! winning bucket; memory per path is one fixed `[u64; BUCKETS]` row.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of finite bucket upper edges (`2^0 … 2^26` µs).
 pub const EDGES: usize = 27;
@@ -31,13 +27,7 @@ pub const SCHEMA: &str = "log2us-v1";
 /// The finite bucket upper edges in microseconds: `2^k` for
 /// `k = 0..27`. Fixed for all time under [`SCHEMA`] `log2us-v1`.
 pub fn bucket_edges_us() -> [f64; EDGES] {
-    let mut edges = [0.0; EDGES];
-    let mut i = 0;
-    while i < EDGES {
-        edges[i] = (1u64 << i) as f64;
-        i += 1;
-    }
-    edges
+    std::array::from_fn(|k| (1u64 << k) as f64)
 }
 
 /// Index of the bucket holding a duration of `us` microseconds.
@@ -52,127 +42,54 @@ pub fn bucket_index(us: f64) -> usize {
     k.min(EDGES)
 }
 
-/// Fixed-memory histogram of span durations.
-pub struct DurationHist {
-    counts: [AtomicU64; BUCKETS],
-}
-
-impl DurationHist {
-    fn new() -> Self {
-        Self {
-            counts: [const { AtomicU64::new(0) }; BUCKETS],
-        }
+/// Approximate `q`-quantile (µs) of bucket `counts` by linear
+/// interpolation inside the winning bucket; overflow observations
+/// report the last finite edge. 0 when empty.
+pub fn quantile_us(counts: &[u64; BUCKETS], q: f64) -> f64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
     }
-
-    /// Records one duration (microseconds).
-    pub fn record_us(&self, us: f64) {
-        self.counts[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-bucket counts (index = bucket, last = overflow).
-    pub fn counts(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for (o, c) in out.iter_mut().zip(self.counts.iter()) {
-            *o = c.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.counts().iter().sum()
-    }
-
-    /// Approximate `q`-quantile (µs) by linear interpolation inside the
-    /// winning bucket; overflow observations report the last finite
-    /// edge. 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        let counts = self.counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let edges = bucket_edges_us();
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if cumulative + c >= target {
-                let lo = if i == 0 { 0.0 } else { edges[i - 1] };
-                let hi = edges.get(i).copied().unwrap_or(edges[EDGES - 1]);
-                if c == 0 {
-                    return hi;
-                }
-                let frac = (target - cumulative) as f64 / c as f64;
-                return lo + (hi - lo) * frac;
+    let edges = bucket_edges_us();
+    let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+    let mut cumulative = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        if cumulative + c >= target {
+            let lo = if i == 0 { 0.0 } else { edges[i - 1] };
+            let hi = edges.get(i).copied().unwrap_or(edges[EDGES - 1]);
+            if c == 0 {
+                return hi;
             }
-            cumulative += c;
+            let frac = (target - cumulative) as f64 / c as f64;
+            return lo + (hi - lo) * frac;
         }
-        edges[EDGES - 1]
+        cumulative += c;
     }
+    edges[EDGES - 1]
 }
 
-fn registry() -> &'static Mutex<HashMap<String, Arc<DurationHist>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, Arc<DurationHist>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The duration histogram for a span path (created on first use).
-pub fn span_hist(path: &str) -> Arc<DurationHist> {
-    let mut reg = registry().lock().expect("hist registry poisoned");
-    match reg.get(path) {
-        Some(h) => Arc::clone(h),
-        None => {
-            let h = Arc::new(DurationHist::new());
-            reg.insert(path.to_string(), Arc::clone(&h));
-            h
-        }
-    }
-}
-
-/// Records one duration for a span path — the hook [`crate::span`]
-/// guards call on drop.
-pub fn record_span_us(path: &str, us: f64) {
-    span_hist(path).record_us(us);
-}
-
-/// Snapshot of every path's histogram, sorted by path.
-pub fn snapshot() -> Vec<(String, [u64; BUCKETS])> {
-    let reg = registry().lock().expect("hist registry poisoned");
-    let mut out: Vec<_> = reg.iter().map(|(k, v)| (k.clone(), v.counts())).collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Clears all histograms (tests and multi-run benchmarks).
-pub fn reset() {
-    registry().lock().expect("hist registry poisoned").clear();
-}
-
-/// Serialises all histograms as a JSON array:
+/// The `span_hist` payload, one entry per span path of
+/// [`crate::span::summary`]:
 /// `[{span, schema, count, p50_us, p95_us, p99_us, buckets: [[idx, count], …]}, …]`
 /// with buckets sparse (zero buckets omitted) and indexed into
 /// [`bucket_edges_us`].
 pub fn snapshot_json() -> String {
-    let reg = registry().lock().expect("hist registry poisoned");
-    let mut hists: Vec<_> = reg.iter().collect();
-    hists.sort_by(|a, b| a.0.cmp(b.0));
     let mut arr = crate::json::Arr::new();
-    for (path, h) in hists {
-        let counts = h.counts();
+    for (path, s) in crate::span::summary() {
         let mut buckets = crate::json::Arr::new();
-        for (i, &c) in counts.iter().enumerate() {
+        for (i, &c) in s.buckets.iter().enumerate() {
             if c > 0 {
                 buckets = buckets.raw(&crate::json::Arr::new().u64(i as u64).u64(c).finish());
             }
         }
         arr = arr.raw(
             &crate::json::Obj::new()
-                .str("span", path)
+                .str("span", &path)
                 .str("schema", SCHEMA)
-                .u64("count", h.count())
-                .f64("p50_us", h.quantile_us(0.50))
-                .f64("p95_us", h.quantile_us(0.95))
-                .f64("p99_us", h.quantile_us(0.99))
+                .u64("count", s.count)
+                .f64("p50_us", s.quantile_us(0.50))
+                .f64("p95_us", s.quantile_us(0.95))
+                .f64("p99_us", s.quantile_us(0.99))
                 .raw("buckets", &buckets.finish())
                 .finish(),
         );
@@ -217,79 +134,100 @@ mod tests {
 
     #[test]
     fn t_quantiles_interpolate() {
-        let h = DurationHist::new();
+        let record = |counts: &mut [u64; BUCKETS], us: f64| counts[bucket_index(us)] += 1;
+        let mut h = [0u64; BUCKETS];
         // 100 observations in (2,4] (bucket 2) and 100 in (1024,2048]
         // (bucket 11): p50 inside bucket 2, p95/p99 inside bucket 11.
         for _ in 0..100 {
-            h.record_us(3.0);
+            record(&mut h, 3.0);
         }
         for _ in 0..100 {
-            h.record_us(1500.0);
+            record(&mut h, 1500.0);
         }
-        assert_eq!(h.count(), 200);
-        let p50 = h.quantile_us(0.50);
+        assert_eq!(h.iter().sum::<u64>(), 200);
+        let p50 = quantile_us(&h, 0.50);
         assert!((2.0..=4.0).contains(&p50), "p50 = {p50}");
-        let p95 = h.quantile_us(0.95);
+        let p95 = quantile_us(&h, 0.95);
         assert!((1024.0..=2048.0).contains(&p95), "p95 = {p95}");
-        let p99 = h.quantile_us(0.99);
+        let p99 = quantile_us(&h, 0.99);
         assert!(p99 >= p95);
         // Overflow reports the last finite edge.
-        let o = DurationHist::new();
-        o.record_us(1e12);
-        assert_eq!(o.quantile_us(0.5), bucket_edges_us()[EDGES - 1]);
+        let mut o = [0u64; BUCKETS];
+        record(&mut o, 1e12);
+        assert_eq!(quantile_us(&o, 0.5), bucket_edges_us()[EDGES - 1]);
         // Empty → 0.
-        assert_eq!(DurationHist::new().quantile_us(0.9), 0.0);
+        assert_eq!(quantile_us(&[0; BUCKETS], 0.9), 0.0);
     }
 
     #[test]
     fn t_counts_identical_no_matter_which_threads_record() {
         // The same multiset of durations must yield bitwise-identical
-        // bucket counts whether recorded from 1 thread or many — the
-        // determinism contract behind cross-run comparability.
-        let durations: Vec<f64> = (0..1200).map(|i| (i % 40) as f64 * 37.5 + 0.5).collect();
-        let serial = DurationHist::new();
-        for &d in &durations {
-            serial.record_us(d);
+        // bucket counts whether folded on 1 thread or many and merged —
+        // the determinism contract behind cross-run comparability.
+        use crate::span::Stats;
+        let durations_ns: Vec<u64> = (0..1200).map(|i| (i % 40) * 37_500 + 500).collect();
+        let mut serial = Stats::default();
+        for &d in &durations_ns {
+            serial.fold(d, 0);
         }
-        for threads in [2usize, 4] {
-            let parallel = Arc::new(DurationHist::new());
-            let chunk = durations.len() / threads;
-            std::thread::scope(|scope| {
-                for part in durations.chunks(chunk) {
-                    let h = Arc::clone(&parallel);
-                    scope.spawn(move || {
-                        for &d in part {
-                            h.record_us(d);
-                        }
-                    });
-                }
+        for threads in [1usize, 2, 4] {
+            let chunk = durations_ns.len() / threads;
+            let parts: Vec<Stats> = std::thread::scope(|scope| {
+                let handles: Vec<_> = durations_ns
+                    .chunks(chunk)
+                    .map(|part| {
+                        scope.spawn(move || {
+                            let mut own = Stats::default();
+                            for &d in part {
+                                own.fold(d, 0);
+                            }
+                            own
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
+            let mut merged = Stats::default();
+            for p in &parts {
+                merged.merge(p);
+            }
             assert_eq!(
-                serial.counts(),
-                parallel.counts(),
+                serial.buckets, merged.buckets,
                 "bucket counts diverged at {threads} recording threads"
             );
+            assert_eq!(serial, merged);
         }
     }
 
     #[test]
     fn t_registry_and_json_snapshot() {
-        // Use unique path names: the registry is process-global and
-        // tests run concurrently.
-        let h = span_hist("t_hist.registry_path");
-        h.record_us(3.0);
-        record_span_us("t_hist.registry_path", 1500.0);
-        let snap = snapshot();
-        let (_, counts) = snap
-            .iter()
-            .find(|(p, _)| p == "t_hist.registry_path")
-            .expect("path registered");
-        assert_eq!(counts[2], 1);
-        assert_eq!(counts[11], 1);
+        // Spans on two threads under one unique path merge into one
+        // span_hist entry.
+        {
+            let _g = crate::span!("t_hist.registry_path");
+        }
+        std::thread::spawn(|| {
+            let _g = crate::span!("t_hist.registry_path");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        })
+        .join()
+        .unwrap();
+        let stats = crate::span::tests::get("t_hist.registry_path").expect("path recorded");
+        assert_eq!(stats.buckets.iter().sum::<u64>(), 2);
+        assert!(
+            stats.buckets[..11].iter().sum::<u64>() <= 1,
+            "2 ms lands ≥ bucket 11"
+        );
         let json = snapshot_json();
-        assert!(json.contains(r#""span":"t_hist.registry_path""#), "{json}");
-        assert!(json.contains(r#""schema":"log2us-v1""#));
-        assert!(json.contains(r#"[2,1]"#), "sparse bucket pair: {json}");
-        assert!(json.contains(r#""p50_us":"#));
+        assert!(
+            json.contains(
+                r#"{"span":"t_hist.registry_path","schema":"log2us-v1","count":2,"p50_us":"#
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""buckets":[["#),
+            "sparse bucket pairs: {json}"
+        );
     }
 }

@@ -3,14 +3,16 @@
 //! call `finish()` for the final string.
 
 /// Incremental JSON object builder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Obj {
+    /// The fields so far, without the enclosing braces.
     buf: String,
 }
 
 /// Incremental JSON array builder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Arr {
+    /// The elements so far, without the enclosing brackets.
     buf: String,
 }
 
@@ -43,13 +45,11 @@ fn push_f64(buf: &mut String, v: f64) {
 impl Obj {
     /// Starts an empty object.
     pub fn new() -> Self {
-        Self {
-            buf: String::from("{"),
-        }
+        Self::default()
     }
 
     fn key(&mut self, k: &str) {
-        if self.buf.len() > 1 {
+        if !self.buf.is_empty() {
             self.buf.push(',');
         }
         push_escaped(&mut self.buf, k);
@@ -77,13 +77,6 @@ impl Obj {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(mut self, k: &str, v: i64) -> Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
     /// Adds a boolean field.
     pub fn bool(mut self, k: &str, v: bool) -> Self {
         self.key(k);
@@ -100,28 +93,19 @@ impl Obj {
     }
 
     /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-impl Default for Obj {
-    fn default() -> Self {
-        Self::new()
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.buf)
     }
 }
 
 impl Arr {
     /// Starts an empty array.
     pub fn new() -> Self {
-        Self {
-            buf: String::from("["),
-        }
+        Self::default()
     }
 
     fn sep(&mut self) {
-        if self.buf.len() > 1 {
+        if !self.buf.is_empty() {
             self.buf.push(',');
         }
     }
@@ -155,15 +139,8 @@ impl Arr {
     }
 
     /// Closes the array and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push(']');
-        self.buf
-    }
-}
-
-impl Default for Arr {
-    fn default() -> Self {
-        Self::new()
+    pub fn finish(self) -> String {
+        format!("[{}]", self.buf)
     }
 }
 

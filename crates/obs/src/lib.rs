@@ -1,22 +1,27 @@
 //! `cf-obs`: zero-dependency observability for the CausalFormer stack.
 //!
-//! Four cooperating pieces, all usable independently:
+//! One instrumentation primitive, [`span!`], feeds one per-thread record
+//! ([`mod@span`]); every timing output is a view that merges the records:
 //!
-//! * [`span`] — hierarchical RAII wall-clock timers. `span::enter("train")`
-//!   returns a guard; nested guards produce dotted paths
-//!   (`discover.train.epoch`), and a global registry accumulates
-//!   call count / total / min / max per path.
-//! * [`metrics`] — named counters, gauges, and fixed-bucket histograms
-//!   with percentile summaries. Lock-free on the hot path.
-//! * [`profile`] — per-op-kind profiling hooks for the autodiff tape:
-//!   counts, wall time, and approximate FLOPs for forward and backward
-//!   ops. Gated behind one relaxed atomic load when disabled.
-//! * [`sink`] — a process-global structured-event sink writing JSON
-//!   Lines; the CLI points it at `--metrics-out <path>`.
+//! * `span_summary` ([`span::summary_json`]) and `span_hist`
+//!   ([`hist::snapshot_json`]) — count / total / min / max and `log2us-v1`
+//!   percentiles per dotted span path (`discover.train.epoch`);
+//! * `op_profile` ([`span::ops_json`]) — count, time and FLOPs per tape
+//!   op kind;
+//! * the Chrome timeline ([`trace::drain`], [`export`]) — each thread's
+//!   bounded ring of complete spans, instants and counter samples;
+//! * the heartbeat's per-thread progress and the watchdog's thread dump
+//!   ([`heartbeat`], [`span::open_spans`]).
+//!
+//! Two switches: ring recording ([`trace::set_enabled`]) and op detail
+//! ([`span::set_op_detail`]); [`reset`] clears what a run accumulated.
+//! Beside the spans: counters and gauges ([`metrics`]), the JSON Lines
+//! sink behind `--metrics-out` ([`sink`]), trace analysis ([`analyze`]).
 //!
 //! Log verbosity is controlled by [`log`] (`CF_LOG` env var or
 //! [`log::set_level`]); the [`error!`]/[`warn!`]/[`info!`]/[`debug!`]/
-//! [`trace!`] macros format lazily, only when the level is enabled.
+//! [`trace!`](macro@trace) macros format lazily, only when the level is
+//! enabled.
 //!
 //! The crate deliberately has no dependencies (not even the vendored
 //! ones) so it can sit below `cf-tensor` in the workspace graph.
@@ -28,83 +33,67 @@ pub mod hist;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod profile;
 pub mod sink;
 pub mod span;
 pub mod trace;
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// The process-wide wall-clock anchor: one `SystemTime` sample paired
-/// with the `Instant` taken at the same moment. Every timestamp the
-/// crate emits — metrics-event `ts` fields, the trace epoch, heartbeat
-/// sample times — derives from this single pair, so the subsystems can
-/// never disagree about when "now" is and timelines cannot step
-/// backward when NTP adjusts the system clock mid-run.
-pub struct Anchor {
-    /// Wall-clock seconds since the Unix epoch at the moment `origin`
-    /// was captured. Sampled exactly once per process.
-    unix_at_origin: f64,
-    origin: Instant,
+/// Locks `m`, recovering the data from a poisoned lock: a panic on
+/// another thread must not take observability down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Anchor {
-    /// Seconds since the Unix epoch, as f64 (for event timestamps).
-    /// Monotone: the one wall-clock sample plus an `Instant` offset.
-    pub fn unix_time(&self) -> f64 {
-        self.unix_at_origin + self.origin.elapsed().as_secs_f64()
-    }
-
-    /// Nanoseconds elapsed since the anchor origin (monotone,
-    /// `Instant`-based). This is the timebase for [`trace`] events.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Wall-clock seconds since the Unix epoch at the anchor origin —
-    /// the one place wall time enters trace output, as the epoch
-    /// anchor only.
-    pub fn unix_at_origin(&self) -> f64 {
-        self.unix_at_origin
-    }
-}
-
-/// The shared anchor. First call samples the wall clock; every
-/// subsystem (metrics sinks, trace export, heartbeat) must go through
-/// this accessor rather than re-deriving its own epoch.
-pub fn anchor() -> &'static Anchor {
-    static ANCHOR: OnceLock<Anchor> = OnceLock::new();
-    ANCHOR.get_or_init(|| Anchor {
-        unix_at_origin: std::time::SystemTime::now()
+/// The process-wide clock anchor: one wall-clock sample (Unix seconds)
+/// paired with the `Instant` taken at the same moment. Every timestamp
+/// the crate emits — metrics-event `ts` fields, span and trace times,
+/// the trace epoch, heartbeat sample times — derives from this pair, so
+/// the subsystems never disagree about when "now" is and timelines
+/// cannot step backward when NTP adjusts the system clock mid-run.
+fn anchor() -> &'static (f64, Instant) {
+    static ANCHOR: OnceLock<(f64, Instant)> = OnceLock::new();
+    ANCHOR.get_or_init(|| {
+        let unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        origin: Instant::now(),
+            .map_or(0.0, |d| d.as_secs_f64());
+        (unix, Instant::now())
     })
 }
 
 /// Seconds since the Unix epoch, as f64 (for event timestamps).
-/// Shorthand for [`anchor()`]`.unix_time()`.
+/// Monotone: the one wall-clock sample plus an `Instant` offset.
 pub fn unix_time() -> f64 {
-    anchor().unix_time()
+    let (unix, origin) = anchor();
+    unix + origin.elapsed().as_secs_f64()
 }
 
-/// Nanoseconds elapsed since the process clock anchor. Shorthand for
-/// [`anchor()`]`.elapsed_ns()`.
+/// Nanoseconds elapsed since the clock anchor: the timebase of span and
+/// trace events.
 pub fn anchor_ns() -> u64 {
-    anchor().elapsed_ns()
+    anchor().1.elapsed().as_nanos() as u64
 }
 
-/// Wall-clock seconds since the Unix epoch at the clock anchor.
-/// Shorthand for [`anchor()`]`.unix_at_origin()`.
+/// Wall-clock seconds since the Unix epoch at the clock anchor — where
+/// wall time enters trace output, as the epoch anchor only.
 pub fn anchor_unix_time() -> f64 {
-    anchor().unix_at_origin()
+    anchor().0
 }
 
-/// Serialises tests that flip process-global observability state
-/// (trace enable/open-tracking, the heartbeat sink) so they can't
-/// race each other under the parallel test runner.
+/// Clears what a run accumulated: every span path and op aggregate,
+/// every trace ring and its drop count, and the metrics registry. Open
+/// spans, thread names, heartbeat progress epochs and both switches are
+/// left alone.
+pub fn reset() {
+    span::reset();
+    trace::reset();
+    metrics::reset();
+}
+
+/// Serialises tests that flip process-global observability state (the
+/// ring and op-detail switches, the heartbeat sink) so they can't race
+/// each other under the parallel test runner.
 #[cfg(test)]
 pub(crate) fn test_lock() -> &'static std::sync::Mutex<()> {
     static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();

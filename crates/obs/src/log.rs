@@ -20,29 +20,27 @@ pub enum Level {
     Trace = 5,
 }
 
-impl Level {
-    /// Parses a level name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Level> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "none" => Some(Level::Off),
-            "error" => Some(Level::Error),
-            "warn" | "warning" => Some(Level::Warn),
-            "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            "trace" => Some(Level::Trace),
-            _ => None,
-        }
-    }
+/// Every level with its name, in `repr` order.
+const LEVELS: [(Level, &str); 6] = [
+    (Level::Off, "off"),
+    (Level::Error, "error"),
+    (Level::Warn, "warn"),
+    (Level::Info, "info"),
+    (Level::Debug, "debug"),
+    (Level::Trace, "trace"),
+];
 
-    fn tag(self) -> &'static str {
-        match self {
-            Level::Off => "off",
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-            Level::Trace => "trace",
-        }
+impl Level {
+    /// Parses a level name (case-insensitive; `none` and `warning` are
+    /// aliases).
+    pub fn parse(s: &str) -> Option<Level> {
+        let s = s.to_ascii_lowercase();
+        let s = match s.as_str() {
+            "none" => "off",
+            "warning" => "warn",
+            other => other,
+        };
+        LEVELS.iter().find(|(_, name)| *name == s).map(|&(l, _)| l)
     }
 }
 
@@ -52,27 +50,16 @@ const UNSET: u8 = 255;
 static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
 static ENV_LEVEL: OnceLock<Level> = OnceLock::new();
 
-fn env_level() -> Level {
-    *ENV_LEVEL.get_or_init(|| {
-        std::env::var("CF_LOG")
-            .ok()
-            .and_then(|v| Level::parse(&v))
-            .unwrap_or(Level::Warn)
-    })
-}
-
 /// The current level (defaults to `CF_LOG`, else `warn`).
 pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
-        UNSET => env_level(),
-        n => match n {
-            0 => Level::Off,
-            1 => Level::Error,
-            2 => Level::Warn,
-            3 => Level::Info,
-            4 => Level::Debug,
-            _ => Level::Trace,
-        },
+        UNSET => *ENV_LEVEL.get_or_init(|| {
+            std::env::var("CF_LOG")
+                .ok()
+                .and_then(|v| Level::parse(&v))
+                .unwrap_or(Level::Warn)
+        }),
+        n => LEVELS[usize::from(n).min(5)].0,
     }
 }
 
@@ -89,57 +76,49 @@ pub fn enabled(l: Level) -> bool {
 /// Writes one record to stderr. Callers should gate on [`enabled`]
 /// first (the macros do).
 pub fn write_line(l: Level, msg: &str) {
-    eprintln!("[{}] {}", l.tag(), msg);
+    eprintln!("[{}] {}", LEVELS[l as usize].1, msg);
+}
+
+/// Logs at `$level` if it is enabled; the shared body of the level
+/// macros.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! log_at {
+    ($level:ident, $($t:tt)*) => {
+        if $crate::log::enabled($crate::log::Level::$level) {
+            $crate::log::write_line($crate::log::Level::$level, &format!($($t)*));
+        }
+    };
 }
 
 /// Logs at error level.
 #[macro_export]
 macro_rules! error {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Error) {
-            $crate::log::write_line($crate::log::Level::Error, &format!($($t)*));
-        }
-    };
+    ($($t:tt)*) => { $crate::log_at!(Error, $($t)*) };
 }
 
 /// Logs at warn level.
 #[macro_export]
 macro_rules! warn {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Warn) {
-            $crate::log::write_line($crate::log::Level::Warn, &format!($($t)*));
-        }
-    };
+    ($($t:tt)*) => { $crate::log_at!(Warn, $($t)*) };
 }
 
 /// Logs at info level.
 #[macro_export]
 macro_rules! info {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Info) {
-            $crate::log::write_line($crate::log::Level::Info, &format!($($t)*));
-        }
-    };
+    ($($t:tt)*) => { $crate::log_at!(Info, $($t)*) };
 }
 
 /// Logs at debug level.
 #[macro_export]
 macro_rules! debug {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Debug) {
-            $crate::log::write_line($crate::log::Level::Debug, &format!($($t)*));
-        }
-    };
+    ($($t:tt)*) => { $crate::log_at!(Debug, $($t)*) };
 }
 
 /// Logs at trace level.
 #[macro_export]
 macro_rules! trace {
-    ($($t:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Trace) {
-            $crate::log::write_line($crate::log::Level::Trace, &format!($($t)*));
-        }
-    };
+    ($($t:tt)*) => { $crate::log_at!(Trace, $($t)*) };
 }
 
 #[cfg(test)]

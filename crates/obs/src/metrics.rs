@@ -1,14 +1,14 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Named counters and gauges.
 //!
 //! Handles are cheap `Arc` clones of registry slots; updates are
 //! lock-free atomics (the registry mutex is touched only on first
-//! lookup of a name). Histograms use caller-supplied finite bucket
-//! upper bounds plus an implicit `+inf` overflow bucket, and report
-//! percentiles by linear interpolation within the winning bucket.
+//! lookup of a name). Duration percentiles live with the spans
+//! ([`crate::hist`]).
 
-use std::collections::HashMap;
+use crate::lock;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Monotone event counter.
 #[derive(Clone)]
@@ -47,127 +47,21 @@ impl Gauge {
     }
 }
 
-struct HistogramInner {
-    /// Finite upper bounds, ascending; counts has one extra overflow slot.
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of observed values, as a CAS-updated f64.
-    sum_bits: AtomicU64,
-}
-
-/// Fixed-bucket histogram of f64 observations.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&self, v: f64) {
-        let inner = &self.0;
-        let idx = inner
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(inner.bounds.len());
-        inner.counts[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = inner.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match inner.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (`q` in [0,1]) by linear interpolation
-    /// inside the bucket holding the target rank. Values beyond the last
-    /// finite bound report that bound.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let inner = &self.0;
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, c) in inner.counts.iter().enumerate() {
-            let in_bucket = c.load(Ordering::Relaxed);
-            if cumulative + in_bucket >= target {
-                let lo = if i == 0 { 0.0 } else { inner.bounds[i - 1] };
-                let hi = inner.bounds.get(i).copied().unwrap_or_else(|| {
-                    // Overflow bucket: report the last finite bound.
-                    inner.bounds.last().copied().unwrap_or(0.0)
-                });
-                if in_bucket == 0 {
-                    return hi;
-                }
-                let frac = (target - cumulative) as f64 / in_bucket as f64;
-                return lo + (hi - lo) * frac;
-            }
-            cumulative += in_bucket;
-        }
-        inner.bounds.last().copied().unwrap_or(0.0)
-    }
-
-    /// Per-bucket `(upper_bound, count)` pairs; the final pair uses
-    /// `f64::INFINITY` for the overflow bucket.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let inner = &self.0;
-        inner
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bound = inner.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                (bound, c.load(Ordering::Relaxed))
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
+/// Name-sorted, so snapshots list metrics in a stable order.
 struct Registry {
-    counters: HashMap<String, Counter>,
-    gauges: HashMap<String, Gauge>,
-    histograms: HashMap<String, Histogram>,
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
-}
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    counters: BTreeMap::new(),
+    gauges: BTreeMap::new(),
+});
 
 /// The counter named `name` (created on first use).
 pub fn counter(name: &str) -> Counter {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    reg.counters
+    lock(&REGISTRY)
+        .counters
         .entry(name.to_string())
         .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
         .clone()
@@ -175,72 +69,37 @@ pub fn counter(name: &str) -> Counter {
 
 /// The gauge named `name` (created on first use, initial value 0).
 pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    reg.gauges
+    lock(&REGISTRY)
+        .gauges
         .entry(name.to_string())
         .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
         .clone()
 }
 
-/// The histogram named `name`; `bounds` (ascending finite upper bounds)
-/// applies only on first creation.
-pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    reg.histograms
-        .entry(name.to_string())
-        .or_insert_with(|| {
-            debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-            Histogram(Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-            }))
-        })
-        .clone()
-}
-
 /// Clears all registered metrics.
 pub fn reset() {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    *reg = Registry::default();
+    let mut reg = lock(&REGISTRY);
+    reg.counters.clear();
+    reg.gauges.clear();
 }
 
 /// Serialises all metrics as a JSON object
-/// `{counters: {...}, gauges: {...}, histograms: {...}}`.
+/// `{counters: {...}, gauges: {...}, histograms: {}}`.
 pub fn snapshot_json() -> String {
-    let reg = registry().lock().expect("metrics registry poisoned");
-    let mut counters: Vec<_> = reg.counters.iter().collect();
-    counters.sort_by(|a, b| a.0.cmp(b.0));
-    let mut c_obj = crate::json::Obj::new();
-    for (name, c) in counters {
-        c_obj = c_obj.u64(name, c.get());
-    }
-    let mut gauges: Vec<_> = reg.gauges.iter().collect();
-    gauges.sort_by(|a, b| a.0.cmp(b.0));
-    let mut g_obj = crate::json::Obj::new();
-    for (name, g) in gauges {
-        g_obj = g_obj.f64(name, g.get());
-    }
-    let mut hists: Vec<_> = reg.histograms.iter().collect();
-    hists.sort_by(|a, b| a.0.cmp(b.0));
-    let mut h_obj = crate::json::Obj::new();
-    for (name, h) in hists {
-        h_obj = h_obj.raw(
-            name,
-            &crate::json::Obj::new()
-                .u64("count", h.count())
-                .f64("mean", h.mean())
-                .f64("p50", h.quantile(0.5))
-                .f64("p90", h.quantile(0.9))
-                .f64("p99", h.quantile(0.99))
-                .finish(),
-        );
-    }
+    let reg = lock(&REGISTRY);
+    let counters = reg
+        .counters
+        .iter()
+        .fold(crate::json::Obj::new(), |o, (name, c)| o.u64(name, c.get()));
+    let gauges = reg
+        .gauges
+        .iter()
+        .fold(crate::json::Obj::new(), |o, (name, g)| o.f64(name, g.get()));
     crate::json::Obj::new()
-        .raw("counters", &c_obj.finish())
-        .raw("gauges", &g_obj.finish())
-        .raw("histograms", &h_obj.finish())
+        .raw("counters", &counters.finish())
+        .raw("gauges", &gauges.finish())
+        // Kept empty so the metrics_summary shape stays schema 2.2.
+        .raw("histograms", "{}")
         .finish()
 }
 
@@ -273,58 +132,5 @@ mod tests {
         g.set(1.5);
         g.set(-2.25);
         assert_eq!(gauge("t_metrics_gauge").get(), -2.25);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_correct() {
-        let h = histogram("t_metrics_hist", &[1.0, 2.0, 4.0, 8.0]);
-        // 100 observations uniformly on (0, 1]: all land in bucket 0.
-        for i in 1..=100 {
-            h.record(i as f64 / 100.0);
-        }
-        assert_eq!(h.count(), 100);
-        assert!((h.mean() - 0.505).abs() < 1e-12);
-        // All mass in [0,1]: interpolated quantiles track q.
-        assert!((h.quantile(0.5) - 0.5).abs() < 0.02, "{}", h.quantile(0.5));
-        assert!((h.quantile(0.99) - 0.99).abs() < 0.02);
-        // Add 100 in (4,8]: p75+ moves to the upper bucket.
-        for _ in 0..100 {
-            h.record(6.0);
-        }
-        let p90 = h.quantile(0.9);
-        assert!((4.0..=8.0).contains(&p90), "p90 = {p90}");
-        let p25 = h.quantile(0.25);
-        assert!((0.0..=1.0).contains(&p25), "p25 = {p25}");
-    }
-
-    #[test]
-    fn histogram_overflow_reports_last_bound() {
-        let h = histogram("t_metrics_hist_overflow", &[1.0, 2.0]);
-        for _ in 0..10 {
-            h.record(100.0);
-        }
-        assert_eq!(h.quantile(0.5), 2.0);
-        let buckets = h.buckets();
-        assert_eq!(buckets.last().unwrap(), &(f64::INFINITY, 10));
-    }
-
-    #[test]
-    fn histogram_sum_is_exact_under_contention() {
-        let h = histogram("t_metrics_hist_sum", &[10.0]);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        h.record(0.5);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(), 4000);
-        assert!((h.sum() - 2000.0).abs() < 1e-9);
     }
 }

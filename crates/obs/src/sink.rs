@@ -1,4 +1,5 @@
-//! A process-global structured-event sink writing JSON Lines.
+//! JSON Lines sinks: the `--metrics-out` stream and, through the same
+//! [`Sink`] type, the heartbeat stream.
 //!
 //! The CLI installs a file sink for `--metrics-out <path>`; library code
 //! calls [`emit`] unconditionally — when no sink is installed the call
@@ -8,86 +9,105 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
-fn sink() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static SINK: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
+/// A process-global slot for one JSON Lines writer.
+#[derive(Default)]
+pub struct Sink(Mutex<Option<Box<dyn Write + Send>>>);
+
+impl Sink {
+    /// An empty slot.
+    pub const fn new() -> Self {
+        Sink(Mutex::new(None))
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Option<Box<dyn Write + Send>>> {
+        crate::lock(&self.0)
+    }
+
+    /// Installs `w`, replacing any writer already there.
+    pub fn install(&self, w: Box<dyn Write + Send>) {
+        *self.slot() = Some(w);
+    }
+
+    /// Flushes and removes the writer.
+    pub fn uninstall(&self) {
+        let mut slot = self.slot();
+        if let Some(w) = slot.as_mut() {
+            let _ = w.flush();
+        }
+        *slot = None;
+    }
+
+    /// Whether a writer is installed.
+    pub fn is_installed(&self) -> bool {
+        self.slot().is_some()
+    }
+
+    /// Writes `json_line` (one single-line JSON object) and its newline
+    /// with one `write_all`, so a reader tailing an unbuffered file never
+    /// sees a torn line. No-op without a writer.
+    pub fn emit(&self, json_line: &str) {
+        if let Some(w) = self.slot().as_mut() {
+            let _ = w.write_all(format!("{json_line}\n").as_bytes());
+        }
+    }
+
+    /// Flushes buffered output, if a writer is installed.
+    pub fn flush(&self) {
+        if let Some(w) = self.slot().as_mut() {
+            let _ = w.flush();
+        }
+    }
 }
+
+static METRICS: Sink = Sink::new();
 
 /// Installs a JSONL sink writing to the file at `path` (truncating any
 /// existing file).
 pub fn install_file(path: &str) -> io::Result<()> {
-    let file = File::create(path)?;
-    install_writer(Box::new(BufWriter::new(file)));
+    METRICS.install(Box::new(BufWriter::new(File::create(path)?)));
     Ok(())
-}
-
-/// Installs an arbitrary writer as the sink (tests use an in-memory
-/// buffer).
-pub fn install_writer(w: Box<dyn Write + Send>) {
-    *sink().lock().expect("metrics sink poisoned") = Some(w);
 }
 
 /// Removes the sink, flushing buffered output first.
 pub fn uninstall() {
-    let mut guard = sink().lock().expect("metrics sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
-    }
-    *guard = None;
+    METRICS.uninstall();
 }
 
 /// Whether a sink is installed (lets callers skip building expensive
 /// event payloads).
 pub fn is_installed() -> bool {
-    sink().lock().expect("metrics sink poisoned").is_some()
+    METRICS.is_installed()
 }
 
-/// Writes one JSONL record (`json_line` must be a single-line JSON
-/// object; the trailing newline is added here). No-op without a sink.
+/// Writes one JSONL record. No-op without a sink.
 pub fn emit(json_line: &str) {
-    let mut guard = sink().lock().expect("metrics sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        let _ = writeln!(w, "{json_line}");
-    }
+    METRICS.emit(json_line);
 }
 
-/// Flushes buffered output, if a sink is installed.
-pub fn flush() {
-    let mut guard = sink().lock().expect("metrics sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
-    }
-}
-
-/// Emits span-registry, metrics, and tape op-profile snapshots as three
+/// Emits the span, metrics, op-profile and span-histogram views as four
 /// summary records. Called at the end of a pipeline run.
 pub fn emit_summaries() {
     if !is_installed() {
         return;
     }
-    emit(
-        &crate::json::Obj::new()
-            .str("event", "span_summary")
-            .f64("ts", crate::unix_time())
-            .raw("spans", &crate::span::snapshot_json())
-            .finish(),
+    let summary = |event: &str, key: &str, payload: &str| {
+        emit(
+            &crate::json::Obj::new()
+                .str("event", event)
+                .f64("ts", crate::unix_time())
+                .raw(key, payload)
+                .finish(),
+        )
+    };
+    summary("span_summary", "spans", &crate::span::summary_json());
+    summary(
+        "metrics_summary",
+        "metrics",
+        &crate::metrics::snapshot_json(),
     );
-    emit(
-        &crate::json::Obj::new()
-            .str("event", "metrics_summary")
-            .f64("ts", crate::unix_time())
-            .raw("metrics", &crate::metrics::snapshot_json())
-            .finish(),
-    );
-    emit(
-        &crate::json::Obj::new()
-            .str("event", "op_profile")
-            .f64("ts", crate::unix_time())
-            .raw("ops", &crate::profile::snapshot_json())
-            .finish(),
-    );
+    summary("op_profile", "ops", &crate::span::ops_json());
     emit(
         &crate::json::Obj::new()
             .str("event", "span_hist")
@@ -96,7 +116,7 @@ pub fn emit_summaries() {
             .raw("spans", &crate::hist::snapshot_json())
             .finish(),
     );
-    flush();
+    METRICS.flush();
 }
 
 #[cfg(test)]
@@ -126,7 +146,7 @@ mod tests {
     fn emits_one_line_per_event_and_round_trips() {
         let _l = SINK_LOCK.lock().unwrap();
         let buf = Shared(Arc::new(StdMutex::new(Vec::new())));
-        install_writer(Box::new(buf.clone()));
+        METRICS.install(Box::new(buf.clone()));
         emit(
             &crate::json::Obj::new()
                 .str("event", "epoch")

@@ -1,30 +1,28 @@
-//! Per-thread trace-event recorder with bounded memory.
+//! Per-thread trace timelines with bounded memory.
 //!
-//! Every thread that emits events owns a bounded ring buffer; recording
-//! touches only that thread's buffer (a per-thread mutex that is
-//! uncontended on the hot path — the only other toucher is the
-//! end-of-run drain). When a ring fills, the **oldest** event is
-//! dropped and the global `trace.dropped` counter incremented; the hot
-//! path never blocks and never allocates beyond the fixed ring.
+//! Each thread's timeline is the ring in its [span](mod@crate::span) record:
+//! scope and scheduler spans push a `Complete` event when they close,
+//! and [`instant`]/[`counter`] push markers and samples. Recording
+//! touches only the calling thread's record; when its ring holds
+//! [`CAPACITY`] events the **oldest** is dropped and counted
+//! ([`dropped`]). Span aggregates fold outside the ring, so a drop
+//! loses timeline detail, never counts. Op spans never enter the ring.
 //!
-//! The whole subsystem is gated behind one relaxed atomic load: with
-//! tracing disabled, [`span`]/[`instant`]/[`counter`] return after a
-//! single `AtomicBool` check. Timestamps are nanosecond offsets from
-//! the process [`crate::anchor_ns`] `Instant` anchor, so timelines are
-//! monotone regardless of wall-clock steps; wall time appears only as
-//! the trace epoch anchor in the exported file (see [`crate::export`]).
+//! The ring is gated behind one relaxed atomic load: with recording
+//! off, [`instant`]/[`counter`] return after a single `AtomicBool`
+//! check. Timestamps are nanosecond offsets from the process
+//! [`crate::anchor_ns`] `Instant` anchor, so timelines are monotone
+//! regardless of wall-clock steps; wall time appears only as the trace
+//! epoch anchor in the exported file (see [`crate::export`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::lock;
+use crate::span::{records, with_state};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Default per-thread ring capacity (events).
-pub const DEFAULT_CAPACITY: usize = 16_384;
+/// Per-thread ring capacity (events).
+pub const CAPACITY: usize = 16_384;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static OPEN_TRACKING: AtomicBool = AtomicBool::new(false);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 /// Event name: `&'static str` for the common case (no allocation on
 /// the hot path), owned for dynamic labels such as bench cell names.
@@ -43,6 +41,18 @@ impl Name {
             Name::Static(s) => s,
             Name::Owned(s) => s,
         }
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Self {
+        Name::Static(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name::Owned(s)
     }
 }
 
@@ -74,307 +84,93 @@ pub struct Event {
     pub kind: Kind,
 }
 
-struct ThreadBuf {
-    tid: u64,
-    name: Mutex<String>,
-    ring: Mutex<Ring>,
-    /// Currently-open span names, innermost last. Maintained only while
-    /// [`open_tracking`] is on; read by the heartbeat watchdog to
-    /// produce a lightweight thread dump of a stalled process.
-    open: Mutex<Vec<Name>>,
-}
-
-struct Ring {
-    events: std::collections::VecDeque<Event>,
-}
-
-fn dropped_counter() -> &'static crate::metrics::Counter {
-    static COUNTER: OnceLock<crate::metrics::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| crate::metrics::counter("trace.dropped"))
-}
-
-impl Ring {
-    fn push(&mut self, ev: Event) {
-        let cap = CAPACITY.load(Ordering::Relaxed).max(1);
-        while self.events.len() >= cap {
-            self.events.pop_front();
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            dropped_counter().inc();
-        }
-        self.events.push_back(ev);
-    }
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static LOCAL: Arc<ThreadBuf> = {
-        let buf = Arc::new(ThreadBuf {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            name: Mutex::new(
-                std::thread::current()
-                    .name()
-                    .unwrap_or("thread")
-                    .to_string(),
-            ),
-            ring: Mutex::new(Ring {
-                events: std::collections::VecDeque::new(),
-            }),
-            open: Mutex::new(Vec::new()),
-        });
-        registry()
-            .lock()
-            .expect("trace registry poisoned")
-            .push(Arc::clone(&buf));
-        buf
-    };
-}
-
-/// Turns the recorder on or off. Off is the default; when off, every
-/// recording call costs one relaxed atomic load.
+/// Turns ring recording on or off. Off is the default.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether the recorder is currently on.
+/// Whether ring recording is on.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns open-span tracking on or off. Independent of the recorder:
-/// the heartbeat watchdog enables this alone so it can dump each
-/// thread's current span stack without paying for ring recording.
-pub fn set_open_tracking(on: bool) {
-    OPEN_TRACKING.store(on, Ordering::Relaxed);
-}
-
-/// Whether open-span tracking is currently on.
-#[inline]
-pub fn open_tracking() -> bool {
-    OPEN_TRACKING.load(Ordering::Relaxed)
-}
-
-/// One thread's currently-open span stack (innermost last), as sampled
-/// by [`open_spans`]. Empty stacks are omitted from the dump.
-pub struct OpenSpans {
-    /// Stable per-process thread id (1-based registration order).
-    pub tid: u64,
-    /// Timeline name (thread name or [`register_thread`] override).
-    pub thread: String,
-    /// Open span names, outermost first.
-    pub spans: Vec<String>,
-}
-
-/// Samples every thread's currently-open span stack — a lightweight
-/// "thread dump" for the stall watchdog. Only meaningful while
-/// [`set_open_tracking`] is on; threads with no open spans are skipped.
-pub fn open_spans() -> Vec<OpenSpans> {
-    let reg = registry().lock().expect("trace registry poisoned");
-    let mut out: Vec<OpenSpans> = reg
-        .iter()
-        .filter_map(|buf| {
-            let spans: Vec<String> = buf
-                .open
-                .lock()
-                .expect("trace open stack poisoned")
-                .iter()
-                .map(|n| n.as_str().to_string())
-                .collect();
-            if spans.is_empty() {
-                None
-            } else {
-                Some(OpenSpans {
-                    tid: buf.tid,
-                    thread: buf.name.lock().expect("trace thread name poisoned").clone(),
-                    spans,
-                })
-            }
-        })
-        .collect();
-    out.sort_by_key(|t| t.tid);
-    out
-}
-
-/// Sets the per-thread ring capacity (events). Applies to subsequent
-/// pushes on every thread; existing rings shrink lazily as they push.
-pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap.max(1), Ordering::Relaxed);
-}
-
-/// Total events dropped (oldest-first) across all threads since the
-/// last [`reset`].
+/// Events dropped (oldest first) across all threads since the last
+/// [`reset`].
 pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    records().iter().map(|r| lock(&r.state).dropped).sum()
 }
 
-/// Names the calling thread's trace timeline. Threads that never call
-/// this use their OS thread name (or "thread").
-pub fn register_thread(name: impl Into<String>) {
-    LOCAL.with(|buf| {
-        *buf.name.lock().expect("trace thread name poisoned") = name.into();
-    });
-}
-
-fn record(ev: Event) {
-    LOCAL.with(|buf| {
-        buf.ring.lock().expect("trace ring poisoned").push(ev);
-    });
-}
-
-/// RAII guard recording a complete span from creation to drop.
-pub struct SpanGuard {
-    name: Option<Name>,
-    start_ns: u64,
-    /// Record a `Complete` event at drop (recorder was enabled when
-    /// the span opened).
-    record: bool,
-    /// This guard pushed onto the open-span stack and must pop it.
-    pushed: bool,
-}
-
-impl SpanGuard {
-    fn new(name: Name) -> Self {
-        let record = enabled();
-        let pushed = open_tracking();
-        if pushed {
-            LOCAL.with(|buf| {
-                buf.open
-                    .lock()
-                    .expect("trace open stack poisoned")
-                    .push(name.clone());
-            });
-        }
-        Self {
-            name: Some(name),
-            start_ns: crate::anchor_ns(),
-            record,
-            pushed,
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            LOCAL.with(|buf| {
-                buf.open.lock().expect("trace open stack poisoned").pop();
-            });
-        }
-        if let Some(name) = self.name.take() {
-            if !self.record {
-                return;
-            }
-            // Start and end on the same anchor timebase, so a span
-            // always covers every event recorded inside it.
-            let end_ns = crate::anchor_ns();
-            record(Event {
-                name,
-                ts_ns: self.start_ns,
-                kind: Kind::Complete {
-                    dur_ns: end_ns.saturating_sub(self.start_ns),
-                },
-            });
-        }
-    }
-}
-
-/// Opens a span on the calling thread's timeline; the span closes when
-/// the returned guard drops. Returns `None` (recording nothing) when
-/// both the recorder and open-span tracking are off.
-#[inline]
-pub fn span(name: &'static str) -> Option<SpanGuard> {
-    if !enabled() && !open_tracking() {
-        return None;
-    }
-    Some(SpanGuard::new(Name::Static(name)))
-}
-
-/// Like [`span`] but with a dynamically built name (bench cells etc.).
-#[inline]
-pub fn span_dyn(name: String) -> Option<SpanGuard> {
-    if !enabled() && !open_tracking() {
-        return None;
-    }
-    Some(SpanGuard::new(Name::Owned(name)))
+fn record(name: &'static str, kind: Kind) {
+    let ev = Event {
+        name: Name::Static(name),
+        ts_ns: crate::anchor_ns(),
+        kind,
+    };
+    with_state(|s| s.push_event(ev));
 }
 
 /// Records a zero-duration marker on the calling thread's timeline.
 #[inline]
 pub fn instant(name: &'static str) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record(name, Kind::Instant);
     }
-    record(Event {
-        name: Name::Static(name),
-        ts_ns: crate::anchor_ns(),
-        kind: Kind::Instant,
-    });
 }
 
 /// Samples a counter value onto the calling thread's timeline.
 #[inline]
 pub fn counter(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record(name, Kind::Counter { value });
     }
-    record(Event {
-        name: Name::Static(name),
-        ts_ns: crate::anchor_ns(),
-        kind: Kind::Counter { value },
-    });
 }
 
 /// One thread's drained timeline.
 pub struct ThreadTrace {
     /// Stable per-process thread id (1-based registration order).
     pub tid: u64,
-    /// Timeline name (thread name or [`register_thread`] override).
+    /// Timeline name (thread name or [`crate::span::register_thread`]
+    /// override).
     pub name: String,
     /// Events in record order.
     pub events: Vec<Event>,
 }
 
-/// Drains every thread's buffered events (leaving the buffers empty but
-/// registered) and returns them grouped per thread, ordered by tid.
+/// Drains every thread's ring (leaving it empty but registered) and
+/// returns the events grouped per thread, ordered by tid.
 pub fn drain() -> Vec<ThreadTrace> {
-    let reg = registry().lock().expect("trace registry poisoned");
-    let mut out: Vec<ThreadTrace> = reg
+    let mut out: Vec<ThreadTrace> = records()
         .iter()
-        .map(|buf| ThreadTrace {
-            tid: buf.tid,
-            name: buf.name.lock().expect("trace thread name poisoned").clone(),
-            events: buf
-                .ring
-                .lock()
-                .expect("trace ring poisoned")
-                .events
-                .drain(..)
-                .collect(),
+        .map(|r| {
+            let mut s = lock(&r.state);
+            ThreadTrace {
+                tid: r.tid,
+                name: s.name.clone(),
+                events: s.ring.drain(..).collect(),
+            }
         })
         .collect();
     out.sort_by_key(|t| t.tid);
     out
 }
 
-/// Clears all buffered events and the dropped-event counter. The
-/// enabled flag and registered threads are left alone.
+/// Clears every ring and its drop count. The enabled flag, the span
+/// aggregates and registered threads are left alone.
 pub fn reset() {
-    let reg = registry().lock().expect("trace registry poisoned");
-    for buf in reg.iter() {
-        buf.ring.lock().expect("trace ring poisoned").events.clear();
+    for r in records() {
+        let mut s = lock(&r.state);
+        s.ring.clear();
+        s.dropped = 0;
     }
-    DROPPED.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{open_spans, register_thread};
 
-    /// The recorder is process-global; run every scenario under one
+    /// The ring switch is process-global; run every scenario under one
     /// test function so enabling/disabling can't race between tests.
     #[test]
     fn t_trace_recorder_end_to_end() {
@@ -384,7 +180,7 @@ mod tests {
         set_enabled(false);
         instant("t_trace.off");
         counter("t_trace.off_counter", 1.0);
-        drop(span("t_trace.off_span"));
+        drop(crate::span!("t_trace.off_span"));
         let disabled_events: usize = drain().iter().map(|t| t.events.len()).sum();
         assert_eq!(disabled_events, 0, "disabled recorder captured events");
 
@@ -393,7 +189,7 @@ mod tests {
         set_enabled(true);
         register_thread("t_trace_main");
         {
-            let _g = span("t_trace.outer");
+            let _g = crate::span!("t_trace.outer");
             instant("t_trace.marker");
             counter("t_trace.value", 42.5);
         }
@@ -439,39 +235,31 @@ mod tests {
 
         // Overflow drops the OLDEST events and counts every drop.
         reset();
-        set_capacity(8);
-        let before = dropped();
-        assert_eq!(before, 0);
-        // The trace.dropped *metric* is cumulative across the process
-        // (other tests overflow rings too), so assert its delta.
-        let metric_before = crate::metrics::counter("trace.dropped").get();
-        for _ in 0..20 {
+        assert_eq!(dropped(), 0);
+        for _ in 0..CAPACITY + 12 {
             instant("t_trace.flood");
         }
         instant("t_trace.newest");
-        assert_eq!(dropped(), 13, "20 + 1 pushes into capacity 8");
-        assert_eq!(
-            crate::metrics::counter("trace.dropped").get() - metric_before,
-            13,
-            "trace.dropped metric mirrors the drop count"
-        );
+        assert_eq!(dropped(), 13, "CAPACITY + 13 pushes into CAPACITY slots");
         let traces = drain();
         let mine = traces.iter().find(|t| t.name == "t_trace_main").unwrap();
-        assert_eq!(mine.events.len(), 8, "ring holds exactly its capacity");
+        assert_eq!(
+            mine.events.len(),
+            CAPACITY,
+            "ring holds exactly its capacity"
+        );
         assert_eq!(
             mine.events.last().unwrap().name.as_str(),
             "t_trace.newest",
             "newest event survives an overflowing ring"
         );
 
-        // Open-span tracking works with the recorder OFF: the guard
-        // pushes/pops the per-thread stack without recording events.
-        set_capacity(DEFAULT_CAPACITY);
+        // The open-span stack is kept with the ring OFF: spans push and
+        // pop it without recording events.
         set_enabled(false);
-        set_open_tracking(true);
         {
-            let _outer = span("t_trace.open_outer");
-            let _inner = span_dyn("t_trace.open_inner".to_string());
+            let _outer = crate::span!("t_trace.open_outer");
+            let _inner = crate::span!("t_trace.open_inner".to_string());
             let dump = open_spans();
             let mine = dump
                 .iter()
@@ -493,15 +281,8 @@ mod tests {
         let tracked_events: usize = drain().iter().map(|t| t.events.len()).sum();
         assert_eq!(
             tracked_events, 0,
-            "open tracking alone must not record ring events"
+            "an open stack alone records no ring events"
         );
-        set_open_tracking(false);
-        assert!(
-            span("t_trace.fully_off").is_none(),
-            "no guard when recorder and open tracking are both off"
-        );
-
-        set_enabled(false);
         reset();
     }
 }

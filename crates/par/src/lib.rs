@@ -91,14 +91,18 @@
 //! nanosecond once: a chunk excludes nested chunks its thread ran while
 //! it waited), and
 //! `par.idle_ns` (pool-size × job wall-clock minus busy time). The
-//! `par.threads` gauge records the pool size. Trace spans: `par.job`
+//! `par.threads` gauge records the pool size. Scheduler spans: `par.job`
 //! (a parallel-for dispatch), `par.chunk` (one chunk), `par.task` (one
 //! spawned task), and `par.steal` (wrapping execution of a stolen task),
 //! so `analyze --compare` can attribute residual serial fraction to
-//! scheduling rather than kernels.
+//! scheduling rather than kernels. Each job and task carries the span
+//! path open where it was published (`cf_obs::span::context`), and its
+//! chunks run under it: a span opened inside a task nests under the
+//! publisher's path whichever thread runs it, so span paths do not
+//! depend on the thread count.
 //!
 //! Every chunk/task completion additionally bumps the executing
-//! thread's `cf_obs::heartbeat` progress epoch and busy-time slot —
+//! thread's `cf_obs::heartbeat` progress epoch and busy time —
 //! the live signal the stall watchdog and the `monitor` per-thread
 //! busy view are built on. A run whose epoch stops advancing for the
 //! watchdog window is flagged stalled.
@@ -138,6 +142,8 @@ struct ForJob {
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     busy_ns: AtomicU64,
+    /// The publisher's open span path; chunks run under it.
+    ctx: cf_obs::span::Context,
 }
 
 // SAFETY: `func` points at a `Sync` closure and is only dereferenced while
@@ -166,7 +172,7 @@ impl ForJob {
             let started = Instant::now();
             let nested_before = CHUNK_NS.with(|c| c.get());
             if !self.panicked.load(Ordering::SeqCst) {
-                let _chunk_span = cf_obs::trace::span("par.chunk");
+                let _chunk_span = cf_obs::span!("par.chunk", parent = &self.ctx);
                 // SAFETY: i < total, so the publisher is still blocked in
                 // `Pool::run` keeping the closure alive.
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.func)(i) }))
@@ -211,6 +217,8 @@ struct ScopeState {
 struct OnceTask {
     f: Box<dyn FnOnce() + Send>,
     scope: Arc<ScopeState>,
+    /// The spawner's open span path; the task runs under it.
+    ctx: cf_obs::span::Context,
 }
 
 enum Task {
@@ -364,12 +372,13 @@ impl Shared {
     /// Runs one task with the in-task flag set, wrapping stolen work in a
     /// `par.steal` span so traces show migration cost.
     fn execute(&self, task: Task, stolen: bool) {
-        let _steal_span = stolen.then(|| cf_obs::trace::span("par.steal"));
+        let _steal_span =
+            stolen.then(|| cf_obs::span!("par.steal", parent = &cf_obs::span::Context::HERE));
         let prev = IN_TASK.with(|c| c.replace(true));
         match task {
             Task::For(job) => job.work(self),
-            Task::Once(OnceTask { f, scope }) => {
-                let _task_span = cf_obs::trace::span("par.task");
+            Task::Once(OnceTask { f, scope, ctx }) => {
+                let _task_span = cf_obs::span!("par.task", parent = &ctx);
                 let started = Instant::now();
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                     let mut slot = scope.panic.lock().expect("cf-par scope panic poisoned");
@@ -419,11 +428,6 @@ impl Shared {
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     WORKER.with(|w| w.set(Some((shared.identity(), index))));
-    // Give this worker its own named trace timeline (the OS thread name
-    // set at spawn, e.g. "cf-par-3").
-    if let Some(name) = std::thread::current().name() {
-        cf_obs::trace::register_thread(name.to_string());
-    }
     loop {
         let seen = shared.epoch.load(Ordering::SeqCst);
         if let Some((task, stolen)) = shared.find_task() {
@@ -503,7 +507,7 @@ impl Pool {
         if chunks == 0 {
             return;
         }
-        let _job_span = cf_obs::trace::span("par.job");
+        let _job_span = cf_obs::span!("par.job", parent = &cf_obs::span::Context::HERE);
         if self.size == 1 || chunks == 1 {
             let m = metrics();
             m.jobs_inline.add(1);
@@ -533,6 +537,7 @@ impl Pool {
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
             busy_ns: AtomicU64::new(0),
+            ctx: cf_obs::span::context(),
         });
         let started = Instant::now();
         // One runner task per thread that could usefully join in; the
@@ -615,6 +620,7 @@ impl<'scope> Scope<'scope> {
         self.shared.push_task(Task::Once(OnceTask {
             f,
             scope: Arc::clone(&self.state),
+            ctx: cf_obs::span::context(),
         }));
     }
 }

@@ -358,14 +358,10 @@ impl<E: Scalar> TapeBase<E> {
         }
     }
 
-    /// Starts a forward-op profile timer for `op`; inert (one atomic
-    /// load, no clock read or FLOP estimate) when profiling is off.
-    fn op_timer(&self, op: &Op<E>) -> cf_obs::profile::OpTimer {
-        if cf_obs::profile::enabled() {
-            cf_obs::profile::op_timer(op.kind(), self.op_flops(op))
-        } else {
-            cf_obs::profile::op_timer(op.kind(), 0)
-        }
+    /// Opens the op span of a forward `op`; inert (one atomic load, no
+    /// clock read or FLOP estimate) while op detail is off.
+    fn op_span(&self, op: &Op<E>) -> cf_obs::span::Span {
+        cf_obs::span!(op.kind(), flops = self.op_flops(op))
     }
 
     // -----------------------------------------------------------------
@@ -386,7 +382,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Elementwise sum.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         let op = Op::Add(a, b);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).add(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, op, rg)
@@ -395,7 +391,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Elementwise difference.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
         let op = Op::Sub(a, b);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).sub(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, op, rg)
@@ -404,7 +400,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Elementwise product.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
         let op = Op::Mul(a, b);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).mul(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, op, rg)
@@ -413,7 +409,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Matrix-plus-row-vector broadcast (bias addition).
     pub fn add_row_vector(&mut self, m: VarId, bias: VarId) -> VarId {
         let op = Op::AddRowVector(m, bias);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(m).add_row_vector(self.value(bias));
         let rg = self.rg(m) || self.rg(bias);
         self.push(v, op, rg)
@@ -423,7 +419,7 @@ impl<E: Scalar> TapeBase<E> {
     /// m[r,c] · v[c]`.
     pub fn mul_row_vector(&mut self, m: VarId, v: VarId) -> VarId {
         let op = Op::MulRowVector(m, v);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let mv = self.value(m);
         let vv = self.value(v);
         assert_eq!(mv.rank(), 2, "mul_row_vector matrix must be 2-d");
@@ -447,7 +443,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Scalar multiple.
     pub fn scale(&mut self, a: VarId, alpha: f64) -> VarId {
         let op = Op::Scale(a, alpha);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).scale(alpha);
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -456,7 +452,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
         let op = Op::MatMul(a, b);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).matmul(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, op, rg)
@@ -465,7 +461,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Matrix product with transposed right operand.
     pub fn matmul_nt(&mut self, a: VarId, b: VarId) -> VarId {
         let op = Op::MatMulNT(a, b);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).matmul_nt(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(v, op, rg)
@@ -474,7 +470,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: VarId) -> VarId {
         let op = Op::SoftmaxRows(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).softmax_rows();
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -483,7 +479,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Leaky ReLU.
     pub fn leaky_relu(&mut self, a: VarId, slope: f64) -> VarId {
         let op = Op::LeakyRelu(a, slope);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let s = E::from_f64(slope);
         let v = self.value(a).map(|x| if x >= E::ZERO { x } else { s * x });
         let rg = self.rg(a);
@@ -493,7 +489,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: VarId) -> VarId {
         let op = Op::Tanh(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).map(E::tanh);
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -502,7 +498,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
         let op = Op::Sigmoid(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).map(|x| E::ONE / (E::ONE + (-x).exp()));
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -511,7 +507,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Elementwise square.
     pub fn square(&mut self, a: VarId) -> VarId {
         let op = Op::Square(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = self.value(a).map(|x| x * x);
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -519,7 +515,7 @@ impl<E: Scalar> TapeBase<E> {
 
     /// Elementwise product with a constant tensor (e.g. a loss mask).
     pub fn mul_const(&mut self, a: VarId, c: TensorBase<E>) -> VarId {
-        let _t = cf_obs::profile::op_timer("mul_const", self.value(a).len() as u64);
+        let _t = cf_obs::span!("mul_const", flops = self.value(a).len() as u64);
         let v = self.value(a).mul(&c);
         let rg = self.rg(a);
         self.push(v, Op::MulConst(a, c), rg)
@@ -528,7 +524,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Sum of all elements, as a scalar node.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
         let op = Op::SumAll(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = TensorBase::scalar(self.value(a).sum());
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -537,7 +533,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Mean of all elements, as a scalar node.
     pub fn mean_all(&mut self, a: VarId) -> VarId {
         let op = Op::MeanAll(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = TensorBase::scalar(self.value(a).mean());
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -546,7 +542,7 @@ impl<E: Scalar> TapeBase<E> {
     /// L1 norm, as a scalar node.
     pub fn l1(&mut self, a: VarId) -> VarId {
         let op = Op::L1(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = TensorBase::scalar(self.value(a).l1_norm());
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -555,7 +551,7 @@ impl<E: Scalar> TapeBase<E> {
     /// `w[idx] · x` — scales a tensor by one element of a parameter vector.
     pub fn scale_by_elem(&mut self, x: VarId, w: VarId, idx: usize) -> VarId {
         let op = Op::ScaleByElem { x, w, idx };
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let weight = self.value(w).data()[idx].to_f64();
         let v = self.value(x).scale(weight);
         let rg = self.rg(x) || self.rg(w);
@@ -565,7 +561,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Multi-kernel causal convolution (paper Eq. 3).
     pub fn causal_conv(&mut self, x: VarId, kernel: VarId) -> VarId {
         let op = Op::CausalConv { x, kernel };
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = ops::causal_conv(self.value(x), self.value(kernel));
         let rg = self.rg(x) || self.rg(kernel);
         self.push(v, op, rg)
@@ -574,7 +570,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Self-causation shift (paper Eq. 4).
     pub fn self_shift(&mut self, a: VarId) -> VarId {
         let op = Op::SelfShift(a);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let v = ops::self_shift(self.value(a));
         let rg = self.rg(a);
         self.push(v, op, rg)
@@ -583,7 +579,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Attention application (paper Eq. 6).
     pub fn attn_apply(&mut self, attn: VarId, v: VarId) -> VarId {
         let op = Op::AttnApply { attn, v };
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let out = ops::attn_apply(self.value(attn), self.value(v));
         let rg = self.rg(attn) || self.rg(v);
         self.push(out, op, rg)
@@ -592,7 +588,7 @@ impl<E: Scalar> TapeBase<E> {
     /// Tiles an `N×T` kernel to an `N×N×T` bank (single-kernel ablation).
     pub fn tile_pairs(&mut self, x: VarId) -> VarId {
         let op = Op::TilePairs(x);
-        let _t = self.op_timer(&op);
+        let _t = self.op_span(&op);
         let src = self.value(x);
         assert_eq!(src.rank(), 2, "tile_pairs expects N×T");
         let (n, t_len) = (src.shape()[0], src.shape()[1]);
@@ -656,11 +652,7 @@ impl<E: Scalar> TapeBase<E> {
             };
             // Re-store: callers may want gradients of interior nodes too.
             let node = &self.nodes[idx];
-            let _t = if cf_obs::profile::enabled() {
-                cf_obs::profile::op_timer(node.op.bwd_kind(), 2 * self.op_flops(&node.op))
-            } else {
-                cf_obs::profile::op_timer(node.op.bwd_kind(), 0)
-            };
+            let _t = cf_obs::span!(node.op.bwd_kind(), flops = 2 * self.op_flops(&node.op));
             self.propagate(&node.op, &g, idx, &mut grads);
             grads[idx] = Some(g);
         }
@@ -1231,7 +1223,7 @@ mod tests {
 
     #[test]
     fn profiling_captures_forward_and_backward_ops() {
-        cf_obs::profile::set_enabled(true);
+        cf_obs::span::set_op_detail(true);
         {
             let mut tape = Tape::new();
             let a = tape.leaf(rand_t(&[4, 6], 30), true);
@@ -1241,8 +1233,8 @@ mod tests {
             let loss = tape.sum_all(th);
             let _ = tape.backward(loss);
         }
-        cf_obs::profile::set_enabled(false);
-        let snap = cf_obs::profile::snapshot();
+        cf_obs::span::set_op_detail(false);
+        let snap = cf_obs::span::ops();
         let stats = |kind: &str| {
             snap.iter()
                 .find(|(k, _)| *k == kind)
