@@ -249,9 +249,10 @@ impl Clstm {
         };
         // Each target trains independently and consumes no rng, so the
         // serial and parallel paths produce bitwise-identical weights —
-        // pick by per-target work size. Small models (BENCH_PR2: Fork
-        // cLSTM 0.40s@1T → 0.49s@4T) lose more to pool dispatch and
-        // thread contention than they gain, so they stay on this thread.
+        // pick by per-target work size. Small models lose more to pool
+        // dispatch and thread contention than they gain (the quick-budget
+        // Fork cLSTM once read 0.40 s at 1 thread and 0.49 s at 4, one
+        // sample each on a 1-core host), so they stay on this thread.
         let per_target_flops = cfg.epochs
             * starts.len()
             * cfg.seq_len

@@ -16,15 +16,14 @@
 //! All binaries accept `--quick` (fewer seeds, shorter series, smaller
 //! epoch budgets), `--seeds K`, and `--json PATH` to dump machine-readable
 //! results. The Criterion benches under `benches/` measure the
-//! computational kernels behind each experiment.
+//! computational kernels behind each experiment. Speed and memory of the
+//! library itself are measured by the repository benchmark, `perfbench/`
+//! (workloads and bounds in `BENCHMARK.json`), not by this crate.
 
 pub mod harness;
 pub mod methods;
 
-pub use harness::{
-    maybe_start_heartbeat, maybe_write_trace, parse_options, stop_heartbeat, Options,
-    HEARTBEAT_SCHEMA_VERSION,
-};
+pub use harness::{parse_options, Options};
 pub use methods::{
     build_method, build_method_dtyped, dataset_display_name, method_label, DatasetKind, MethodKind,
 };
@@ -96,19 +95,14 @@ pub fn run_cell(method_kind: MethodKind, dataset_kind: DatasetKind, options: &Op
     let mut pods: Vec<Option<f64>> = Vec::new();
     let mut wall_secs = 0.0;
 
-    let budget = if options.smoke {
-        methods::Budget::Smoke
-    } else {
-        methods::Budget::from_quick(options.quick)
-    };
     for seed in 0..options.seeds as u64 {
-        let datasets = methods::generate_datasets_budgeted(dataset_kind, seed, budget);
+        let datasets = methods::generate_datasets(dataset_kind, seed, options.quick);
         for data in &datasets {
-            let method = methods::build_method_budgeted(
+            let method = methods::build_method_dtyped(
                 method_kind,
                 dataset_kind,
                 data.num_series(),
-                budget,
+                options.quick,
                 options.dtype,
             );
             // Separate RNG stream per (method, seed, dataset) so methods
@@ -275,10 +269,7 @@ mod tests {
             json_out: Some(json_path.to_string_lossy().into_owned()),
             metrics: true,
             threads: None,
-            smoke: false,
-            trace_out: None,
             dtype: cf_tensor::Dtype::F64,
-            heartbeat_out: None,
         };
         let cell = Cell {
             method: "cMLP".into(),

@@ -50,33 +50,6 @@ impl DatasetKind {
     ];
 }
 
-/// Workload budget tier. `Full` and `Quick` are the paper-faithful and
-/// CI-friendly sizes the table binaries use; `Smoke` is deliberately a
-/// fraction of `Quick` so that a smoke cell's wall time sits far below
-/// the corresponding full-bench baseline cell — `bench-diff` can then
-/// hard-gate smoke-vs-baseline with a ratio threshold that only trips on
-/// order-of-magnitude regressions, never on host noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Budget {
-    /// Paper-scale budgets (default for recorded benches).
-    Full,
-    /// Reduced budgets (`--quick`): shorter series, fewer epochs.
-    Quick,
-    /// CI smoke budgets (`--smoke`): a fraction of `Quick`.
-    Smoke,
-}
-
-impl Budget {
-    /// The historical two-tier mapping used by the `quick: bool` APIs.
-    pub fn from_quick(quick: bool) -> Budget {
-        if quick {
-            Budget::Quick
-        } else {
-            Budget::Full
-        }
-    }
-}
-
 /// Display name matching the paper's tables.
 pub fn dataset_display_name(kind: DatasetKind) -> &'static str {
     match kind {
@@ -93,18 +66,9 @@ pub fn dataset_display_name(kind: DatasetKind) -> &'static str {
 /// suite of networks (the paper aggregates across 28; quick mode uses 3);
 /// the others yield a single dataset.
 pub fn generate_datasets(kind: DatasetKind, seed: u64, quick: bool) -> Vec<Dataset> {
-    generate_datasets_budgeted(kind, seed, Budget::from_quick(quick))
-}
-
-/// [`generate_datasets`] with the full three-tier [`Budget`] selector.
-pub fn generate_datasets_budgeted(kind: DatasetKind, seed: u64, budget: Budget) -> Vec<Dataset> {
     // Offset the dataset RNG stream from the method streams.
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(17));
-    let synth_len = match budget {
-        Budget::Full => 1000,
-        Budget::Quick => 400,
-        Budget::Smoke => 160,
-    };
+    let synth_len = if quick { 400 } else { 1000 };
     match kind {
         DatasetKind::Diamond => vec![synthetic::generate(
             &mut rng,
@@ -127,18 +91,14 @@ pub fn generate_datasets_budgeted(kind: DatasetKind, seed: u64, budget: Budget) 
             synth_len,
         )],
         DatasetKind::Lorenz96 => {
-            let len = match budget {
-                Budget::Full => 1000,
-                Budget::Quick => 300,
-                Budget::Smoke => 120,
-            };
+            let len = if quick { 300 } else { 1000 };
             vec![lorenz96::generate_random_forcing(&mut rng, 10, len)]
         }
         DatasetKind::Fmri => {
-            if budget == Budget::Full {
-                fmri_sim::suite(&mut rng)
-            } else {
+            if quick {
                 fmri_sim::quick_suite(&mut rng, 1)
+            } else {
+                fmri_sim::suite(&mut rng)
             }
         }
     }
@@ -233,8 +193,8 @@ pub fn causalformer_for(kind: DatasetKind, n_series: usize, quick: bool) -> Caus
 }
 
 /// Cell label for a method at a compute precision: the plain method name
-/// at f64 (so existing `BENCH_*.json` keys keep matching), a `-f32`
-/// suffix for the CausalFormer f32 path. The baselines only run f64.
+/// at f64, a `-f32` suffix for the CausalFormer f32 path. The baselines
+/// only run f64.
 pub fn method_label(method: MethodKind, dtype: Dtype) -> String {
     match (method, dtype) {
         (MethodKind::CausalFormer, Dtype::F32) => "CausalFormer-f32".to_string(),
@@ -263,51 +223,31 @@ pub fn build_method_dtyped(
     quick: bool,
     dtype: Dtype,
 ) -> Box<dyn Discoverer> {
-    build_method_budgeted(method, dataset, n_series, Budget::from_quick(quick), dtype)
-}
-
-/// [`build_method_dtyped`] with the full three-tier [`Budget`] selector.
-pub fn build_method_budgeted(
-    method: MethodKind,
-    dataset: DatasetKind,
-    n_series: usize,
-    budget: Budget,
-    dtype: Dtype,
-) -> Box<dyn Discoverer> {
-    let epochs_scale = if budget == Budget::Full { 2usize } else { 1 };
-    // Smoke cells must finish in a small fraction of the quick budget so
-    // the bench-diff hard gate (smoke vs recorded full baseline) never
-    // fires on noise; F1 is not gated in smoke mode.
-    let epochs_div = if budget == Budget::Smoke { 6usize } else { 1 };
-    let epochs = |base: usize| (base * epochs_scale / epochs_div).max(1);
+    let epochs_scale = if quick { 1usize } else { 2 };
     match method {
         MethodKind::Cmlp => Box::new(Cmlp::new(CmlpConfig {
-            epochs: epochs(60),
+            epochs: 60 * epochs_scale,
             ..CmlpConfig::default()
         })),
         MethodKind::Clstm => Box::new(Clstm::new(ClstmConfig {
-            epochs: epochs(10),
+            epochs: 10 * epochs_scale,
             ..ClstmConfig::default()
         })),
         MethodKind::Tcdf => Box::new(Tcdf::new(TcdfConfig {
-            epochs: epochs(60),
-            window: if budget == Budget::Full { 12 } else { 8 },
+            epochs: 60 * epochs_scale,
+            window: if quick { 8 } else { 12 },
             ..TcdfConfig::default()
         })),
         MethodKind::Dvgnn => Box::new(Dvgnn::new(DvgnnConfig {
-            epochs: epochs(100),
+            epochs: 100 * epochs_scale,
             ..DvgnnConfig::default()
         })),
         MethodKind::Cuts => Box::new(Cuts::new(CutsConfig {
-            epochs: epochs(60),
+            epochs: 60 * epochs_scale,
             ..CutsConfig::default()
         })),
         MethodKind::CausalFormer => {
-            let mut pipeline = causalformer_for(dataset, n_series, budget != Budget::Full);
-            if budget == Budget::Smoke {
-                pipeline.train.max_epochs = 8;
-                pipeline.train.patience = 4;
-            }
+            let mut pipeline = causalformer_for(dataset, n_series, quick);
             pipeline.train.dtype = dtype;
             Box::new(CausalFormerMethod { pipeline })
         }

@@ -22,12 +22,10 @@
 //! ```
 
 pub mod analyze;
-pub mod bench_diff;
 pub mod monitor;
 pub mod report;
 
 pub use analyze::{run_analyze, AnalyzeArgs};
-pub use bench_diff::{run_bench_diff, BenchDiffArgs};
 pub use monitor::{run_monitor, MonitorArgs};
 pub use report::{run_report, ReportArgs};
 
@@ -83,7 +81,6 @@ usage:
                         [--top N] [--threads-base N] [--threads-scaled N]
                         [--max-serial-fraction S] [--flamegraph FILE.folded]
                         [--json]
-  causalformer bench-diff BASELINE.json NEW.json [--threshold R] [--json]
   causalformer monitor  HEARTBEAT.jsonl [--once] [--interval MS]
 
 discover options:
@@ -180,15 +177,8 @@ analyze options:
                        `report --trace` (panel-flame)
   --json               machine-readable JSON instead of tables
 
-bench-diff options:
-  compares two BENCH_*.json files cell-by-cell (method × dataset ×
-  threads); exits 1 when any cell's new/base wall-time ratio exceeds
-  the threshold
-  --threshold R   regression threshold ratio (default 1.10)
-  --json          machine-readable JSON instead of the markdown table
-
 monitor options:
-  tails a heartbeat JSONL written by discover/bench --heartbeat-out and
+  tails a heartbeat JSONL written by discover --heartbeat-out and
   redraws a terminal view: RSS sparkline, pool hit rate, per-thread busy
   fractions, per-unit progress bars with ETA, and a stall banner; exits
   when the producer writes its run_end record
@@ -317,8 +307,6 @@ pub enum Command {
     Report(ReportArgs),
     /// `analyze` subcommand.
     Analyze(AnalyzeArgs),
-    /// `bench-diff` subcommand.
-    BenchDiff(BenchDiffArgs),
     /// `monitor` subcommand.
     Monitor(MonitorArgs),
     /// `--help`.
@@ -333,7 +321,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut f = Flags {
         rest,
         i: 0,
-        positionals: matches!(sub.as_str(), "bench-diff" | "monitor"),
+        positionals: sub == "monitor",
     };
     match sub.as_str() {
         "-h" | "--help" | "help" => Ok(Command::Help),
@@ -446,23 +434,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 _ => usage("analyze requires exactly one of --trace FILE or --compare BASE SCALED"),
             }
         }
-        "bench-diff" => {
-            let mut a = BenchDiffArgs::default();
-            let mut files = Vec::new();
-            while let Some(flag) = f.next() {
-                match flag {
-                    "--json" => a.json = true,
-                    "--threshold" => a.threshold = f.num(flag)?,
-                    other => files.push(f.positional(other)?),
-                }
-            }
-            let [baseline, new] = <[String; 2]>::try_from(files).or_else(|_| {
-                usage("bench-diff requires exactly two files: BASELINE.json NEW.json")
-            })?;
-            a.baseline = baseline;
-            a.new = new;
-            Ok(Command::BenchDiff(a))
-        }
         "monitor" => {
             let mut a = MonitorArgs::default();
             while let Some(flag) = f.next() {
@@ -494,7 +465,7 @@ struct Flags<'a> {
     rest: &'a [String],
     i: usize,
     /// Whether bare (non `--`) arguments are positional files
-    /// (`bench-diff`, `monitor`).
+    /// (`monitor`).
     positionals: bool,
 }
 

@@ -2,8 +2,8 @@
 //! Thin shell over [`cf_cli`]; see `causalformer --help`.
 
 use cf_cli::{
-    parse, run_analyze, run_bench_diff, run_discover, run_generate, run_monitor, run_report,
-    CliError, Command, USAGE,
+    parse, run_analyze, run_discover, run_generate, run_monitor, run_report, CliError, Command,
+    USAGE,
 };
 
 fn main() {
@@ -26,15 +26,6 @@ fn main() {
             Err(e) => Err(e),
         },
         Ok(Command::Monitor(a)) => run_monitor(&a),
-        Ok(Command::BenchDiff(a)) => match run_bench_diff(&a) {
-            // A regression is a successful comparison with a failing
-            // verdict: print the table, then exit 1 so CI gates on it.
-            Ok((report, regressions)) => {
-                print!("{report}");
-                std::process::exit(if regressions == 0 { 0 } else { 1 });
-            }
-            Err(e) => Err(e),
-        },
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);

@@ -1,11 +1,11 @@
 //! `monitor` — terminal viewer for a live heartbeat JSONL stream.
 //!
-//! `discover --heartbeat-out hb.jsonl` (or `cf-bench --heartbeat-out`)
-//! appends one line-atomic JSON record per sampler tick; this command
-//! tails that file and redraws a compact status view: an RSS sparkline,
-//! the buffer-pool hit rate, per-thread busy fractions (from `busy_ns`
-//! deltas between consecutive samples), per-unit progress bars with the
-//! sampler's ETA, and a stall banner with the watchdog's open-span dump.
+//! `discover --heartbeat-out hb.jsonl` appends one line-atomic JSON
+//! record per sampler tick; this command tails that file and redraws a
+//! compact status view: an RSS sparkline, the buffer-pool hit rate,
+//! per-thread busy fractions (from `busy_ns` deltas between consecutive
+//! samples), per-unit progress bars with the sampler's ETA, and a stall
+//! banner with the watchdog's open-span dump.
 //!
 //! The reader is deliberately forgiving: a torn final line (the producer
 //! mid-write) or an unknown event kind is skipped, so the monitor can run

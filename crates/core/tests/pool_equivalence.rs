@@ -13,7 +13,8 @@
 //! 2. raw tape gradients are bitwise identical pooled vs unpooled;
 //! 3. after a warm-up run, a second identical `discover` performs **zero
 //!    pool misses** on both the Fork and Lorenz96 workloads — the
-//!    steady-state "allocation-free" guarantee.
+//!    steady-state "allocation-free" guarantee — and at most
+//!    [`STEADY_ALLOC_PER_EPOCH_BOUND`] fresh allocations per epoch.
 
 use causalformer::presets;
 use cf_data::lorenz96::{self, Lorenz96Config};
@@ -22,6 +23,13 @@ use cf_nn::ParamStore;
 use cf_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Bound on steady-state tensor allocations per training epoch on a warm
+/// pool. `alloc` counts pool misses *and* externally built buffers that
+/// tensors adopt (window construction, parameter init, graph read-out), so
+/// zero misses alone does not bound it. That per-run setup amortises to a
+/// few dozen per epoch; a hot loop that allocates per step costs thousands.
+const STEADY_ALLOC_PER_EPOCH_BOUND: u64 = 500;
 
 /// Everything from one pipeline run that must be pool-invariant.
 #[derive(PartialEq, Debug)]
@@ -180,6 +188,13 @@ fn pool_is_invisible_to_numerics_and_allocation_free_in_steady_state() {
         assert!(
             steady.hit > warm.hit,
             "{name}: steady-state run did not exercise the pool at all"
+        );
+        let epochs = second.train_losses.len().max(1) as u64;
+        let per_epoch = (steady.alloc - warm.alloc) / epochs;
+        assert!(
+            per_epoch <= STEADY_ALLOC_PER_EPOCH_BOUND,
+            "{name}: {per_epoch} allocs/epoch in the steady state exceeds \
+             the bound of {STEADY_ALLOC_PER_EPOCH_BOUND}"
         );
     }
 

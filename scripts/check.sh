@@ -47,21 +47,21 @@ done
 echo "== dtype equivalence gate (f64 goldens + f32 tolerance)"
 cargo test -q -p causalformer --test dtype_equivalence
 
-# Out-of-core peak-RSS gate: stream a lorenz96 trajectory into a chunked
-# store and run discovery from it in a child process; the binary parses
-# the child's VmHWM and exits 1 if the peak crosses the 200 MB budget.
-# Mirrors the CI bench-smoke gate so a memory regression fails locally
-# before it fails on the runner.
-echo "== out-of-core peak-RSS gate (par_baseline --smoke --oocore-only)"
-cargo run -q --release -p cf-bench --bin par_baseline -- --smoke --oocore-only
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+
+# Out-of-core peak-RSS gate: stream a 320 MB lorenz96 series into a
+# chunked store, discover from it, and fail if the discover process's
+# VmHWM (sampled by its heartbeat) crosses the 200 MiB budget. CI runs
+# the same script.
+echo "== out-of-core peak-RSS gate (scripts/rss_gate.sh)"
+scripts/rss_gate.sh "$smoke_dir/rss"
 
 # Report smoke: a real discover run must produce a loadable trace, a
 # diagnostics stream, and an HTML dashboard containing every panel.
 # Two discover runs (1 and 2 threads) give the analyze/report compare
 # path a real trace pair.
 echo "== causalformer report smoke"
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q -p cf-cli --bin causalformer -- \
   generate --dataset fork --length 200 --seed 1 --output "$smoke_dir/fork.csv"
 cargo run -q -p cf-cli --bin causalformer -- \
@@ -106,9 +106,8 @@ grep -q '"traceEvents"' "$smoke_dir/trace.json"
 grep -q '"record":"detect"' "$smoke_dir/diag.cfdiag"
 
 # Trace-analysis smoke: the analyzer must produce self-time and scaling
-# tables from the same pair, and bench-diff must report a committed
-# baseline as identical to itself (exit 0).
-echo "== causalformer analyze + bench-diff smoke"
+# tables from the same pair.
+echo "== causalformer analyze smoke"
 cargo run -q -p cf-cli --bin causalformer -- \
   analyze --trace "$smoke_dir/trace.json" \
   --flamegraph "$smoke_dir/stacks.folded" > "$smoke_dir/analyze.md"
@@ -118,10 +117,29 @@ cargo run -q -p cf-cli --bin causalformer -- \
   analyze --compare "$smoke_dir/trace-1t.json" "$smoke_dir/trace.json" \
   > "$smoke_dir/analyze-compare.md"
 grep -q "scaling attribution" "$smoke_dir/analyze-compare.md"
-for base in BENCH_PR4.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json BENCH_CI.json; do
-  cargo run -q -p cf-cli --bin causalformer -- \
-    bench-diff "$base" "$base" > "$smoke_dir/bench-diff.md"
-  grep -q "OK: no cell regressed" "$smoke_dir/bench-diff.md"
+
+# Perf-gate self-test: CI gates perfbench results against a runner-cached
+# baseline with scripts/perf_gate.py. On synthetic result lines it must
+# pass identical results and fail a 1.2x slower discover_s and a run
+# with a failed operation.
+echo "== perf gate self-test (scripts/perf_gate.py)"
+gate="$smoke_dir/perf-gate"
+result() {
+  printf '{"correct": true, "attempted": 3, "failed": %s, "metrics": {"discover_s": {"value": %s, "unit": "s"}, "f1": {"value": 0.5, "unit": "ratio"}}}\n' "$1" "$2"
+}
+for case in base same slow failed; do
+  mkdir -p "$gate/$case"
+  for w in l96_train l96_detect store_stream; do
+    result 0 1.0 > "$gate/$case/$w.json"
+  done
+done
+result 0 1.2 > "$gate/slow/l96_detect.json"
+result 1 1.0 > "$gate/failed/store_stream.json"
+for case in same slow failed; do
+  python3 scripts/perf_gate.py "$gate/base" "$gate/$case" > "$gate/$case.md" && code=0 || code=$?
+  want=1; [ "$case" = same ] && want=0
+  [ "$code" -eq "$want" ] \
+    || { echo "perf_gate.py on '$case' exited $code, expected $want"; cat "$gate/$case.md"; exit 1; }
 done
 
 echo "All checks passed."
