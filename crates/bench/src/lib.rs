@@ -198,7 +198,6 @@ pub fn maybe_dump_json<T: serde::Serialize>(options: &Options, value: &T) {
 /// the top of an experiment binary, before any cells run.
 pub fn init_metrics(options: &Options) {
     if options.metrics {
-        cf_obs::reset();
         cf_obs::span::set_op_detail(true);
     }
 }

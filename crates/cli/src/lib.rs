@@ -29,7 +29,7 @@ pub use analyze::{run_analyze, AnalyzeArgs};
 pub use monitor::{run_monitor, MonitorArgs};
 pub use report::{run_report, ReportArgs};
 
-use causalformer::{diag, presets, CausalFormer, CheckpointConfig, Dtype, StreamOptions, Windows};
+use causalformer::{presets, CausalFormer, CheckpointConfig, Dtype, StreamOptions, Windows};
 use cf_data::{io as csv_io, lorenz96, synthetic};
 use cf_metrics::graph_dot_plain;
 use cf_store::{FsStorage, SeriesStore, SeriesWriter};
@@ -546,11 +546,10 @@ pub fn preset_by_name(name: &str, n: usize) -> Result<CausalFormer, CliError> {
     })
 }
 
-/// Configures logging, the JSONL sink, and the two observability
-/// switches (op detail, ring recording) from the parsed `discover` flags,
-/// after clearing what an earlier run in this process accumulated.
-/// Returns whether a sink was installed.
-fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
+/// Configures logging and the current recorder — its two switches (op
+/// detail, ring recording), metrics sink and diagnostics sink — from the
+/// parsed `discover` flags.
+fn setup_observability(a: &DiscoverArgs) -> Result<(), CliError> {
     if a.quiet {
         cf_obs::log::set_level(cf_obs::log::Level::Warn);
     } else if let Some(name) = &a.log_level {
@@ -565,26 +564,32 @@ fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
         // opted out via --quiet, --log-level, or CF_LOG.
         cf_obs::log::set_level(cf_obs::log::Level::Info);
     }
-    cf_obs::reset();
     cf_obs::span::set_op_detail(a.metrics_out.is_some());
     cf_obs::trace::set_enabled(a.trace_out.is_some());
-    if let Some(path) = &a.metrics_out {
-        cf_obs::sink::install_file(path)
-            .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
-        // First record identifies the stream so consumers (`report`) can
-        // refuse files newer than they understand. See DESIGN.md for the
-        // schema; bump METRICS_SCHEMA_VERSION on breaking changes.
-        cf_obs::sink::emit(
-            &cf_obs::json::Obj::new()
-                .str("event", "meta")
-                .str("schema_version", METRICS_SCHEMA_VERSION)
-                .str("producer", "causalformer")
-                .f64("ts", cf_obs::unix_time())
-                .finish(),
-        );
-        return Ok(true);
+    let recorder = cf_obs::Recorder::current();
+    for (path, sink) in [
+        (&a.metrics_out, &recorder.metrics_sink),
+        (&a.diag_out, &recorder.diag),
+    ] {
+        if let Some(path) = path {
+            let file = std::fs::File::create(path)
+                .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
+            sink.install(Box::new(std::io::BufWriter::new(file)));
+        }
     }
-    Ok(false)
+    // The metrics stream's first record identifies it, so consumers
+    // (`report`) can refuse files newer than they understand. See
+    // DESIGN.md for the schema; bump METRICS_SCHEMA_VERSION on breaking
+    // changes. Without `--metrics-out` the emit is a no-op.
+    recorder.metrics_sink.emit(
+        &cf_obs::json::Obj::new()
+            .str("event", "meta")
+            .str("schema_version", METRICS_SCHEMA_VERSION)
+            .str("producer", "causalformer")
+            .f64("ts", cf_obs::unix_time())
+            .finish(),
+    );
+    Ok(())
 }
 
 /// Version of the `--metrics-out` JSONL schema, written in the leading
@@ -602,45 +607,15 @@ fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
 /// DESIGN.md §5.7); the `--metrics-out` stream is unchanged.
 pub const METRICS_SCHEMA_VERSION: &str = "2.2";
 
-/// Closes the writers `discover` installed — the `--metrics-out` sink and
-/// the `--diag-out` writer — when it goes out of scope, so every exit,
-/// error returns included, flushes them and leaves none installed.
-struct RunOutputs {
-    sink: bool,
-    diag: bool,
-}
-
-impl RunOutputs {
-    fn close_sink(&mut self) {
-        if std::mem::take(&mut self.sink) {
-            cf_obs::sink::uninstall();
-        }
-    }
-
-    fn close_diag(&mut self) {
-        if std::mem::take(&mut self.diag) {
-            diag::uninstall();
-        }
-    }
-}
-
-impl Drop for RunOutputs {
-    fn drop(&mut self) {
-        self.close_sink();
-        self.close_diag();
-    }
-}
-
 /// Executes `discover`, returning the human-readable report that `main`
 /// prints.
 pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
-    let mut outputs = RunOutputs {
-        sink: setup_observability(a)?,
-        diag: false,
-    };
-    // After the reset in `setup_observability`, so the `par.threads`
-    // gauge the new pool publishes survives into the metrics summary and
-    // the heartbeat.
+    // The run records into a recorder of its own. It drops on every exit,
+    // error returns included, which flushes and closes the run's sinks.
+    let _run = cf_obs::Recorder::new().enter();
+    setup_observability(a)?;
+    // Inside the run's recorder, so the `par.threads` gauge the new pool
+    // publishes lands in its metrics summary and heartbeat.
     if let Some(n) = a.threads {
         cf_par::set_threads(n);
     }
@@ -650,7 +625,6 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     // result is bitwise identical with or without it.
     let heartbeat = if a.heartbeat_out.is_some() || std::env::var_os("CF_WATCHDOG").is_some() {
         cf_tensor::pool::install_obs_sampler();
-        cf_obs::heartbeat::reset_progress();
         let cfg = cf_obs::heartbeat::Config::from_env(METRICS_SCHEMA_VERSION);
         let path = a.heartbeat_out.as_ref().map(std::path::Path::new);
         Some(
@@ -660,11 +634,6 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     } else {
         None
     };
-    if let Some(path) = &a.diag_out {
-        diag::install_file(std::path::Path::new(path))
-            .map_err(|e| CliError::Run(format!("opening {path}: {e}")))?;
-        outputs.diag = true;
-    }
     let started = std::time::Instant::now();
     let defaults = StreamOptions::default();
     let stream = StreamOptions {
@@ -752,7 +721,7 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         out.push_str(&format!("model checkpoint written to {path}\n"));
     }
 
-    if outputs.sink {
+    if let Some(path) = &a.metrics_out {
         cf_obs::sink::emit(
             &cf_obs::json::Obj::new()
                 .str("event", "discovery")
@@ -774,12 +743,9 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         // summary includes mem.pool.* and mem.alloc.count.
         cf_tensor::pool::publish_obs();
         cf_obs::sink::emit_summaries();
-        outputs.close_sink();
-        let path = a.metrics_out.as_deref().unwrap_or("?");
         out.push_str(&format!("metrics written to {path}\n"));
     }
     if let Some(path) = &a.diag_out {
-        outputs.close_diag();
         out.push_str(&format!("diagnostics written to {path}\n"));
     }
     if let Some(path) = &a.trace_out {
@@ -914,15 +880,6 @@ mod tests {
 
     fn s(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
-    }
-
-    /// Serialises the tests that call `run_discover`. cf-obs state (the
-    /// metrics sink, span records, log level) is process-global, so two
-    /// discoveries running at once write into each other's telemetry. A
-    /// stop-gap until observability state is scoped per run.
-    fn discover_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -1073,7 +1030,6 @@ mod tests {
 
     #[test]
     fn generate_then_discover_end_to_end() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_fork.csv");
         let dot_path = dir.join("cf_cli_test_fork.dot");
@@ -1148,12 +1104,157 @@ mod tests {
         std::fs::remove_file(&metrics_path).ok();
     }
 
+    /// What a `--metrics-out` file says about its run, minus wall time:
+    /// span paths and counts, op kinds with counts and FLOPs, per-epoch
+    /// losses, and the discovered edge count.
+    #[derive(Debug, PartialEq)]
+    struct Telemetry {
+        spans: Vec<(String, u64)>,
+        ops: Vec<(String, u64, f64)>,
+        epochs: Vec<(f64, f64)>,
+        edges: Vec<u64>,
+    }
+
+    fn telemetry(path: &std::path::Path) -> Telemetry {
+        let text = std::fs::read_to_string(path).unwrap();
+        let events: Vec<serde_json::Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let of = |kind: &'static str| {
+            events
+                .iter()
+                .filter(move |e| e["event"].as_str() == Some(kind))
+        };
+        let summary = |kind: &'static str, key: &str| -> Vec<serde_json::Value> {
+            of(kind)
+                .flat_map(|e| e[key].as_array().unwrap().clone())
+                .collect()
+        };
+        let mut ops: Vec<(String, u64, f64)> = summary("op_profile", "ops")
+            .iter()
+            .map(|o| {
+                let op = o["op"].as_str().unwrap().to_string();
+                (
+                    op,
+                    o["count"].as_u64().unwrap(),
+                    o["approx_gflops"].as_f64().unwrap(),
+                )
+            })
+            .collect();
+        ops.sort_by(|a, b| a.0.cmp(&b.0));
+        Telemetry {
+            spans: summary("span_summary", "spans")
+                .iter()
+                .map(|s| {
+                    (
+                        s["span"].as_str().unwrap().to_string(),
+                        s["count"].as_u64().unwrap(),
+                    )
+                })
+                .collect(),
+            ops,
+            epochs: of("epoch")
+                .map(|e| {
+                    (
+                        e["train_loss"].as_f64().unwrap(),
+                        e["val_loss"].as_f64().unwrap(),
+                    )
+                })
+                .collect(),
+            edges: of("discovery")
+                .map(|e| e["edges"].as_u64().unwrap())
+                .collect(),
+        }
+    }
+
+    /// Two discoveries at once in one process record into recorders of
+    /// their own: each run's metrics match the same run done alone, and
+    /// the fully instrumented run's cfdiag is byte-identical to its solo
+    /// artifact.
+    #[test]
+    fn concurrent_discoveries_keep_their_artifacts_apart() {
+        let dir = std::env::temp_dir();
+        let tag = format!("cf_cli_test_concurrent_{}", std::process::id());
+        let path = |name: &str| dir.join(format!("{tag}_{name}"));
+        let csv_path = path("fork.csv");
+        run_generate(&GenerateArgs {
+            dataset: "fork".into(),
+            length: 200,
+            seed: 1,
+            output: csv_path.to_string_lossy().into_owned(),
+            ..GenerateArgs::default()
+        })
+        .unwrap();
+        let out = |name: &str| Some(path(name).to_string_lossy().into_owned());
+        // Run A writes every artifact; run B, another seed and epoch
+        // count, only metrics.
+        let run_a = |round: &str| DiscoverArgs {
+            input: csv_path.to_string_lossy().into_owned(),
+            preset: "synthetic-sparse".into(),
+            window: Some(8),
+            epochs: Some(3),
+            seed: 1,
+            metrics_out: out(&format!("a_{round}.jsonl")),
+            trace_out: out(&format!("a_{round}.json")),
+            diag_out: out(&format!("a_{round}.cfdiag")),
+            quiet: true,
+            ..DiscoverArgs::default()
+        };
+        let run_b = |round: &str| DiscoverArgs {
+            seed: 2,
+            epochs: Some(2),
+            metrics_out: out(&format!("b_{round}.jsonl")),
+            trace_out: None,
+            diag_out: None,
+            ..run_a(round)
+        };
+        run_discover(&run_a("alone")).unwrap();
+        run_discover(&run_b("alone")).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                start.wait();
+                run_discover(&run_a("together"))
+            });
+            let b = s.spawn(|| {
+                start.wait();
+                run_discover(&run_b("together"))
+            });
+            a.join().unwrap().unwrap();
+            b.join().unwrap().unwrap();
+        });
+        for run in ["a", "b"] {
+            let alone = telemetry(&path(&format!("{run}_alone.jsonl")));
+            assert!(
+                !alone.spans.is_empty() && !alone.ops.is_empty(),
+                "{alone:?}"
+            );
+            let together = telemetry(&path(&format!("{run}_together.jsonl")));
+            assert_eq!(together, alone, "run {run}: concurrent vs alone");
+        }
+        let diag = |round: &str| std::fs::read(path(&format!("a_{round}.cfdiag"))).unwrap();
+        assert!(!diag("alone").is_empty());
+        assert_eq!(diag("together"), diag("alone"), "run A's cfdiag");
+        for name in [
+            "fork.csv",
+            "a_alone.jsonl",
+            "a_alone.json",
+            "a_alone.cfdiag",
+        ]
+        .into_iter()
+        .chain(["a_together.jsonl", "a_together.json", "a_together.cfdiag"])
+        .chain(["b_alone.jsonl", "b_together.jsonl"])
+        {
+            std::fs::remove_file(path(name)).ok();
+        }
+    }
+
     /// Span paths name where in the pipeline a span ran, not which
     /// thread ran it: a span opened inside a cf-par task nests under the
     /// span open where the task was published.
     #[test]
     fn span_summary_paths_do_not_depend_on_the_thread_count() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let tag = format!("cf_cli_test_paths_{}", std::process::id());
         let csv_path = dir.join(format!("{tag}.csv"));
@@ -1278,7 +1379,6 @@ mod tests {
 
     #[test]
     fn generate_store_then_discover_store_end_to_end() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let store_dir = dir.join(format!("cf_cli_test_store_{}", std::process::id()));
         let csv_path = dir.join(format!("cf_cli_test_store_{}.csv", std::process::id()));
@@ -1388,7 +1488,6 @@ mod tests {
 
     #[test]
     fn discover_rejects_oversized_window() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_short.csv");
         std::fs::write(&csv_path, "1,2\n3,4\n5,6\n").unwrap();
@@ -1421,7 +1520,6 @@ mod tests {
 
     #[test]
     fn failing_discover_flushes_and_uninstalls_its_outputs() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let id = std::process::id();
         let csv_path = dir.join(format!("cf_cli_test_fail_{id}.csv"));
@@ -1447,8 +1545,11 @@ mod tests {
                 .contains(r#""event":"meta""#),
             "metrics file lacks its meta record: {metrics:?}"
         );
+        // The thread is back on its own recorder, which the run never
+        // touched.
         assert!(!cf_obs::sink::is_installed(), "metrics sink left installed");
-        assert!(!diag::is_installed(), "diagnostics writer left installed");
+        let diag_installed = cf_obs::Recorder::current().diag.is_installed();
+        assert!(!diag_installed, "diagnostics writer left installed");
         for p in [&csv_path, &metrics_path, &diag_path] {
             std::fs::remove_file(p).ok();
         }
@@ -1456,7 +1557,6 @@ mod tests {
 
     #[test]
     fn checkpointed_discover_resumes_to_same_graph() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let csv_path = dir.join("cf_cli_test_ckpt.csv");
         let ckpt_dir = dir.join(format!("cf_cli_test_ckpts_{}", std::process::id()));
@@ -1518,7 +1618,6 @@ mod tests {
 
     #[test]
     fn save_writes_the_model_discovery_trained() {
-        let _guard = discover_lock();
         let dir = std::env::temp_dir();
         let tag = format!("cf_cli_test_save_{}", std::process::id());
         let csv_path = dir.join(format!("{tag}.csv"));

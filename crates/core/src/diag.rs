@@ -8,11 +8,13 @@
 //! attention sparsity, mask entropy, and the causal-score matrix evolve
 //! over training.
 //!
-//! Two contracts, both load-bearing:
+//! The stream is the `diag` sink of the current [`cf_obs::Recorder`];
+//! this module only formats its records. Two contracts, both
+//! load-bearing:
 //!
-//! * **Zero overhead when off.** Every hook is gated on one relaxed
-//!   atomic load; with no writer installed the training loop does no
-//!   extra work (not even the snapshot arithmetic).
+//! * **Zero overhead when off.** Every hook first checks for the sink;
+//!   with none installed the training loop does no extra work (not even
+//!   the snapshot arithmetic).
 //! * **Bitwise determinism when on.** Records carry *no timestamps* and
 //!   are emitted only from serial code (the epoch loop and the
 //!   aggregated detect stage, never from inside a parallel region), so
@@ -25,69 +27,17 @@ use crate::detector::CausalScores;
 use crate::model::CausalityAwareTransformer;
 use cf_nn::{ParamId, ParamStoreBase};
 use cf_obs::json::{Arr, Obj};
+use cf_obs::Recorder;
 use cf_tensor::{Scalar, TensorBase};
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Artifact format version (major.minor). Major bumps are breaking:
 /// `causalformer report` refuses majors it does not know.
 pub const FORMAT_VERSION: &str = "1.0";
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn writer() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static WRITER: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
-    WRITER.get_or_init(|| Mutex::new(None))
-}
-
-/// Points the recorder at a file, truncating it. Replaces any previous
-/// writer (flushing it first).
-pub fn install_file(path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    install_writer(Box::new(std::io::BufWriter::new(file)));
-    Ok(())
-}
-
-/// Installs an arbitrary writer (tests use an in-memory buffer).
-pub fn install_writer(w: Box<dyn Write + Send>) {
-    let mut guard = writer().lock().expect("diag writer poisoned");
-    if let Some(old) = guard.as_mut() {
-        let _ = old.flush();
-    }
-    *guard = Some(w);
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Removes and flushes the writer; hooks return to the single-atomic
-/// zero-overhead path.
-pub fn uninstall() {
-    ENABLED.store(false, Ordering::Relaxed);
-    let mut guard = writer().lock().expect("diag writer poisoned");
-    if let Some(old) = guard.as_mut() {
-        let _ = old.flush();
-    }
-    *guard = None;
-}
-
-/// Whether a diagnostics writer is installed. The cheap gate every hook
-/// checks before doing any snapshot arithmetic.
-#[inline]
-pub fn is_installed() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Flushes the writer without removing it.
-pub fn flush() {
-    if let Some(w) = writer().lock().expect("diag writer poisoned").as_mut() {
-        let _ = w.flush();
-    }
-}
-
-fn emit(line: &str) {
-    if let Some(w) = writer().lock().expect("diag writer poisoned").as_mut() {
-        let _ = writeln!(w, "{line}");
-    }
+/// The current recorder, when it has a diagnostics sink.
+fn recorder() -> Option<Arc<Recorder>> {
+    Some(Recorder::current()).filter(|r| r.diag.is_installed())
 }
 
 /// The parameter group a name belongs to: the prefix before the first
@@ -186,10 +136,8 @@ fn mask_stats<E: Scalar>(mask: &TensorBase<E>) -> MaskStats {
 /// rest of the records describe. Called once by the trainer before the
 /// first epoch.
 pub fn record_header(config: &ModelConfig) {
-    if !is_installed() {
-        return;
-    }
-    emit(
+    let Some(recorder) = recorder() else { return };
+    recorder.diag.emit(
         &Obj::new()
             .str("record", "header")
             .str("format", "cfdiag")
@@ -213,9 +161,7 @@ pub fn record_epoch<E: Scalar>(
     store: &ParamStoreBase<E>,
     grads: &GradGroupAccum,
 ) {
-    if !is_installed() {
-        return;
-    }
+    let Some(recorder) = recorder() else { return };
     let cfg = model.config();
     let n = cfg.n_series;
     let mask_ids = model.masks();
@@ -233,19 +179,11 @@ pub fn record_epoch<E: Scalar>(
             }
         }
     }
-    let mut proxy_rows = Arr::new();
-    for row in &proxy {
-        let mut r = Arr::new();
-        for &v in row {
-            r = r.f64(v);
-        }
-        proxy_rows = proxy_rows.raw(&r.finish());
-    }
     let mut grad_obj = Obj::new();
     for (group, norm) in grads.norms() {
         grad_obj = grad_obj.f64(group, norm);
     }
-    emit(
+    recorder.diag.emit(
         &Obj::new()
             .str("record", "epoch")
             .u64("epoch", epoch as u64)
@@ -254,10 +192,16 @@ pub fn record_epoch<E: Scalar>(
             .f64("temperature", cfg.temperature)
             .raw("mask_sparsity", &sparsity.finish())
             .raw("mask_entropy", &entropy.finish())
-            .raw("causal_proxy", &proxy_rows.finish())
+            .raw("causal_proxy", &matrix(&proxy))
             .raw("grad_norms", &grad_obj.finish())
             .finish(),
     );
+}
+
+/// A matrix as a JSON array of row arrays.
+fn matrix(rows: &[Vec<f64>]) -> String {
+    let row = |r: &Vec<f64>| r.iter().fold(Arr::new(), |a, &v| a.f64(v)).finish();
+    rows.iter().fold(Arr::new(), |a, r| a.raw(&row(r))).finish()
 }
 
 /// Deterministic quantiles (min/p25/p50/p75/max) of a value set, by
@@ -282,18 +226,8 @@ fn quantiles(mut values: Vec<f64>) -> [f64; 5] {
 /// score matrix, per-(cause,effect) argmax kernel delays, and the
 /// distribution of the relevance-modulated kernel scores.
 pub fn record_detect(scores: &CausalScores, window: usize) {
-    if !is_installed() {
-        return;
-    }
+    let Some(recorder) = recorder() else { return };
     let n = scores.attn.len();
-    let mut attn_rows = Arr::new();
-    for row in &scores.attn {
-        let mut r = Arr::new();
-        for &v in row {
-            r = r.f64(v);
-        }
-        attn_rows = attn_rows.raw(&r.finish());
-    }
     // delays[i][j]: the lag read off the argmax kernel tap of j → i
     // (Eq. 20's read-out, without the self-shift adjustment — the graph
     // applies that; this is the raw per-pair trajectory endpoint).
@@ -317,10 +251,10 @@ pub fn record_detect(scores: &CausalScores, window: usize) {
         delay_rows = delay_rows.raw(&r.finish());
     }
     let q = quantiles(kernel_values);
-    emit(
+    recorder.diag.emit(
         &Obj::new()
             .str("record", "detect")
-            .raw("attn", &attn_rows.finish())
+            .raw("attn", &matrix(&scores.attn))
             .raw("delays", &delay_rows.finish())
             .raw(
                 "relevance_quantiles",

@@ -403,6 +403,7 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
         // Per-epoch gradient-group diagnostics; dropped (not emitted) if
         // this epoch rolls back, so retries leave no trace in the artifact.
         let mut grad_diag = crate::diag::GradGroupAccum::new();
+        let diag_on = cf_obs::Recorder::current().diag.is_installed();
 
         // Guard snapshot: enough to rewind this epoch on a non-finite value.
         let guard = Guard {
@@ -533,7 +534,7 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                 ));
                 break;
             }
-            if crate::diag::is_installed() {
+            if diag_on {
                 grad_diag.observe(&store, &pairs);
             }
             adam.step_pairs(&mut store, &pairs);

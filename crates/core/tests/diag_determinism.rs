@@ -10,10 +10,10 @@
 //!    output at all — instrumented and uninstrumented runs produce
 //!    bitwise-identical losses, scores, and graphs.
 //!
-//! One test function because the diag writer, the pool switch, and the
-//! trace recorder are all process-global.
+//! One test function because the pool switch and the thread count are
+//! process-global; each run records into a recorder of its own.
 
-use causalformer::{diag, presets};
+use causalformer::presets;
 use cf_data::synthetic::{self, Structure};
 use cf_tensor::pool;
 use rand::rngs::StdRng;
@@ -65,13 +65,16 @@ fn run_fork_pipeline() -> PipelineOutput {
     }
 }
 
-/// Runs the fork pipeline with diagnostics captured in memory, returning
-/// (pipeline output, artifact bytes).
-fn run_with_diag() -> (PipelineOutput, Vec<u8>) {
+/// Runs the fork pipeline in a fresh recorder with diagnostics captured
+/// in memory and ring recording at `traced`, returning (pipeline output,
+/// artifact bytes).
+fn run_with_diag(traced: bool) -> (PipelineOutput, Vec<u8>) {
     let buf = Arc::new(Mutex::new(Vec::new()));
-    diag::install_writer(Box::new(Shared(Arc::clone(&buf))));
+    let recorder = cf_obs::Recorder::new();
+    let _run = recorder.enter();
+    recorder.diag.install(Box::new(Shared(Arc::clone(&buf))));
+    cf_obs::trace::set_enabled(traced);
     let out = run_fork_pipeline();
-    diag::uninstall();
     let bytes = buf.lock().unwrap().clone();
     (out, bytes)
 }
@@ -84,7 +87,7 @@ fn diag_artifact_is_bitwise_invariant_and_instrumentation_free() {
     let reference_out = run_fork_pipeline();
 
     // Reference artifact: 1 thread, pool on, diagnostics installed.
-    let (instrumented_out, reference_bytes) = run_with_diag();
+    let (instrumented_out, reference_bytes) = run_with_diag(false);
     assert!(
         !reference_bytes.is_empty(),
         "diagnostics run produced an empty artifact"
@@ -109,12 +112,11 @@ fn diag_artifact_is_bitwise_invariant_and_instrumentation_free() {
     // The artifact must not depend on thread count or pooling; with the
     // trace recorder running alongside, the discovery output must still
     // match the uninstrumented reference bitwise.
-    cf_obs::trace::set_enabled(true);
     for threads in [1usize, 2, 4] {
         for pooled in [true, false] {
             cf_par::set_threads(threads);
             pool::set_enabled(pooled);
-            let (out, bytes) = run_with_diag();
+            let (out, bytes) = run_with_diag(true);
             assert_eq!(
                 out, reference_out,
                 "discovery output changed at {threads} thread(s), pool={pooled}"
@@ -125,7 +127,5 @@ fn diag_artifact_is_bitwise_invariant_and_instrumentation_free() {
             );
         }
     }
-    cf_obs::trace::set_enabled(false);
-    cf_obs::trace::reset();
     pool::set_enabled(true);
 }

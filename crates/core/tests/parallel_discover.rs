@@ -105,7 +105,7 @@ fn heartbeat_sampler_does_not_perturb_discovery() {
     let path = std::env::temp_dir().join(format!("cf_hb_invariance_{}.jsonl", std::process::id()));
     for threads in [1, 2, 4] {
         cf_par::set_threads(threads);
-        cf_obs::heartbeat::reset_progress();
+        let _run = cf_obs::Recorder::new().enter();
         // Fast period so even this short pipeline gets sampled.
         let cfg = cf_obs::heartbeat::Config {
             period: std::time::Duration::from_millis(10),

@@ -38,15 +38,20 @@ fn op_counts() -> OpCounts {
         .collect()
 }
 
-/// Runs one discovery from a clean record with op detail on and the ring
-/// switch at `traced`.
-fn record(traced: bool) -> (SpanCounts, OpCounts) {
-    cf_obs::reset();
+/// Enters a fresh recorder with op detail on and the ring switch at
+/// `traced`.
+fn fresh(traced: bool) -> cf_obs::Entered {
+    let run = cf_obs::Recorder::new().enter();
     cf_obs::span::set_op_detail(true);
     cf_obs::trace::set_enabled(traced);
+    run
+}
+
+/// Runs one discovery in a fresh recorder with the ring switch at
+/// `traced`.
+fn record(traced: bool) -> (SpanCounts, OpCounts) {
+    let _run = fresh(traced);
     discover();
-    cf_obs::trace::set_enabled(false);
-    cf_obs::span::set_op_detail(false);
     (span_counts(), op_counts())
 }
 
@@ -54,7 +59,9 @@ fn record(traced: bool) -> (SpanCounts, OpCounts) {
 fn ring_overflow_loses_timeline_detail_but_never_counts() {
     // One traced discovery fits the rings: every span it opened left a
     // complete event, so the rings count the spans opened.
-    let (spans, ops) = record(true);
+    let run = fresh(true);
+    discover();
+    let (spans, ops) = (span_counts(), op_counts());
     assert_eq!(
         cf_obs::trace::dropped(),
         0,
@@ -78,6 +85,7 @@ fn ring_overflow_loses_timeline_detail_but_never_counts() {
         assert_eq!(folded, n, "span_summary counts for {name} vs spans opened");
     }
     assert_eq!(spans.values().sum::<u64>(), opened.values().sum::<u64>());
+    drop(run);
 
     // Tracing changes no op count.
     let (untraced_spans, untraced_ops) = record(false);
@@ -87,17 +95,13 @@ fn ring_overflow_loses_timeline_detail_but_never_counts() {
 
     // Back-to-back traced discoveries until the busiest thread's ring
     // overflows: timeline events are dropped, counts are not.
-    cf_obs::reset();
-    cf_obs::span::set_op_detail(true);
-    cf_obs::trace::set_enabled(true);
+    let _run = fresh(true);
     let mut runs = 0;
     while cf_obs::trace::dropped() == 0 {
         assert!(runs < 1000, "1000 discoveries never overflowed a ring");
         discover();
         runs += 1;
     }
-    cf_obs::trace::set_enabled(false);
-    cf_obs::span::set_op_detail(false);
     let (flooded_spans, flooded_ops) = (span_counts(), op_counts());
     let scale = |n: u64| n * runs;
     let want_spans: BTreeMap<String, u64> =
@@ -108,5 +112,4 @@ fn ring_overflow_loses_timeline_detail_but_never_counts() {
         .map(|(&k, &(c, f))| (k, (scale(c), scale(f))))
         .collect();
     assert_eq!(flooded_ops, want_ops, "op profile after ring overflow");
-    cf_obs::reset();
 }

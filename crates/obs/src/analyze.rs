@@ -13,9 +13,7 @@
 //!
 //! Everything here is pure math over the neutral [`Trace`] model; no
 //! JSON parsing (the CLI converts Chrome JSON into [`Trace`]) and no
-//! I/O, so the same engine runs on freshly drained recorder buffers
-//! ([`Trace::from_thread_traces`]) or on files written by an earlier
-//! run.
+//! I/O.
 //!
 //! ## Aggregation semantics
 //!
@@ -27,8 +25,6 @@
 //! with hand-built traces) is treated as a child of the span it starts
 //! inside. Busy time per thread merges overlapping spans so nested work
 //! is counted once.
-
-use crate::trace::{Kind, ThreadTrace};
 
 /// One complete span, microseconds on the shared trace timebase.
 #[derive(Debug, Clone)]
@@ -74,37 +70,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Converts freshly drained recorder buffers (nanosecond events)
-    /// into the microsecond analysis model.
-    pub fn from_thread_traces(threads: &[ThreadTrace]) -> Self {
-        let mut out = Trace {
-            dropped: crate::trace::dropped(),
-            host_cores: std::thread::available_parallelism().ok().map(|n| n.get()),
-            ..Trace::default()
-        };
-        for t in threads {
-            let mut spans = Vec::new();
-            for ev in &t.events {
-                match ev.kind {
-                    Kind::Complete { dur_ns } => spans.push(Span {
-                        name: ev.name.as_str().to_string(),
-                        ts_us: ev.ts_ns as f64 / 1_000.0,
-                        dur_us: dur_ns as f64 / 1_000.0,
-                    }),
-                    _ => out.other_events += 1,
-                }
-            }
-            if !spans.is_empty() {
-                out.threads.push(Thread {
-                    tid: t.tid,
-                    name: t.name.clone(),
-                    spans,
-                });
-            }
-        }
-        out
-    }
-
     /// Total complete spans across all threads.
     pub fn span_count(&self) -> usize {
         self.threads.iter().map(|t| t.spans.len()).sum()
@@ -809,38 +774,5 @@ mod tests {
         assert!(serial_fraction(&Trace::default()).is_none());
         assert!(critical_path(&Trace::default()).is_empty());
         assert!(thread_utilization(&Trace::default()).is_empty());
-    }
-
-    #[test]
-    fn t_from_thread_traces_converts_and_counts_others() {
-        use crate::trace::{Event, Kind, Name};
-        let threads = vec![ThreadTrace {
-            tid: 3,
-            name: "main".into(),
-            events: vec![
-                Event {
-                    name: Name::Static("work"),
-                    ts_ns: 2_000,
-                    kind: Kind::Complete { dur_ns: 5_000 },
-                },
-                Event {
-                    name: Name::Static("mark"),
-                    ts_ns: 2_500,
-                    kind: Kind::Instant,
-                },
-                Event {
-                    name: Name::Static("ctr"),
-                    ts_ns: 3_000,
-                    kind: Kind::Counter { value: 1.0 },
-                },
-            ],
-        }];
-        let trace = Trace::from_thread_traces(&threads);
-        assert_eq!(trace.span_count(), 1);
-        assert_eq!(trace.other_events, 2);
-        let s = &trace.threads[0].spans[0];
-        assert!((s.ts_us - 2.0).abs() < 1e-9);
-        assert!((s.dur_us - 5.0).abs() < 1e-9);
-        assert!(trace.host_cores.is_some());
     }
 }

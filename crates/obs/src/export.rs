@@ -207,10 +207,8 @@ mod tests {
     #[test]
     fn t_overflowing_ring_still_exports_valid_chrome_json() {
         use crate::trace;
-        let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
-        trace::reset();
+        let _run = crate::Recorder::new().enter();
         trace::set_enabled(true);
-        crate::span::register_thread("t_export_drop");
         let flood = trace::CAPACITY + 28;
         for i in 0..flood {
             let _g = crate::span!(format!("flood.{i}"));
@@ -235,6 +233,5 @@ mod tests {
             json.contains(&format!("flood.{}", flood - 1)) && !json.contains("\"flood.0\""),
             "newest events survive, oldest are the ones dropped"
         );
-        trace::reset();
     }
 }

@@ -3,12 +3,13 @@
 //! watchdog.
 //!
 //! Traces and metrics say what happened once a run finishes; the
-//! heartbeat says what is happening. [`start`] spawns a sampler that
-//! every period (default 250 ms, `CF_HEARTBEAT_MS`) snapshots process
-//! RSS/VmHWM, the `mem.pool.*` and `par.*` metrics, per-thread progress
-//! epochs, and the latest progress units, and appends one `heartbeat`
-//! JSON line to a file with a single `write_all`, so the file can be
-//! tailed mid-run (`causalformer monitor <file>`).
+//! heartbeat says what is happening. [`start`] spawns a sampler, handed
+//! the calling thread's [`crate::Recorder`], that every period (default
+//! 250 ms, `CF_HEARTBEAT_MS`) snapshots process RSS/VmHWM, the
+//! `mem.pool.*` and `par.*` metrics, per-thread progress epochs, and the
+//! latest progress units, and appends one `heartbeat` JSON line to a file
+//! with a single `write_all`, so the file can be tailed mid-run
+//! (`causalformer monitor <file>`).
 //!
 //! **Determinism contract.** The compute path never reads the wall
 //! clock on behalf of this module: workers only bump relaxed atomic
@@ -17,7 +18,7 @@
 //! the derived ETA) enters only on the sampler thread, so discovery
 //! output is bitwise identical with the heartbeat on or off.
 //!
-//! **Watchdog.** The sampler tracks the global progress epoch; when it
+//! **Watchdog.** The sampler tracks the run's progress epoch; when it
 //! does not advance for the stall window it flags `stalled: true` and
 //! attaches a lightweight thread dump (each thread's currently-open
 //! span stack, from [`crate::span::open_spans`]). Under
@@ -27,16 +28,19 @@
 //!
 //! Layering note: this crate sits *below* `cf-par` and `cf-tensor`,
 //! so the sampler cannot call them. `par.*` counters are read back
-//! from the shared [`crate::metrics`] registry (the scheduler already
+//! from the recorder's [`crate::metrics`] registry (the scheduler already
 //! publishes there), and pool gauges are refreshed via
 //! [`add_sampler_hook`] — `cf_tensor::pool::install_obs_sampler()`
-//! registers its publisher at startup.
+//! registers its publisher at startup. The hooks are process-wide; the
+//! sampler runs them inside its recorder.
 
 use crate::json::{Arr, Obj};
-use crate::lock;
+use crate::recorder::local;
+use crate::{lock, Recorder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default sampler period (`CF_HEARTBEAT_MS` overrides).
@@ -54,16 +58,16 @@ pub const STALL_EXIT_CODE: i32 = 3;
 // Progress epochs: bumped by workers, read by the sampler.
 // ---------------------------------------------------------------------------
 
-static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Bumps the calling thread's progress epoch (and the global one).
+/// Bumps the calling thread's progress epoch (and its recorder's).
 /// Called by the scheduler on every task/chunk completion and by the
 /// serial progress emitters; two relaxed atomic adds, safe on any hot
 /// path.
 #[inline]
 pub fn bump_progress() {
-    crate::span::local(|r| r.epoch.fetch_add(1, Ordering::Relaxed));
-    GLOBAL_EPOCH.fetch_add(1, Ordering::Relaxed);
+    local(|recorder, r| {
+        r.epoch.fetch_add(1, Ordering::Relaxed);
+        recorder.epoch.fetch_add(1, Ordering::Relaxed);
+    });
 }
 
 /// Adds to the calling thread's cumulative busy time. The scheduler
@@ -71,13 +75,13 @@ pub fn bump_progress() {
 /// it, which is what the monitor's per-thread busy % derives from.
 #[inline]
 pub fn add_busy_ns(ns: u64) {
-    crate::span::local(|r| r.busy_ns.fetch_add(ns, Ordering::Relaxed));
+    local(|_, r| r.busy_ns.fetch_add(ns, Ordering::Relaxed));
 }
 
-/// The global progress epoch: total completions across all threads
-/// since process start. The watchdog stalls when this stops moving.
+/// The current recorder's progress epoch: total completions across all
+/// threads. The watchdog stalls when this stops moving.
 pub fn progress_epoch() -> u64 {
-    GLOBAL_EPOCH.load(Ordering::Relaxed)
+    Recorder::current().epoch.load(Ordering::Relaxed)
 }
 
 /// Per-thread progress snapshot: `(thread name, epoch, busy_ns)`, one
@@ -108,31 +112,17 @@ pub fn thread_progress() -> Vec<(String, u64, u64)> {
 // Progress units: deterministic done/total state + events.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct UnitState {
-    done: u64,
-    total: u64,
-}
-
-static UNITS: Mutex<BTreeMap<String, UnitState>> = Mutex::new(BTreeMap::new());
-
-/// Clears all progress units (done/total state). [`start`] calls this
-/// so back-to-back runs in one process don't inherit stale counts; the
-/// monotone progress epochs are deliberately left alone.
-pub fn reset_progress() {
-    lock(&UNITS).clear();
-}
-
 /// Reports absolute progress on a unit (e.g. `train.epoch` 3 of 20)
 /// from a serial call site. Bumps the progress epoch, updates the
-/// shared state the sampler reads, and — if a heartbeat sink is
-/// installed — emits a `progress` event. The event payload is exactly
+/// recorder's state the sampler reads, and — if it has a heartbeat sink —
+/// emits a `progress` event. The event payload is exactly
 /// `{unit, done, total}`: no wall time, so the line content is
 /// deterministic.
 pub fn progress(unit: &str, done: u64, total: u64) {
     bump_progress();
-    lock(&UNITS).insert(unit.to_string(), UnitState { done, total });
-    emit_progress_event(unit, done, total);
+    let recorder = Recorder::current();
+    lock(&recorder.units).insert(unit.to_string(), (done, total));
+    emit_progress_event(&recorder, unit, done, total);
 }
 
 /// Increment-style progress for parallel call sites (per-window
@@ -141,26 +131,24 @@ pub fn progress(unit: &str, done: u64, total: u64) {
 /// with thread interleaving; each line's content is deterministic.
 pub fn progress_inc(unit: &str, total: u64) {
     bump_progress();
+    let recorder = Recorder::current();
     let done = {
-        let mut map = lock(&UNITS);
-        let st = map
-            .entry(unit.to_string())
-            .or_insert(UnitState { done: 0, total });
-        st.done += 1;
-        st.total = total;
-        st.done
+        let mut map = lock(&recorder.units);
+        let st = map.entry(unit.to_string()).or_insert((0, total));
+        *st = (st.0 + 1, total);
+        st.0
     };
-    emit_progress_event(unit, done, total);
+    emit_progress_event(&recorder, unit, done, total);
 }
 
-fn emit_progress_event(unit: &str, done: u64, total: u64) {
+fn emit_progress_event(recorder: &Recorder, unit: &str, done: u64, total: u64) {
     let line = Obj::new()
         .str("event", "progress")
         .str("unit", unit)
         .u64("done", done)
         .u64("total", total)
         .finish();
-    SINK.emit(&line);
+    recorder.heartbeat_sink.emit(&line);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,16 +199,6 @@ pub fn proc_rss_bytes() -> (u64, u64) {
 /// this single reader instead of re-parsing `/proc` themselves.
 pub fn peak_rss_bytes() -> u64 {
     proc_rss_bytes().1
-}
-
-/// The heartbeat file: an unbuffered file, one `write_all` per line,
-/// so a concurrent `tail -f`/`monitor` never observes a torn line.
-static SINK: crate::sink::Sink = crate::sink::Sink::new();
-
-/// Whether a heartbeat sink is currently installed (i.e. progress
-/// events are being written somewhere).
-pub fn sink_installed() -> bool {
-    SINK.is_installed()
 }
 
 // ---------------------------------------------------------------------------
@@ -307,33 +285,29 @@ fn parse_watchdog(spec: Option<&str>) -> (Duration, WatchdogMode) {
 // The sampler thread.
 // ---------------------------------------------------------------------------
 
-/// What the caller and the sampler thread share.
-struct Shared {
-    stopping: Mutex<bool>,
-    wake: Condvar,
-    samples: AtomicU64,
-}
-
 /// Handle to a running heartbeat sampler; stop (or drop) it to join
 /// the thread and finalise the file with a `run_end` event.
 pub struct Heartbeat {
-    shared: Arc<Shared>,
+    /// Nothing is sent: dropping it wakes the sampler to finish.
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
+    samples: Arc<AtomicU64>,
 }
 
-/// Starts the heartbeat sampler. With a path, the JSONL sink is
-/// installed (leading `meta` event, then `heartbeat`/`progress` lines
-/// as they happen); with `None` only the in-memory sampling and the
-/// watchdog run — `CF_WATCHDOG=fatal` works without a file.
+/// Starts the heartbeat sampler over the current recorder. With a path,
+/// its heartbeat sink is installed: an unbuffered file, one `write_all`
+/// per line, so a concurrent `tail -f`/`monitor` never observes a torn
+/// line (leading `meta` event, then `heartbeat`/`progress` lines as they
+/// happen). With `None` only the in-memory sampling and the watchdog
+/// run — `CF_WATCHDOG=fatal` works without a file.
 ///
-/// Also clears stale progress units. One sampler at a time: starting a
-/// second heartbeat while another runs replaces the sink out from under
-/// it — stop the first one first.
+/// One sampler per recorder: starting a second heartbeat while another
+/// runs replaces the sink out from under it — stop the first one first.
 pub fn start(path: Option<&std::path::Path>, cfg: Config) -> std::io::Result<Heartbeat> {
-    reset_progress();
+    let recorder = Recorder::current();
+    let sink = &recorder.heartbeat_sink;
     if let Some(path) = path {
-        let file = std::fs::File::create(path)?;
-        SINK.install(Box::new(file));
+        sink.install(Box::new(std::fs::File::create(path)?));
         let mode = match cfg.mode {
             WatchdogMode::Warn => "warn",
             WatchdogMode::Fatal => "fatal",
@@ -347,22 +321,23 @@ pub fn start(path: Option<&std::path::Path>, cfg: Config) -> std::io::Result<Hea
             .str("watchdog", mode)
             .f64("ts", crate::unix_time())
             .finish();
-        SINK.emit(&meta);
+        sink.emit(&meta);
     }
 
-    let shared = Arc::new(Shared {
-        stopping: Mutex::new(false),
-        wake: Condvar::new(),
-        samples: AtomicU64::new(0),
-    });
-    let sampler = Arc::clone(&shared);
+    let (stop, stopped) = mpsc::channel();
+    let samples = Arc::new(AtomicU64::new(0));
+    let written = Arc::clone(&samples);
     let handle = std::thread::Builder::new()
         .name("cf-heartbeat".to_string())
-        .spawn(move || sampler_loop(cfg, &sampler))
+        .spawn(move || {
+            let _run = recorder.enter();
+            sampler_loop(cfg, &stopped, &written)
+        })
         .expect("spawn heartbeat sampler");
     Ok(Heartbeat {
-        shared,
+        stop: Some(stop),
         handle: Some(handle),
+        samples,
     })
 }
 
@@ -375,23 +350,14 @@ impl Heartbeat {
 
     /// Samples written so far (for tests and the CLI summary line).
     pub fn samples(&self) -> u64 {
-        self.shared.samples.load(Ordering::Relaxed)
+        self.samples.load(Ordering::Relaxed)
     }
 
     fn shutdown(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        *lock(&self.shared.stopping) = true;
-        self.shared.wake.notify_all();
-        let _ = handle.join();
-        let end = Obj::new()
-            .str("event", "run_end")
-            .f64("ts", crate::unix_time())
-            .u64("samples", self.samples())
-            .finish();
-        SINK.emit(&end);
-        SINK.uninstall();
+        self.stop.take();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -409,29 +375,26 @@ struct UnitAnchor {
     first_done: u64,
 }
 
-fn sampler_loop(cfg: Config, shared: &Shared) {
+/// Samples every period until `stopped` disconnects, then takes one
+/// final sample and closes the file with `run_end`.
+fn sampler_loop(cfg: Config, stopped: &mpsc::Receiver<()>, samples: &AtomicU64) {
     let mut last_epoch = progress_epoch();
     let mut last_advance = Instant::now();
     let mut anchors: BTreeMap<String, UnitAnchor> = BTreeMap::new();
-    let mut seq = 0u64;
-    loop {
-        let stopping = {
-            let guard = lock(&shared.stopping);
-            if *guard {
-                true
-            } else {
-                let (guard, _timeout) = shared
-                    .wake
-                    .wait_timeout(guard, cfg.period)
-                    .unwrap_or_else(|e| e.into_inner());
-                *guard
-            }
-        };
-        seq += 1;
+    for seq in 1.. {
+        let stopping = stopped.recv_timeout(cfg.period) != Err(RecvTimeoutError::Timeout);
         sample(&cfg, seq, &mut last_epoch, &mut last_advance, &mut anchors);
-        shared.samples.store(seq, Ordering::Relaxed);
+        samples.store(seq, Ordering::Relaxed);
         if stopping {
-            break;
+            let end = Obj::new()
+                .str("event", "run_end")
+                .f64("ts", crate::unix_time())
+                .u64("samples", seq)
+                .finish();
+            let sink = &Recorder::current().heartbeat_sink;
+            sink.emit(&end);
+            sink.uninstall();
+            return;
         }
     }
 }
@@ -456,8 +419,8 @@ fn sample(
 
     let (rss, hwm) = proc_rss_bytes();
 
-    // The scheduler and pool publish into the shared metrics registry;
-    // read them back by name (creating an untouched counter reads 0).
+    // The scheduler and pool publish into the recorder's metrics
+    // registry; read them back by name (an untouched counter reads 0).
     let m = |name: &'static str| crate::metrics::counter(name).get();
     let g = |name: &'static str| crate::metrics::gauge(name).get();
 
@@ -475,28 +438,31 @@ fn sample(
 
     // ETA per unit, computed only here: rate from this thread's own
     // first observation of the unit, never from worker timestamps.
-    let progress = lock(&UNITS).iter().fold(Arr::new(), |arr, (unit, st)| {
-        let anchor = anchors.entry(unit.clone()).or_insert(UnitAnchor {
-            first_seen: now,
-            first_done: st.done,
+    let recorder = Recorder::current();
+    let progress = lock(&recorder.units)
+        .iter()
+        .fold(Arr::new(), |arr, (unit, &(done, total))| {
+            let anchor = anchors.entry(unit.clone()).or_insert(UnitAnchor {
+                first_seen: now,
+                first_done: done,
+            });
+            let elapsed = now.duration_since(anchor.first_seen).as_secs_f64();
+            let advanced = done.saturating_sub(anchor.first_done);
+            let eta_secs = if advanced > 0 && elapsed > 0.0 && done < total {
+                let rate = advanced as f64 / elapsed;
+                (total - done) as f64 / rate
+            } else {
+                f64::NAN // serialises as null: ETA unknown
+            };
+            arr.raw(
+                &Obj::new()
+                    .str("unit", unit)
+                    .u64("done", done)
+                    .u64("total", total)
+                    .f64("eta_secs", eta_secs)
+                    .finish(),
+            )
         });
-        let elapsed = now.duration_since(anchor.first_seen).as_secs_f64();
-        let advanced = st.done.saturating_sub(anchor.first_done);
-        let eta_secs = if advanced > 0 && elapsed > 0.0 && st.done < st.total {
-            let rate = advanced as f64 / elapsed;
-            (st.total - st.done) as f64 / rate
-        } else {
-            f64::NAN // serialises as null: ETA unknown
-        };
-        arr.raw(
-            &Obj::new()
-                .str("unit", unit)
-                .u64("done", st.done)
-                .u64("total", st.total)
-                .f64("eta_secs", eta_secs)
-                .finish(),
-        )
-    });
 
     let mut hb = Obj::new()
         .str("event", "heartbeat")
@@ -535,7 +501,8 @@ fn sample(
         });
         hb = hb.raw("open_spans", &dump.finish());
     }
-    SINK.emit(&hb.finish());
+    let sink = &recorder.heartbeat_sink;
+    sink.emit(&hb.finish());
 
     if stalled && cfg.mode == WatchdogMode::Fatal {
         let mut dump: String = open
@@ -560,8 +527,8 @@ fn sample(
             .f64("ts", crate::unix_time())
             .f64("stall_secs", stall_secs)
             .finish();
-        SINK.emit(&fatal);
-        SINK.uninstall();
+        sink.emit(&fatal);
+        sink.uninstall();
         std::process::exit(STALL_EXIT_CODE);
     }
 }
@@ -608,15 +575,17 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(rss > 0, "VmRSS should be nonzero for a live process");
             assert!(hwm >= rss, "peak RSS can't be below current RSS");
-            assert_eq!(peak_rss_bytes(), proc_rss_bytes().1);
+            // VmHWM only grows, and other tests allocate meanwhile.
+            let peak = peak_rss_bytes();
+            assert!(hwm <= peak && peak <= proc_rss_bytes().1);
         }
     }
 
-    /// One end-to-end test over the global sampler state (sink and
-    /// progress units) so scenarios can't race each other.
+    /// One end-to-end test over a recorder's sampler state (sink and
+    /// progress units), one scenario after the other.
     #[test]
     fn t_heartbeat_end_to_end() {
-        let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
+        let _run = Recorder::new().enter();
 
         // --- A normal short run: meta, heartbeats, progress, run_end.
         let path = temp_path("basic");
@@ -627,14 +596,14 @@ mod tests {
             schema_version: "2.2".to_string(),
         };
         let hb = start(Some(&path), cfg).expect("heartbeat start");
-        assert!(sink_installed());
+        assert!(Recorder::current().heartbeat_sink.is_installed());
         progress("test.unit", 1, 4);
         progress_inc("test.windows", 3);
         progress_inc("test.windows", 3);
         std::thread::sleep(Duration::from_millis(30));
         progress("test.unit", 2, 4);
         hb.stop();
-        assert!(!sink_installed());
+        assert!(!Recorder::current().heartbeat_sink.is_installed());
 
         let text = std::fs::read_to_string(&path).expect("heartbeat file");
         let lines: Vec<serde_json::Value> = text
@@ -752,7 +721,7 @@ mod tests {
             schema_version: "2.2".to_string(),
         };
         let hb = start(None, cfg).expect("heartbeat start");
-        assert!(!sink_installed());
+        assert!(!Recorder::current().heartbeat_sink.is_installed());
         std::thread::sleep(Duration::from_millis(20));
         assert!(hb.samples() >= 1, "sampler runs without a sink");
         hb.stop();
@@ -760,6 +729,7 @@ mod tests {
 
     #[test]
     fn t_thread_progress_attributes_busy_to_the_calling_thread() {
+        let _run = Recorder::new().enter();
         bump_progress();
         add_busy_ns(1_000);
         let me = std::thread::current()

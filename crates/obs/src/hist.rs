@@ -201,12 +201,15 @@ mod tests {
 
     #[test]
     fn t_registry_and_json_snapshot() {
-        // Spans on two threads under one unique path merge into one
-        // span_hist entry.
+        // Spans on two threads under one path merge into one span_hist
+        // entry.
+        let recorder = crate::Recorder::new();
+        let _run = recorder.enter();
         {
             let _g = crate::span!("t_hist.registry_path");
         }
-        std::thread::spawn(|| {
+        std::thread::spawn(move || {
+            let _run = recorder.enter();
             let _g = crate::span!("t_hist.registry_path");
             std::thread::sleep(std::time::Duration::from_millis(2));
         })

@@ -13,10 +13,16 @@
 //! * the heartbeat's per-thread progress and the watchdog's thread dump
 //!   ([`heartbeat`], [`span::open_spans`]).
 //!
-//! Two switches: ring recording ([`trace::set_enabled`]) and op detail
-//! ([`span::set_op_detail`]); [`reset`] clears what a run accumulated.
-//! Beside the spans: counters and gauges ([`metrics`]), the JSON Lines
-//! sink behind `--metrics-out` ([`sink`]), trace analysis ([`analyze`]).
+//! All of it, with the two switches — ring recording
+//! ([`trace::set_enabled`]) and op detail ([`span::set_op_detail`]) — the
+//! counters and gauges ([`metrics`]) and the JSON Lines sinks ([`sink`]),
+//! belongs to a [`Recorder`]. Every call acts on the calling thread's
+//! current recorder: a run enters a fresh one (`Recorder::new().enter()`)
+//! and sees nothing of any other; a thread that enters none shares the
+//! process default. Process-wide by design: the clock anchor, the log
+//! level ([`log`]), the heartbeat's sampler hooks and, in other crates,
+//! cf-par's pool size and the buffer pool's `mem.*` counters.
+//! Trace analysis: [`analyze`].
 //!
 //! Log verbosity is controlled by [`log`] (`CF_LOG` env var or
 //! [`log::set_level`]); the [`error!`]/[`warn!`]/[`info!`]/[`debug!`]/
@@ -33,10 +39,12 @@ pub mod hist;
 pub mod json;
 pub mod log;
 pub mod metrics;
+mod recorder;
 pub mod sink;
 pub mod span;
 pub mod trace;
 
+pub use recorder::{Entered, Recorder};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -79,23 +87,4 @@ pub fn anchor_ns() -> u64 {
 /// wall time enters trace output, as the epoch anchor only.
 pub fn anchor_unix_time() -> f64 {
     anchor().0
-}
-
-/// Clears what a run accumulated: every span path and op aggregate,
-/// every trace ring and its drop count, and the metrics registry. Open
-/// spans, thread names, heartbeat progress epochs and both switches are
-/// left alone.
-pub fn reset() {
-    span::reset();
-    trace::reset();
-    metrics::reset();
-}
-
-/// Serialises tests that flip process-global observability state (the
-/// ring and op-detail switches, the heartbeat sink) so they can't race
-/// each other under the parallel test runner.
-#[cfg(test)]
-pub(crate) fn test_lock() -> &'static std::sync::Mutex<()> {
-    static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
 }

@@ -1,17 +1,17 @@
 //! Named counters and gauges.
 //!
-//! Handles are cheap `Arc` clones of registry slots; updates are
-//! lock-free atomics (the registry mutex is touched only on first
-//! lookup of a name). Duration percentiles live with the spans
-//! ([`crate::hist`]).
+//! The registry belongs to the current [`Recorder`]. Handles are cheap
+//! `Arc` clones of its slots; updates are lock-free atomics (the registry
+//! mutex is touched only on lookup). Duration percentiles live with the
+//! spans ([`crate::hist`]).
 
-use crate::lock;
+use crate::{lock, Recorder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Monotone event counter.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
@@ -31,8 +31,8 @@ impl Counter {
     }
 }
 
-/// Last-write-wins float value.
-#[derive(Clone)]
+/// Last-write-wins float value (0.0 until set).
+#[derive(Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
@@ -48,45 +48,40 @@ impl Gauge {
 }
 
 /// Name-sorted, so snapshots list metrics in a stable order.
-struct Registry {
+#[derive(Default)]
+pub(crate) struct Registry {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
 }
 
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-});
+/// The slot named `name` in `map`, created on first use.
+fn slot<T: Clone>(map: &mut BTreeMap<String, T>, name: &str, new: impl FnOnce() -> T) -> T {
+    match map.get(name) {
+        Some(slot) => slot.clone(),
+        None => map.entry(name.to_string()).or_insert_with(new).clone(),
+    }
+}
 
-/// The counter named `name` (created on first use).
+/// The current recorder's counter named `name` (created on first use).
 pub fn counter(name: &str) -> Counter {
-    lock(&REGISTRY)
-        .counters
-        .entry(name.to_string())
-        .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-        .clone()
+    let recorder = Recorder::current();
+    let mut reg = lock(&recorder.metrics);
+    slot(&mut reg.counters, name, Counter::default)
 }
 
-/// The gauge named `name` (created on first use, initial value 0).
+/// The current recorder's gauge named `name` (created on first use,
+/// initial value 0).
 pub fn gauge(name: &str) -> Gauge {
-    lock(&REGISTRY)
-        .gauges
-        .entry(name.to_string())
-        .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-        .clone()
+    let recorder = Recorder::current();
+    let mut reg = lock(&recorder.metrics);
+    slot(&mut reg.gauges, name, Gauge::default)
 }
 
-/// Clears all registered metrics.
-pub fn reset() {
-    let mut reg = lock(&REGISTRY);
-    reg.counters.clear();
-    reg.gauges.clear();
-}
-
-/// Serialises all metrics as a JSON object
+/// Serialises the current recorder's metrics as a JSON object
 /// `{counters: {...}, gauges: {...}, histograms: {}}`.
 pub fn snapshot_json() -> String {
-    let reg = lock(&REGISTRY);
+    let recorder = Recorder::current();
+    let reg = lock(&recorder.metrics);
     let counters = reg
         .counters
         .iter()

@@ -1,17 +1,20 @@
 //! JSON Lines sinks: the `--metrics-out` stream and, through the same
-//! [`Sink`] type, the heartbeat stream.
+//! [`Sink`] type, the heartbeat and model-diagnostics streams. All three
+//! belong to a [`Recorder`]; a sink's writer is flushed and closed when
+//! it is uninstalled or its recorder drops.
 //!
-//! The CLI installs a file sink for `--metrics-out <path>`; library code
-//! calls [`emit`] unconditionally — when no sink is installed the call
-//! is a cheap no-op. Each emitted line is one JSON object; callers build
-//! lines with [`crate::json::Obj`] (conventionally with an `"event"`
-//! discriminator and a `"ts"` Unix timestamp).
+//! The CLI installs a file sink for `--metrics-out <path>` with
+//! [`Sink::install`]; library code calls [`emit`] unconditionally — when
+//! the current recorder has no sink the call is a cheap no-op. Each
+//! emitted line is one JSON object; callers build lines with
+//! [`crate::json::Obj`] (conventionally with an `"event"` discriminator
+//! and a `"ts"` Unix timestamp).
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::sync::{Mutex, MutexGuard};
+use crate::Recorder;
+use std::io::Write;
+use std::sync::Mutex;
 
-/// A process-global slot for one JSON Lines writer.
+/// A slot for one JSON Lines writer.
 #[derive(Default)]
 pub struct Sink(Mutex<Option<Box<dyn Write + Send>>>);
 
@@ -21,69 +24,56 @@ impl Sink {
         Sink(Mutex::new(None))
     }
 
-    fn slot(&self) -> MutexGuard<'_, Option<Box<dyn Write + Send>>> {
-        crate::lock(&self.0)
-    }
-
     /// Installs `w`, replacing any writer already there.
     pub fn install(&self, w: Box<dyn Write + Send>) {
-        *self.slot() = Some(w);
+        *crate::lock(&self.0) = Some(w);
     }
 
-    /// Flushes and removes the writer.
+    /// Flushes, removes and closes the writer.
     pub fn uninstall(&self) {
-        let mut slot = self.slot();
-        if let Some(w) = slot.as_mut() {
+        if let Some(mut w) = crate::lock(&self.0).take() {
             let _ = w.flush();
         }
-        *slot = None;
     }
 
     /// Whether a writer is installed.
     pub fn is_installed(&self) -> bool {
-        self.slot().is_some()
+        crate::lock(&self.0).is_some()
     }
 
     /// Writes `json_line` (one single-line JSON object) and its newline
     /// with one `write_all`, so a reader tailing an unbuffered file never
     /// sees a torn line. No-op without a writer.
     pub fn emit(&self, json_line: &str) {
-        if let Some(w) = self.slot().as_mut() {
+        if let Some(w) = crate::lock(&self.0).as_mut() {
             let _ = w.write_all(format!("{json_line}\n").as_bytes());
         }
     }
 
     /// Flushes buffered output, if a writer is installed.
     pub fn flush(&self) {
-        if let Some(w) = self.slot().as_mut() {
+        if let Some(w) = crate::lock(&self.0).as_mut() {
             let _ = w.flush();
         }
     }
 }
 
-static METRICS: Sink = Sink::new();
-
-/// Installs a JSONL sink writing to the file at `path` (truncating any
-/// existing file).
-pub fn install_file(path: &str) -> io::Result<()> {
-    METRICS.install(Box::new(BufWriter::new(File::create(path)?)));
-    Ok(())
+impl Drop for Sink {
+    fn drop(&mut self) {
+        self.uninstall();
+    }
 }
 
-/// Removes the sink, flushing buffered output first.
-pub fn uninstall() {
-    METRICS.uninstall();
-}
-
-/// Whether a sink is installed (lets callers skip building expensive
-/// event payloads).
+/// Whether the current recorder has a metrics sink (lets callers skip
+/// building expensive event payloads).
 pub fn is_installed() -> bool {
-    METRICS.is_installed()
+    Recorder::current().metrics_sink.is_installed()
 }
 
-/// Writes one JSONL record. No-op without a sink.
+/// Writes one JSONL record to the current recorder's metrics sink.
+/// No-op without one.
 pub fn emit(json_line: &str) {
-    METRICS.emit(json_line);
+    Recorder::current().metrics_sink.emit(json_line);
 }
 
 /// Emits the span, metrics, op-profile and span-histogram views as four
@@ -116,12 +106,13 @@ pub fn emit_summaries() {
             .raw("spans", &crate::hist::snapshot_json())
             .finish(),
     );
-    METRICS.flush();
+    Recorder::current().metrics_sink.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{self, BufWriter};
     use std::sync::{Arc, Mutex as StdMutex};
 
     /// Shared-buffer writer for capturing emitted lines.
@@ -139,14 +130,12 @@ mod tests {
         }
     }
 
-    // Both tests touch the global sink; serialise them.
-    static SINK_LOCK: StdMutex<()> = StdMutex::new(());
-
     #[test]
     fn emits_one_line_per_event_and_round_trips() {
-        let _l = SINK_LOCK.lock().unwrap();
+        let recorder = Recorder::new();
+        let _run = recorder.enter();
         let buf = Shared(Arc::new(StdMutex::new(Vec::new())));
-        METRICS.install(Box::new(buf.clone()));
+        recorder.metrics_sink.install(Box::new(buf.clone()));
         emit(
             &crate::json::Obj::new()
                 .str("event", "epoch")
@@ -161,7 +150,7 @@ mod tests {
                 .f64("loss", 0.125)
                 .finish(),
         );
-        uninstall();
+        recorder.metrics_sink.uninstall();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -171,8 +160,22 @@ mod tests {
 
     #[test]
     fn emit_without_sink_is_a_noop() {
-        let _l = SINK_LOCK.lock().unwrap();
+        let _run = Recorder::new().enter();
         // Must not panic or write anywhere.
         emit(r#"{"event":"ignored"}"#);
+    }
+
+    #[test]
+    fn dropping_the_recorder_flushes_and_closes_its_sinks() {
+        let buf = Shared(Arc::new(StdMutex::new(Vec::new())));
+        {
+            let _run = Recorder::new().enter();
+            let writer = BufWriter::new(buf.clone());
+            Recorder::current().metrics_sink.install(Box::new(writer));
+            emit(r#"{"event":"kept"}"#);
+            assert!(buf.0.lock().unwrap().is_empty(), "still buffered");
+        }
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert_eq!(text, "{\"event\":\"kept\"}\n");
     }
 }

@@ -1,8 +1,9 @@
 //! The one instrumentation primitive: the [`span!`](crate::span!) guard
 //! and the per-thread record it writes.
 //!
-//! Each thread owns one record, registered in a process-wide list the
-//! first time the thread touches it. The record holds
+//! Each thread owns one record in each [`Recorder`] it writes to,
+//! registered the first time the thread touches it there. The record
+//! holds
 //!
 //! * the open-span stack — the dotted path the next span nests under
 //!   (`discover.train.epoch`) and the watchdog's thread dump
@@ -24,23 +25,25 @@
 //!   its path's aggregates, and a `Complete` ring event while ring
 //!   recording is on.
 //! * `span!("matmul", flops = n)` — an op span, keyed by kind, never on
-//!   the stack or in the ring. With op detail off ([`set_op_detail`],
-//!   the default) it costs one relaxed load: no clock read, and `n` is
-//!   not evaluated.
+//!   the stack or in the ring. While no recorder has op detail on
+//!   ([`set_op_detail`]; off by default) it costs one relaxed load: no
+//!   clock read, and `n` is not evaluated.
 //! * `span!("par.chunk", parent = &ctx)` — a scheduler span for work
 //!   published by another thread: spans opened inside it nest under the
-//!   publisher's path ([`context`]), whichever thread runs the work. It
-//!   shows in thread dumps and in the ring but folds no aggregate,
-//!   because how often the scheduler runs depends on the thread count.
+//!   publisher's path ([`context`]) and write into the publisher's
+//!   recorder, whichever thread runs the work. It shows in thread dumps
+//!   and in the ring but folds no aggregate, because how often the
+//!   scheduler runs depends on the thread count.
 
 use crate::hist::{bucket_index, BUCKETS};
 use crate::json::{Arr, Obj};
 use crate::lock;
+use crate::recorder::{local, Entered, Recorder, Switch, OP_DETAIL_ON};
 use crate::trace::{Event, Kind, Name};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, Weak};
 
 /// Opens a span that closes when the returned [`Span`] drops; see the
 /// [module docs](mod@crate::span) for the three forms.
@@ -61,17 +64,16 @@ macro_rules! span {
     };
 }
 
-static OP_DETAIL: AtomicBool = AtomicBool::new(false);
-
-/// Whether op spans record. Hot-path check: one relaxed load.
+/// Whether op spans record into the calling thread's recorder.
+/// Hot-path check: one relaxed load while no recorder has op detail on.
 #[inline]
 pub fn op_detail() -> bool {
-    OP_DETAIL.load(Ordering::Relaxed)
+    Switch::current(&OP_DETAIL_ON, |r| &r.op_detail)
 }
 
-/// Turns op detail on or off (off by default).
+/// Turns the current recorder's op detail on or off (off by default).
 pub fn set_op_detail(on: bool) {
-    OP_DETAIL.store(on, Ordering::Relaxed);
+    Recorder::current().op_detail.set(on);
 }
 
 /// Aggregate of the closed spans at one path, or of one op kind.
@@ -138,7 +140,7 @@ impl Stats {
     }
 }
 
-/// One thread's record; the views merge them.
+/// One thread's record in one recorder; the views merge a recorder's.
 pub(crate) struct Record {
     /// Stable per-process thread id (1-based registration order).
     pub(crate) tid: u64,
@@ -150,7 +152,7 @@ pub(crate) struct Record {
 }
 
 pub(crate) struct State {
-    /// Timeline name (OS thread name or [`register_thread`] override).
+    /// Timeline name: the OS thread name, or "thread".
     pub(crate) name: String,
     /// Open spans, outermost first.
     stack: Vec<Frame>,
@@ -226,17 +228,15 @@ impl State {
     }
 }
 
-static REGISTRY: Mutex<Vec<Arc<Record>>> = Mutex::new(Vec::new());
-
-thread_local! {
-    static LOCAL: Arc<Record> = {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-        let record = Arc::new(Record {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+impl Record {
+    pub(crate) fn new(tid: u64) -> Record {
+        let name = std::thread::current().name().unwrap_or("thread").into();
+        Record {
+            tid,
             epoch: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             state: Mutex::new(State {
-                name: std::thread::current().name().unwrap_or("thread").to_string(),
+                name,
                 stack: Vec::new(),
                 nodes: vec![Node {
                     name: Name::Static(""),
@@ -248,46 +248,47 @@ thread_local! {
                 ring: VecDeque::new(),
                 dropped: 0,
             }),
-        });
-        lock(&REGISTRY).push(Arc::clone(&record));
-        record
-    };
-}
-
-/// Runs `f` on the calling thread's record.
-pub(crate) fn local<R>(f: impl FnOnce(&Record) -> R) -> R {
-    LOCAL.with(|r| f(r))
+        }
+    }
 }
 
 pub(crate) fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
-    LOCAL.with(|r| f(&mut lock(&r.state)))
+    local(|_, r| f(&mut lock(&r.state)))
 }
 
-/// Every registered record (threads that exited included).
+/// Every record of the calling thread's recorder.
 pub(crate) fn records() -> Vec<Arc<Record>> {
-    lock(&REGISTRY).clone()
+    lock(&Recorder::current().records).clone()
 }
 
-/// Names the calling thread's timeline and heartbeat row. Threads that
-/// never call this use their OS thread name (or "thread").
-pub fn register_thread(name: impl Into<String>) {
-    with_state(|s| s.name = name.into());
-}
-
-/// A span path captured on one thread for work another thread runs.
+/// A span path and recorder captured on one thread for work another
+/// thread runs. It holds the recorder weakly: work left over after its
+/// run ends writes into the running thread's own recorder.
 #[derive(Debug, Clone)]
-pub struct Context(Option<Arc<[Name]>>);
+pub struct Context {
+    path: Option<Arc<[Name]>>,
+    recorder: Option<Weak<Recorder>>,
+}
 
 impl Context {
-    /// The running thread's own open path: a scheduler span opened with
-    /// it leaves the path as it finds it.
-    pub const HERE: Context = Context(None);
+    /// The running thread's own open path and recorder: a scheduler span
+    /// opened with it leaves both as it finds them.
+    pub const HERE: Context = Context {
+        path: None,
+        recorder: None,
+    };
 }
 
-/// Captures the calling thread's open span path, for a scheduler span
-/// on the thread that runs the published work.
+/// Captures the calling thread's open span path and recorder, for a
+/// scheduler span on the thread that runs the published work.
 pub fn context() -> Context {
-    with_state(|s| Context(Some(s.names(s.top()).into())))
+    local(|recorder, r| {
+        let s = lock(&r.state);
+        Context {
+            path: Some(s.names(s.top()).into()),
+            recorder: Some(Arc::downgrade(recorder)),
+        }
+    })
 }
 
 /// A live span; see [`span!`](crate::span!).
@@ -305,10 +306,12 @@ enum Open {
         kind: &'static str,
         flops: u64,
     },
-    /// A stack frame; `fold` names the tree node a scope span folds into.
+    /// A stack frame; `fold` names the tree node a scope span folds into,
+    /// `_entered` restores the recorder a scheduler span switched from.
     Frame {
         fold: Option<usize>,
         ring: bool,
+        _entered: Entered,
     },
 }
 
@@ -333,20 +336,29 @@ impl Span {
 
     /// A scope span nested under the calling thread's open spans.
     pub fn scope(name: impl Into<Name>) -> Span {
-        Span::frame(name.into(), true, |s, name| s.child(s.top(), name))
+        Span::frame(name.into(), true, Entered::HERE, |s, n| s.child(s.top(), n))
     }
 
-    /// A scheduler span running work published under `parent`.
+    /// A scheduler span running work published under `parent`, in
+    /// `parent`'s recorder.
     pub fn scheduler(name: &'static str, parent: &Context) -> Span {
-        Span::frame(Name::Static(name), false, |s, _| match &parent.0 {
-            Some(names) => names.iter().fold(0, |node, n| s.child(node, n)),
-            None => s.top(),
+        let entered = Entered::weak(parent.recorder.as_ref());
+        Span::frame(Name::Static(name), false, entered, |s, _| {
+            match &parent.path {
+                Some(names) => names.iter().fold(0, |node, n| s.child(node, n)),
+                None => s.top(),
+            }
         })
     }
 
     /// Pushes a frame on the node `node_of` picks; a folding frame (a
     /// scope span) is always timed, a scheduler span only for the ring.
-    fn frame(name: Name, fold: bool, node_of: impl FnOnce(&mut State, &Name) -> usize) -> Span {
+    fn frame(
+        name: Name,
+        fold: bool,
+        entered: Entered,
+        node_of: impl FnOnce(&mut State, &Name) -> usize,
+    ) -> Span {
         let node = with_state(|s| {
             let node = node_of(s, &name);
             s.stack.push(Frame { name, node });
@@ -354,7 +366,12 @@ impl Span {
         });
         let ring = crate::trace::enabled();
         let fold = fold.then_some(node);
-        Span::new(Open::Frame { fold, ring }, fold.is_some() || ring)
+        let open = Open::Frame {
+            fold,
+            ring,
+            _entered: entered,
+        };
+        Span::new(open, fold.is_some() || ring)
     }
 }
 
@@ -367,7 +384,7 @@ impl Drop for Span {
                 let ns = crate::anchor_ns().saturating_sub(start);
                 with_state(|s| s.ops.entry(kind).or_default().fold(ns, flops));
             }
-            Open::Frame { fold, ring } => {
+            Open::Frame { fold, ring, .. } => {
                 let dur_ns = if fold.is_some() || ring {
                     crate::anchor_ns().saturating_sub(start)
                 } else {
@@ -494,17 +511,6 @@ pub fn open_spans() -> Vec<OpenSpans> {
     out
 }
 
-/// Zeroes every path and op aggregate; open spans stay open.
-pub(crate) fn reset() {
-    for record in records() {
-        let mut s = lock(&record.state);
-        for node in &mut s.nodes {
-            node.stats = Stats::default();
-        }
-        s.ops.clear();
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -518,11 +524,11 @@ pub(crate) mod tests {
             .map(|(_, s)| s)
     }
 
-    // The records are process-global; each test uses its own root names
-    // so parallel test threads cannot collide.
+    // Each test records into a recorder of its own.
 
     #[test]
     fn nesting_produces_dotted_paths() {
+        let _run = Recorder::new().enter();
         {
             let _a = crate::span!("t_outer");
             {
@@ -540,6 +546,7 @@ pub(crate) mod tests {
 
     #[test]
     fn timing_is_monotone_and_consistent() {
+        let _run = Recorder::new().enter();
         {
             let _g = crate::span!("t_sleepy");
             std::thread::sleep(Duration::from_millis(5));
@@ -557,6 +564,7 @@ pub(crate) mod tests {
 
     #[test]
     fn outer_span_covers_inner() {
+        let _run = Recorder::new().enter();
         {
             let _a = crate::span!("t_cover");
             let _b = crate::span!("t_part");
@@ -571,13 +579,9 @@ pub(crate) mod tests {
         ops().into_iter().find(|(k, _)| *k == kind).map(|(_, s)| s)
     }
 
-    // The two op-span tests flip the process-global op-detail switch;
-    // both hold the test lock.
-
     #[test]
     fn disabled_op_span_records_nothing() {
-        let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
-        set_op_detail(false);
+        let _run = Recorder::new().enter();
         let mut evaluated = false;
         {
             let _t = crate::span!(
@@ -594,17 +598,18 @@ pub(crate) mod tests {
 
     #[test]
     fn enabled_op_spans_accumulate_count_and_flops() {
-        let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
+        let recorder = Recorder::new();
+        let _run = recorder.enter();
         set_op_detail(true);
         {
             let _t = crate::span!("t_op", flops = 10);
         }
-        std::thread::spawn(|| {
+        std::thread::spawn(move || {
+            let _run = recorder.enter();
             let _t = crate::span!("t_op", flops = 15);
         })
         .join()
         .unwrap();
-        set_op_detail(false);
         let stats = find_op("t_op").expect("op recorded");
         assert_eq!(stats.count, 2, "op kinds merge across threads");
         assert_eq!(stats.flops, 25);
@@ -613,6 +618,7 @@ pub(crate) mod tests {
 
     #[test]
     fn scheduler_spans_nest_work_under_the_publishers_path() {
+        let _run = Recorder::new().enter();
         let ctx = {
             let _a = crate::span!("t_pub");
             let _b = crate::span!("t_stage");

@@ -8,21 +8,19 @@
 //! ([`dropped`]). Span aggregates fold outside the ring, so a drop
 //! loses timeline detail, never counts. Op spans never enter the ring.
 //!
-//! The ring is gated behind one relaxed atomic load: with recording
-//! off, [`instant`]/[`counter`] return after a single `AtomicBool`
-//! check. Timestamps are nanosecond offsets from the process
+//! Recording is a switch of the current [`crate::Recorder`]. While no
+//! recorder has it on, [`instant`]/[`counter`] return after one relaxed
+//! load. Timestamps are nanosecond offsets from the process
 //! [`crate::anchor_ns`] `Instant` anchor, so timelines are monotone
 //! regardless of wall-clock steps; wall time appears only as the trace
 //! epoch anchor in the exported file (see [`crate::export`]).
 
 use crate::lock;
+use crate::recorder::{Recorder, Switch, TRACE_ON};
 use crate::span::{records, with_state};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-thread ring capacity (events).
 pub const CAPACITY: usize = 16_384;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Event name: `&'static str` for the common case (no allocation on
 /// the hot path), owned for dynamic labels such as bench cell names.
@@ -84,19 +82,20 @@ pub struct Event {
     pub kind: Kind,
 }
 
-/// Turns ring recording on or off. Off is the default.
+/// Turns the current recorder's ring recording on or off. Off is the
+/// default.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    Recorder::current().trace.set(on);
 }
 
-/// Whether ring recording is on.
+/// Whether the current recorder's ring recording is on.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    Switch::current(&TRACE_ON, |r| &r.trace)
 }
 
-/// Events dropped (oldest first) across all threads since the last
-/// [`reset`].
+/// Events the current recorder dropped (oldest first) across all
+/// threads since the last [`reset`].
 pub fn dropped() -> u64 {
     records().iter().map(|r| lock(&r.state).dropped).sum()
 }
@@ -130,15 +129,15 @@ pub fn counter(name: &'static str, value: f64) {
 pub struct ThreadTrace {
     /// Stable per-process thread id (1-based registration order).
     pub tid: u64,
-    /// Timeline name (thread name or [`crate::span::register_thread`]
-    /// override).
+    /// Timeline name: the OS thread name, or "thread".
     pub name: String,
     /// Events in record order.
     pub events: Vec<Event>,
 }
 
-/// Drains every thread's ring (leaving it empty but registered) and
-/// returns the events grouped per thread, ordered by tid.
+/// Drains every thread's ring in the current recorder (leaving it empty
+/// but registered) and returns the events grouped per thread, ordered
+/// by tid.
 pub fn drain() -> Vec<ThreadTrace> {
     let mut out: Vec<ThreadTrace> = records()
         .iter()
@@ -155,8 +154,9 @@ pub fn drain() -> Vec<ThreadTrace> {
     out
 }
 
-/// Clears every ring and its drop count. The enabled flag, the span
-/// aggregates and registered threads are left alone.
+/// Clears every ring of the current recorder and its drop count. The
+/// enabled flag, the span aggregates and registered threads are left
+/// alone.
 pub fn reset() {
     for r in records() {
         let mut s = lock(&r.state);
@@ -168,16 +168,15 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{open_spans, register_thread};
+    use crate::span::open_spans;
 
-    /// The ring switch is process-global; run every scenario under one
-    /// test function so enabling/disabling can't race between tests.
+    /// Every scenario in one recorder, one after the other.
     #[test]
     fn t_trace_recorder_end_to_end() {
-        let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
+        let recorder = Recorder::new();
+        let _run = recorder.enter();
+        let main = std::thread::current().name().unwrap().to_string();
         // Disabled: nothing is recorded, nothing is dropped.
-        reset();
-        set_enabled(false);
         instant("t_trace.off");
         counter("t_trace.off_counter", 1.0);
         drop(crate::span!("t_trace.off_span"));
@@ -187,7 +186,6 @@ mod tests {
         // Enabled: spans, instants and counters land on this thread's
         // timeline in record order with monotone timestamps.
         set_enabled(true);
-        register_thread("t_trace_main");
         {
             let _g = crate::span!("t_trace.outer");
             instant("t_trace.marker");
@@ -196,7 +194,7 @@ mod tests {
         let traces = drain();
         let mine = traces
             .iter()
-            .find(|t| t.name == "t_trace_main")
+            .find(|t| t.name == main)
             .expect("calling thread registered");
         assert_eq!(mine.events.len(), 3);
         // Drop order: instant, counter, then the enclosing span.
@@ -219,8 +217,8 @@ mod tests {
         // Worker threads get their own timelines with their own names.
         let handle = std::thread::Builder::new()
             .name("t-trace-worker".into())
-            .spawn(|| {
-                register_thread("t_trace_worker");
+            .spawn(move || {
+                let _run = recorder.enter();
                 instant("t_trace.from_worker");
             })
             .unwrap();
@@ -228,7 +226,7 @@ mod tests {
         let traces = drain();
         let worker = traces
             .iter()
-            .find(|t| t.name == "t_trace_worker")
+            .find(|t| t.name == "t-trace-worker")
             .expect("worker thread registered");
         assert_eq!(worker.events.len(), 1);
         assert_eq!(worker.events[0].name.as_str(), "t_trace.from_worker");
@@ -242,7 +240,7 @@ mod tests {
         instant("t_trace.newest");
         assert_eq!(dropped(), 13, "CAPACITY + 13 pushes into CAPACITY slots");
         let traces = drain();
-        let mine = traces.iter().find(|t| t.name == "t_trace_main").unwrap();
+        let mine = traces.iter().find(|t| t.name == main).unwrap();
         assert_eq!(
             mine.events.len(),
             CAPACITY,
@@ -263,7 +261,7 @@ mod tests {
             let dump = open_spans();
             let mine = dump
                 .iter()
-                .find(|t| t.thread == "t_trace_main")
+                .find(|t| t.thread == main)
                 .expect("open stack visible for this thread");
             assert_eq!(
                 mine.spans,
@@ -275,7 +273,7 @@ mod tests {
             );
         }
         assert!(
-            !open_spans().iter().any(|t| t.thread == "t_trace_main"),
+            !open_spans().iter().any(|t| t.thread == main),
             "guards pop the open stack on drop"
         );
         let tracked_events: usize = drain().iter().map(|t| t.events.len()).sum();
@@ -283,6 +281,5 @@ mod tests {
             tracked_events, 0,
             "an open stack alone records no ring events"
         );
-        reset();
     }
 }

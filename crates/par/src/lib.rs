@@ -99,7 +99,11 @@
 //! path open where it was published (`cf_obs::span::context`), and its
 //! chunks run under it: a span opened inside a task nests under the
 //! publisher's path whichever thread runs it, so span paths do not
-//! depend on the thread count.
+//! depend on the thread count. The context also carries the publisher's
+//! `cf_obs::Recorder`: chunks and tasks write their spans, counters and
+//! progress into the publisher's recorder, whichever worker runs them.
+//! Each job and scope fetches its counter handles from that recorder
+//! once. The pool itself, and so its size, is process-wide.
 //!
 //! Every chunk/task completion additionally bumps the executing
 //! thread's `cf_obs::heartbeat` progress epoch and busy time —
@@ -142,8 +146,9 @@ struct ForJob {
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     busy_ns: AtomicU64,
-    /// The publisher's open span path; chunks run under it.
+    /// The publisher's open span path and recorder; chunks run under it.
     ctx: cf_obs::span::Context,
+    metrics: ParMetrics,
 }
 
 // SAFETY: `func` points at a `Sync` closure and is only dereferenced while
@@ -171,8 +176,11 @@ impl ForJob {
             }
             let started = Instant::now();
             let nested_before = CHUNK_NS.with(|c| c.get());
+            // The span closes before `done` counts the chunk: the
+            // publisher's recorder is released before the publisher
+            // can return.
+            let chunk_span = cf_obs::span!("par.chunk", parent = &self.ctx);
             if !self.panicked.load(Ordering::SeqCst) {
-                let _chunk_span = cf_obs::span!("par.chunk", parent = &self.ctx);
                 // SAFETY: i < total, so the publisher is still blocked in
                 // `Pool::run` keeping the closure alive.
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.func)(i) }))
@@ -198,6 +206,7 @@ impl ForJob {
             // attributed here, not to the publisher.
             cf_obs::heartbeat::add_busy_ns(own_ns);
             cf_obs::heartbeat::bump_progress();
+            drop(chunk_span);
             if self.done.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
                 shared.signal();
             }
@@ -209,6 +218,7 @@ impl ForJob {
 struct ScopeState {
     pending: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    metrics: ParMetrics,
 }
 
 /// A spawned closure whose `'scope` lifetime has been erased. Soundness:
@@ -217,13 +227,23 @@ struct ScopeState {
 struct OnceTask {
     f: Box<dyn FnOnce() + Send>,
     scope: Arc<ScopeState>,
-    /// The spawner's open span path; the task runs under it.
+    /// The spawner's open span path and recorder; the task runs under it.
     ctx: cf_obs::span::Context,
 }
 
 enum Task {
     For(Arc<ForJob>),
     Once(OnceTask),
+}
+
+impl Task {
+    /// The counters of the job or scope this task belongs to.
+    fn metrics(&self) -> &ParMetrics {
+        match self {
+            Task::For(job) => &job.metrics,
+            Task::Once(task) => &task.scope.metrics,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -316,11 +336,11 @@ impl Shared {
                     .push_back(task);
             }
             None => {
+                task.metrics().overflow.add(1);
                 self.injector
                     .lock()
                     .expect("cf-par injector poisoned")
                     .push_back(task);
-                metrics().overflow.add(1);
             }
         }
         self.signal();
@@ -361,7 +381,7 @@ impl Shared {
                     .expect("cf-par deque poisoned")
                     .pop_front()
                 {
-                    metrics().steals.add(1);
+                    t.metrics().steals.add(1);
                     return Some((t, true));
                 }
             }
@@ -378,7 +398,8 @@ impl Shared {
         match task {
             Task::For(job) => job.work(self),
             Task::Once(OnceTask { f, scope, ctx }) => {
-                let _task_span = cf_obs::span!("par.task", parent = &ctx);
+                // Closes before `pending` counts the task; see `ForJob::work`.
+                let task_span = cf_obs::span!("par.task", parent = &ctx);
                 let started = Instant::now();
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                     let mut slot = scope.panic.lock().expect("cf-par scope panic poisoned");
@@ -388,6 +409,7 @@ impl Shared {
                 }
                 cf_obs::heartbeat::add_busy_ns(started.elapsed().as_nanos() as u64);
                 cf_obs::heartbeat::bump_progress();
+                drop(task_span);
                 if scope.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                     self.signal();
                 }
@@ -509,9 +531,8 @@ impl Pool {
         }
         let _job_span = cf_obs::span!("par.job", parent = &cf_obs::span::Context::HERE);
         if self.size == 1 || chunks == 1 {
-            let m = metrics();
-            m.jobs_inline.add(1);
-            m.tasks.add(chunks as u64);
+            cf_obs::metrics::counter("par.jobs_inline").inc();
+            cf_obs::metrics::counter("par.tasks").add(chunks as u64);
             // Inline chunks still count as scheduler progress — a
             // 1-thread run must not read as stalled — but busy time is
             // attributed once per job to keep this path lean.
@@ -538,6 +559,7 @@ impl Pool {
             panic_payload: Mutex::new(None),
             busy_ns: AtomicU64::new(0),
             ctx: cf_obs::span::context(),
+            metrics: ParMetrics::fetch(),
         });
         let started = Instant::now();
         // One runner task per thread that could usefully join in; the
@@ -557,7 +579,7 @@ impl Pool {
 
         let wall_ns = started.elapsed().as_nanos() as u64;
         let busy_ns = job.busy_ns.load(Ordering::Relaxed);
-        let m = metrics();
+        let m = &job.metrics;
         m.jobs.add(1);
         m.tasks.add(chunks as u64);
         m.busy_ns.add(busy_ns);
@@ -611,7 +633,7 @@ impl<'scope> Scope<'scope> {
         F: FnOnce() + Send + 'scope,
     {
         self.state.pending.fetch_add(1, Ordering::SeqCst);
-        metrics().spawns.add(1);
+        self.state.metrics.spawns.add(1);
         let f: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
         // SAFETY: lifetime erasure. `scope` does not return or unwind
         // until `pending == 0`, i.e. until this task has run to
@@ -638,6 +660,7 @@ where
     let state = Arc::new(ScopeState {
         pending: AtomicUsize::new(0),
         panic: Mutex::new(None),
+        metrics: ParMetrics::fetch(),
     });
     let s = Scope {
         shared: Arc::clone(&pool.shared),
@@ -757,9 +780,9 @@ pub fn threads() -> usize {
     current().size()
 }
 
+/// The `par.*` counters of one job or scope, in its publisher's recorder.
 struct ParMetrics {
     jobs: cf_obs::metrics::Counter,
-    jobs_inline: cf_obs::metrics::Counter,
     tasks: cf_obs::metrics::Counter,
     spawns: cf_obs::metrics::Counter,
     steals: cf_obs::metrics::Counter,
@@ -768,20 +791,19 @@ struct ParMetrics {
     idle_ns: cf_obs::metrics::Counter,
 }
 
-/// Counter handles are fetched per call (not cached) so that
-/// `cf_obs::metrics::reset()` — which replaces the registry — keeps
-/// working; the registry lookup is one short mutex acquisition per
-/// *dispatch/steal*, far off the per-chunk hot path.
-fn metrics() -> ParMetrics {
-    ParMetrics {
-        jobs: cf_obs::metrics::counter("par.jobs"),
-        jobs_inline: cf_obs::metrics::counter("par.jobs_inline"),
-        tasks: cf_obs::metrics::counter("par.tasks"),
-        spawns: cf_obs::metrics::counter("par.spawns"),
-        steals: cf_obs::metrics::counter("par.steals"),
-        overflow: cf_obs::metrics::counter("par.overflow"),
-        busy_ns: cf_obs::metrics::counter("par.busy_ns"),
-        idle_ns: cf_obs::metrics::counter("par.idle_ns"),
+impl ParMetrics {
+    /// The handles of the calling thread's recorder.
+    fn fetch() -> ParMetrics {
+        let counter = cf_obs::metrics::counter;
+        ParMetrics {
+            jobs: counter("par.jobs"),
+            tasks: counter("par.tasks"),
+            spawns: counter("par.spawns"),
+            steals: counter("par.steals"),
+            overflow: counter("par.overflow"),
+            busy_ns: counter("par.busy_ns"),
+            idle_ns: counter("par.idle_ns"),
+        }
     }
 }
 

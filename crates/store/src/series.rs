@@ -331,13 +331,15 @@ impl SeriesStore {
             .codec
             .decode(encoded)
             .map_err(|e| StoreError::corrupt(&target, format!("codec decode failed: {e}")))?;
-        if raw.len() != raw_len || raw_len != rows * cols * 8 {
+        // Checked: a hostile header's geometry can overflow `usize`.
+        let need = rows.checked_mul(cols).and_then(|n| n.checked_mul(8));
+        if raw.len() != raw_len || need != Some(raw_len) {
+            let need = need.map_or("more than usize::MAX".into(), |n| n.to_string());
             return Err(StoreError::corrupt(
                 &target,
                 format!(
-                    "decoded {} bytes, header claims {raw_len}, geometry needs {}",
-                    raw.len(),
-                    rows * cols * 8
+                    "decoded {} bytes, header claims {raw_len}, geometry needs {need}",
+                    raw.len()
                 ),
             ));
         }
@@ -356,7 +358,13 @@ impl SeriesStore {
             });
         }
         let width = t1 - t0;
-        let mut data = vec![0.0f64; m.n_series * width];
+        let samples = m
+            .n_series
+            .checked_mul(width)
+            .ok_or_else(|| StoreError::Invalid {
+                detail: format!("{} series × {width} steps overflows usize", m.n_series),
+            })?;
+        let mut data = vec![0.0f64; samples];
         for ti in t0 / m.chunk_len..=(t1 - 1) / m.chunk_len {
             let block_t0 = ti * m.chunk_len;
             let cols = m.cols_of(ti);

@@ -1223,6 +1223,7 @@ mod tests {
 
     #[test]
     fn profiling_captures_forward_and_backward_ops() {
+        let _run = cf_obs::Recorder::new().enter();
         cf_obs::span::set_op_detail(true);
         {
             let mut tape = Tape::new();
@@ -1233,7 +1234,6 @@ mod tests {
             let loss = tape.sum_all(th);
             let _ = tape.backward(loss);
         }
-        cf_obs::span::set_op_detail(false);
         let snap = cf_obs::span::ops();
         let stats = |kind: &str| {
             snap.iter()

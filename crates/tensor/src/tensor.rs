@@ -201,7 +201,9 @@ impl<E: Scalar> TensorBase<E> {
         if shape.is_empty() || shape.contains(&0) {
             return Err(TensorError::EmptyShape);
         }
-        let expected: usize = shape.iter().product();
+        // Saturating: a shape whose element count overflows `usize` (a
+        // hostile file header) can match no buffer.
+        let expected = shape.iter().fold(1usize, |n, &d| n.saturating_mul(d));
         if expected != data.len() {
             return Err(TensorError::ShapeDataMismatch {
                 shape,

@@ -118,26 +118,32 @@ cargo run -q -p cf-cli --bin causalformer -- \
   > "$smoke_dir/analyze-compare.md"
 grep -q "scaling attribution" "$smoke_dir/analyze-compare.md"
 
-# Perf-gate self-test: CI gates perfbench results against a runner-cached
-# baseline with scripts/perf_gate.py. On synthetic result lines it must
-# pass identical results and fail a 1.2x slower discover_s and a run
-# with a failed operation.
+# Perf-gate self-test: CI gates the medians of three perfbench runs per
+# workload against three runner-cached baseline runs with
+# scripts/perf_gate.py. On synthetic result lines it must pass identical
+# results and one outlier run 1.3x slower, and fail when all three runs
+# are 1.2x slower or a run has a failed operation.
 echo "== perf gate self-test (scripts/perf_gate.py)"
 gate="$smoke_dir/perf-gate"
 result() {
   printf '{"correct": true, "attempted": 3, "failed": %s, "metrics": {"discover_s": {"value": %s, "unit": "s"}, "f1": {"value": 0.5, "unit": "ratio"}}}\n' "$1" "$2"
 }
-for case in base same slow failed; do
+for case in base same outlier slow failed; do
   mkdir -p "$gate/$case"
   for w in l96_train l96_detect store_stream; do
-    result 0 1.0 > "$gate/$case/$w.json"
+    for k in 1 2 3; do
+      result 0 1.0 > "$gate/$case/$w.$k.json"
+    done
   done
 done
-result 0 1.2 > "$gate/slow/l96_detect.json"
-result 1 1.0 > "$gate/failed/store_stream.json"
-for case in same slow failed; do
+result 0 1.3 > "$gate/outlier/l96_detect.2.json"
+for k in 1 2 3; do
+  result 0 1.2 > "$gate/slow/l96_detect.$k.json"
+done
+result 1 1.0 > "$gate/failed/store_stream.3.json"
+for case in same outlier slow failed; do
   python3 scripts/perf_gate.py "$gate/base" "$gate/$case" > "$gate/$case.md" && code=0 || code=$?
-  want=1; [ "$case" = same ] && want=0
+  want=1; case "$case" in same|outlier) want=0 ;; esac
   [ "$code" -eq "$want" ] \
     || { echo "perf_gate.py on '$case' exited $code, expected $want"; cat "$gate/$case.md"; exit 1; }
 done
