@@ -22,6 +22,8 @@
 //! ```
 
 pub mod analyze;
+#[cfg(test)]
+mod jsonl_damage;
 pub mod monitor;
 pub mod report;
 
@@ -65,7 +67,7 @@ causalformer — temporal causal discovery (CausalFormer, ICDE 2025)
 usage:
   causalformer discover (--input FILE.csv | --store DIR) [--preset NAME]
                         [--window T] [--epochs E] [--seed S] [--threads N]
-                        [--dtype D] [--max-windows N] [--read-ahead N]
+                        [--dtype D] [--max-windows N]
                         [--dot FILE] [--save FILE] [--metrics-out FILE.jsonl]
                         [--trace-out FILE.json] [--diag-out FILE.cfdiag]
                         [--heartbeat-out FILE.jsonl]
@@ -86,12 +88,12 @@ usage:
 discover options:
   --store DIR          read the series from a chunked cf-store directory
                        (written by generate --store-out) instead of a CSV;
-                       windows stream chunk-by-chunk, so peak memory is set
-                       by --max-windows, not the series length
+                       one scan reads each chunk once and keeps only the
+                       windows, so peak memory is set by --max-windows,
+                       not the series length
   --max-windows N      window budget for --store (default 4096); when the
                        natural window count exceeds it, the stride widens
                        deterministically to N evenly spaced windows
-  --read-ahead N       chunk read-ahead for --store streaming (default 2)
   --preset NAME        synthetic-dense | synthetic-sparse | lorenz | fmri | sst
                        (default: fmri — the most general setting)
   --window T           observation window override
@@ -194,8 +196,6 @@ pub struct DiscoverArgs {
     pub store: Option<String>,
     /// Window budget for store streaming (`StreamOptions::max_windows`).
     pub max_windows: Option<usize>,
-    /// Chunk read-ahead for store streaming (`StreamOptions::read_ahead`).
-    pub read_ahead: Option<usize>,
     /// Preset name.
     pub preset: String,
     /// Window override.
@@ -238,7 +238,6 @@ impl Default for DiscoverArgs {
             input: String::new(),
             store: None,
             max_windows: None,
-            read_ahead: None,
             preset: "fmri".into(),
             window: None,
             epochs: None,
@@ -334,7 +333,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--input" => a.input = f.value(flag)?,
                     "--store" => a.store = Some(f.value(flag)?),
                     "--max-windows" => a.max_windows = Some(f.count(flag)?),
-                    "--read-ahead" => a.read_ahead = Some(f.num(flag)?),
                     "--preset" => a.preset = f.value(flag)?,
                     "--window" => a.window = Some(f.num(flag)?),
                     "--epochs" => a.epochs = Some(f.num(flag)?),
@@ -359,8 +357,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if !a.input.is_empty() && a.store.is_some() {
                 return usage("--input and --store are mutually exclusive");
             }
-            if a.store.is_none() && (a.max_windows.is_some() || a.read_ahead.is_some()) {
-                return usage("--max-windows / --read-ahead require --store");
+            if a.store.is_none() && a.max_windows.is_some() {
+                return usage("--max-windows requires --store");
             }
             if a.checkpoint_dir.is_none() && (a.resume || a.checkpoint_every.is_some()) {
                 return usage("--resume / --checkpoint-every require --checkpoint-dir");
@@ -638,7 +636,7 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     let defaults = StreamOptions::default();
     let stream = StreamOptions {
         max_windows: a.max_windows.unwrap_or(defaults.max_windows),
-        read_ahead: a.read_ahead.unwrap_or(defaults.read_ahead),
+        ..defaults
     };
     let store = match &a.store {
         Some(dir) => Some(
@@ -1050,7 +1048,6 @@ mod tests {
             input: csv_path.to_string_lossy().into_owned(),
             store: None,
             max_windows: None,
-            read_ahead: None,
             preset: "synthetic-sparse".into(),
             window: Some(8),
             epochs: Some(3),
@@ -1325,8 +1322,6 @@ mod tests {
             "data.cfstore",
             "--max-windows",
             "128",
-            "--read-ahead",
-            "3",
         ]))
         .unwrap();
         match cmd {
@@ -1334,12 +1329,16 @@ mod tests {
                 assert!(a.input.is_empty());
                 assert_eq!(a.store.as_deref(), Some("data.cfstore"));
                 assert_eq!(a.max_windows, Some(128));
-                assert_eq!(a.read_ahead, Some(3));
             }
             other => panic!("wrong command {other:?}"),
         }
-        // --input and --store are mutually exclusive; streaming knobs
-        // require --store.
+        // --read-ahead is gone: the store scan reads each chunk once.
+        assert!(matches!(
+            parse(&s(&["discover", "--store", "d", "--read-ahead", "3"])),
+            Err(CliError::Usage(_))
+        ));
+        // --input and --store are mutually exclusive; the window budget
+        // requires --store.
         assert!(matches!(
             parse(&s(&["discover", "--input", "x.csv", "--store", "d"])),
             Err(CliError::Usage(_))
@@ -1403,7 +1402,6 @@ mod tests {
             input: String::new(),
             store: None,
             max_windows: None,
-            read_ahead: None,
             preset: "synthetic-sparse".into(),
             window: Some(8),
             epochs: Some(3),
@@ -1495,7 +1493,6 @@ mod tests {
             input: csv_path.to_string_lossy().into_owned(),
             store: None,
             max_windows: None,
-            read_ahead: None,
             preset: "fmri".into(),
             window: Some(100),
             epochs: Some(1),
@@ -1576,7 +1573,6 @@ mod tests {
             input: csv_path.to_string_lossy().into_owned(),
             store: None,
             max_windows: None,
-            read_ahead: None,
             preset: "synthetic-sparse".into(),
             window: Some(8),
             epochs: Some(3),

@@ -373,6 +373,7 @@ pub fn run_monitor(a: &MonitorArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl_damage::{self, Damage};
 
     fn fixture() -> String {
         [
@@ -411,6 +412,30 @@ mod tests {
         assert!(frame.contains("detect.window"), "{frame}");
         assert!(frame.contains("3/9"), "{frame}");
         assert!(!frame.contains("STALLED"), "{frame}");
+    }
+
+    const HEARTBEAT_LINES: [&str; 5] = [
+        r#"{"event":"meta","schema_version":"2.2","kind":"heartbeat","period_ms":250,"watchdog":"warn"}"#,
+        r#"{"event":"progress","unit":"train.epoch","done":1,"total":4}"#,
+        r#"{"event":"heartbeat","ts":100.25,"seq":0,"rss_bytes":10485760,"hwm_bytes":20971520,"pool_hit":30,"pool_miss":10,"stalled":true,"stall_secs":6.0,"threads":[{"name":"cf-par-0","busy_ns":100000000}],"progress":[{"unit":"train.epoch","done":1,"total":4,"eta_secs":0.75}],"open_spans":[{"thread":"main","spans":["discover","train"]}]}"#,
+        r#"{"event":"run_end","samples":2}"#,
+        r#"{"event":"watchdog_fatal"}"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A damaged heartbeat stream skips the lines it cannot read and
+        /// renders; every intact sample is kept.
+        #[test]
+        fn damaged_heartbeat_streams_skip_lines_and_render(
+            picks in jsonl_damage::stream(HEARTBEAT_LINES.len()),
+        ) {
+            let st = parse_heartbeat(&jsonl_damage::build(&HEARTBEAT_LINES, &picks));
+            let intact = picks.iter().filter(|(t, d)| *t == 2 && matches!(d, Damage::Keep));
+            proptest::prop_assert!(st.rss_history.len() >= intact.count());
+            render(&st, "hb.jsonl");
+        }
     }
 
     #[test]

@@ -169,7 +169,12 @@ fn matrix(v: &Value, key: &str) -> Option<Vec<Vec<f64>>> {
 }
 
 fn load_metrics(path: &str) -> Result<Metrics, CliError> {
-    let text = read(path)?;
+    parse_metrics(path, &read(path)?)
+}
+
+/// Parses a metrics JSONL stream; `path` only names it in errors. A line
+/// that is not JSON is an error; fields of the wrong type are skipped.
+fn parse_metrics(path: &str, text: &str) -> Result<Metrics, CliError> {
     let mut m = Metrics {
         schema_version: "1.0".into(),
         epochs: Vec::new(),
@@ -272,7 +277,12 @@ fn load_metrics(path: &str) -> Result<Metrics, CliError> {
 }
 
 fn load_diag(path: &str) -> Result<Diag, CliError> {
-    let text = read(path)?;
+    parse_diag(path, &read(path)?)
+}
+
+/// Parses a cfdiag JSONL stream, with the error rules of
+/// [`parse_metrics`].
+fn parse_diag(path: &str, text: &str) -> Result<Diag, CliError> {
     let mut d = Diag {
         epochs: Vec::new(),
         detect_attn: None,
@@ -1276,6 +1286,7 @@ th { color: var(--text-muted); font-weight: 500; }
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl_damage::{self, Damage};
 
     #[test]
     fn fmt_num_is_compact() {
@@ -1463,6 +1474,46 @@ mod tests {
         };
         assert!(format!("{err:?}").contains("schema_version 3.0"), "{err:?}");
         std::fs::remove_file(&path).ok();
+    }
+
+    const METRICS_LINES: [&str; 5] = [
+        r#"{"event":"meta","schema_version":"2.2"}"#,
+        r#"{"event":"epoch","epoch":1,"train_loss":0.5,"val_loss":0.6,"pool_hit":3,"pool_miss":1}"#,
+        r#"{"event":"discovery","input":"x.csv","preset":"fmri","n_series":3,"edges":2,"wall_secs":1.5}"#,
+        r#"{"event":"span_summary","spans":[{"span":"discover","count":1,"p50_secs":0.1,"p95_secs":0.2,"p99_secs":0.3}]}"#,
+        r#"{"event":"metrics_summary","metrics":{"counters":{"par.jobs":12},"gauges":{"par.threads":4.0}}}"#,
+    ];
+
+    const DIAG_LINES: [&str; 3] = [
+        r#"{"record":"header","format":"cfdiag","n_series":2}"#,
+        r#"{"record":"epoch","epoch":1,"train_loss":0.5,"val_loss":0.6,"causal_proxy":[[0.1,0.2],[0.3,0.4]]}"#,
+        r#"{"record":"detect","attn":[[0.5,0.1],[0.2,0.7]]}"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Damaged metrics and cfdiag streams parse to an `Err` or to
+        /// data the dashboard renders; neither step panics. Intact
+        /// streams always parse.
+        #[test]
+        fn damaged_jsonl_streams_are_errors_or_render(
+            metrics in jsonl_damage::stream(METRICS_LINES.len()),
+            diag in jsonl_damage::stream(DIAG_LINES.len()),
+        ) {
+            let intact = |picks: &[(usize, Damage)]| {
+                picks.iter().all(|(_, d)| matches!(d, Damage::Keep))
+            };
+            let m = parse_metrics("m.jsonl", &jsonl_damage::build(&METRICS_LINES, &metrics));
+            let d = parse_diag("d.cfdiag", &jsonl_damage::build(&DIAG_LINES, &diag));
+            proptest::prop_assert!(m.is_ok() || !intact(&metrics));
+            proptest::prop_assert!(d.is_ok() || !intact(&diag));
+            if let Ok(m) = &m {
+                let epochs = metrics.iter().filter(|(t, d)| *t == 1 && matches!(d, Damage::Keep));
+                proptest::prop_assert!(m.epochs.len() >= epochs.count());
+            }
+            render_html(m.ok().as_ref(), d.ok().as_ref(), None, None);
+        }
     }
 
     #[test]

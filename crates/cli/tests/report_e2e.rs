@@ -44,7 +44,6 @@ fn discover_artifacts_render_into_report() {
         input: csv.to_string_lossy().into_owned(),
         store: None,
         max_windows: None,
-        read_ahead: None,
         preset: "synthetic-sparse".into(),
         window: Some(8),
         epochs: Some(3),
@@ -69,7 +68,6 @@ fn discover_artifacts_render_into_report() {
         input: csv.to_string_lossy().into_owned(),
         store: None,
         max_windows: None,
-        read_ahead: None,
         preset: "synthetic-sparse".into(),
         window: Some(8),
         epochs: Some(3),

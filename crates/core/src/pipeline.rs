@@ -116,11 +116,11 @@ impl CausalFormer {
 
     /// Out-of-core discovery: streams training windows from a chunked
     /// [`SeriesStore`] instead of materialising the `N×L` matrix. Peak
-    /// memory is set by [`StreamOptions::max_windows`] (and the bounded
-    /// chunk read-ahead), not by the series length — a 10M-step store
-    /// trains under a couple hundred MB.
+    /// memory is set by [`StreamOptions::max_windows`] (and one decoded
+    /// chunk), not by the series length — a 10M-step store trains under a
+    /// couple hundred MB. Each chunk is read once.
     ///
-    /// Standardisation statistics stream over the chunks in the same
+    /// Standardisation statistics fold over the chunks in the same
     /// addition order as the in-RAM path, so when the window budget is not
     /// exceeded (`stream.max_windows` ≥ the natural window count at
     /// [`TrainConfig::stride`]) the result is **bitwise identical** to
@@ -364,8 +364,10 @@ pub struct StreamOptions {
     /// spaced windows) so peak memory stays `max_windows · n · window`
     /// elements regardless of the series length.
     pub max_windows: usize,
-    /// Chunk blocks of raw-data read-ahead held by the streaming scan
-    /// (see `cf_store::WindowScan`); at least 1.
+    /// Has no effect. It bounded the raw-data carry of an earlier
+    /// streaming scan; the one-read scan keeps no carry (see
+    /// `cf_store::SeriesStore::standardized_windows`). Kept so existing
+    /// callers still build.
     pub read_ahead: usize,
 }
 

@@ -11,12 +11,13 @@ use causalformer::{
     StreamError, StreamOptions, TrainConfig, Windows,
 };
 use cf_data::synthetic;
-use cf_store::{FsStorage, SeriesStore, SeriesWriter};
+use cf_store::{FsStorage, MemStorage, SeriesStore, SeriesWriter, Storage, StoreError};
 use cf_tensor::{Dtype, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn fork_series(seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -167,6 +168,105 @@ fn window_budget_widens_stride_deterministically() {
     assert_eq!(attn_bits(&a), attn_bits(&b));
     assert_eq!(loss_bits(&a), loss_bits(&b));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A budgeted discovery trains on the windows at the widened stride: it
+/// must be bitwise the in-RAM discovery whose `train.stride` is that
+/// stride. 240 steps under a budget of 5 widen stride 4 to 58, which
+/// skips whole 32-step chunks between windows.
+fn budgeted_store_discovery_matches_in_ram_at_effective_stride(dtype: Dtype, seed: u64) {
+    let series = fork_series(seed);
+    let mut cf = pipeline(2, dtype);
+    let opts = StreamOptions {
+        max_windows: 5,
+        read_ahead: 2,
+    };
+    let stride = effective_stride(240, cf.model.window, cf.train.stride, opts.max_windows);
+    assert_eq!(stride, 58);
+
+    let dir = tmp_dir(&format!("budget_vs_ram_{dtype:?}"));
+    let store = write_store(&dir, &series);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let streamed = cf.discover_store(&mut rng, &store, &opts).unwrap();
+
+    cf.train.stride = stride;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let in_ram = cf.discover(&mut rng, &series);
+
+    assert_eq!(in_ram.graph, streamed.graph, "graphs diverged");
+    assert_eq!(attn_bits(&in_ram), attn_bits(&streamed));
+    assert_eq!(kernel_bits(&in_ram), kernel_bits(&streamed));
+    assert_eq!(loss_bits(&in_ram), loss_bits(&streamed));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn budgeted_store_discovery_is_in_ram_at_effective_stride_f64() {
+    budgeted_store_discovery_matches_in_ram_at_effective_stride(Dtype::F64, 29);
+}
+
+#[test]
+fn budgeted_store_discovery_is_in_ram_at_effective_stride_f32() {
+    budgeted_store_discovery_matches_in_ram_at_effective_stride(Dtype::F32, 31);
+}
+
+/// An in-memory [`Storage`] that counts the reads of every key.
+#[derive(Default)]
+struct CountingStorage {
+    inner: MemStorage,
+    gets: Mutex<BTreeMap<String, usize>>,
+}
+
+impl Storage for CountingStorage {
+    fn put(&self, key: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.put(key, bytes)
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>, StoreError> {
+        *self.gets.lock().unwrap().entry(key.into()).or_default() += 1;
+        self.inner.get(key)
+    }
+
+    fn exists(&self, key: &str) -> bool {
+        self.inner.exists(key)
+    }
+
+    fn list(&self) -> Result<Vec<String>, StoreError> {
+        self.inner.list()
+    }
+
+    fn delete(&self, key: &str) -> Result<(), StoreError> {
+        self.inner.delete(key)
+    }
+
+    fn target(&self, key: &str) -> String {
+        self.inner.target(key)
+    }
+}
+
+#[test]
+fn store_discovery_reads_each_chunk_once() {
+    let series = fork_series(6);
+    let (n, l) = (series.shape()[0], series.shape()[1]);
+    let storage = Arc::new(CountingStorage::default());
+    let mut w = SeriesWriter::new(storage.clone(), n, 2, 32, "delta-varint").unwrap();
+    for t in 0..l {
+        let sample: Vec<f64> = (0..n).map(|i| series.get2(i, t)).collect();
+        w.append(&sample).unwrap();
+    }
+    w.finish().unwrap();
+    let store = SeriesStore::open(storage.clone()).unwrap();
+    storage.gets.lock().unwrap().clear();
+
+    let cf = pipeline(1, Dtype::F64);
+    let mut rng = StdRng::seed_from_u64(37);
+    cf.discover_store(&mut rng, &store, &StreamOptions::default())
+        .unwrap();
+    let gets = storage.gets.lock().unwrap();
+    let chunks = storage.inner.list().unwrap().len() - 1; // less the manifest
+    assert_eq!(chunks, 2 * 8, "2 variable blocks × 8 time blocks");
+    assert_eq!(gets.len(), chunks, "every chunk is read: {gets:?}");
+    assert!(gets.values().all(|&c| c == 1), "{gets:?}");
 }
 
 #[test]

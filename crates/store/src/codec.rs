@@ -21,6 +21,13 @@
 //! The named pipelines are `"raw"` (no stages), `"delta"` (`DeltaXor`),
 //! and `"delta-varint"` (`DeltaXor` then `Varint`). The pipeline name is
 //! recorded in the store manifest, so readers never guess.
+//!
+//! The chunk store runs each pipeline in one pass over its samples:
+//! [`Pipeline::encode_f64s`] writes the encoded words straight behind a
+//! chunk header and [`Pipeline::decode_f64s`] folds every stage into the
+//! loop that yields the `f64`s. They produce exactly the bytes and
+//! values of the staged [`Pipeline::encode`] / [`Pipeline::decode`],
+//! with the same errors.
 
 use crate::StoreError;
 
@@ -176,6 +183,88 @@ impl Pipeline {
             cur = Some(stage.decode(input)?);
         }
         Ok(cur.unwrap_or_else(|| bytes.to_vec()))
+    }
+
+    fn has(&self, codec: Codec) -> bool {
+        self.stages.contains(&codec)
+    }
+
+    /// Encodes the little-endian words of `rows`, read as one sample
+    /// stream, in a single pass, appending to `out`. The bytes are those
+    /// [`Pipeline::encode`] makes of the concatenated rows.
+    pub fn encode_f64s<'a>(&self, rows: impl IntoIterator<Item = &'a [f64]>, out: &mut Vec<u8>) {
+        let (delta, varint) = (self.has(Codec::DeltaXor), self.has(Codec::Varint));
+        let mut prev = 0u64;
+        for row in rows {
+            if !varint {
+                out.reserve(row.len() * 8);
+            }
+            for v in row {
+                let bits = v.to_bits();
+                let mut w = if delta { bits ^ prev } else { bits };
+                prev = bits;
+                if !varint {
+                    out.extend_from_slice(&w.to_le_bytes());
+                    continue;
+                }
+                while w >= 0x80 {
+                    out.push((w & 0x7F) as u8 | 0x80);
+                    w >>= 7;
+                }
+                out.push(w as u8);
+            }
+        }
+    }
+
+    /// Decodes `bytes` into `out` (cleared first) in a single pass,
+    /// yielding the samples whose little-endian words
+    /// [`Pipeline::decode`] returns, with its errors. A decoded length
+    /// that is not a multiple of 8 (possible only for `"raw"`) is an
+    /// error, since it holds no whole number of samples.
+    ///
+    /// `expected` is the sample count the caller's header claims. It only
+    /// sizes `out`, and never past what `bytes` can encode, so a hostile
+    /// header cannot force a large allocation.
+    pub fn decode_f64s(
+        &self,
+        bytes: &[u8],
+        expected: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), StoreError> {
+        out.clear();
+        let (delta, varint) = (self.has(Codec::DeltaXor), self.has(Codec::Varint));
+        // A varint word takes at least one byte, a fixed word eight.
+        let most = if varint { bytes.len() } else { bytes.len() / 8 };
+        out.reserve(expected.min(most));
+        let mut prev = 0u64;
+        if !varint {
+            for w in as_words(bytes)? {
+                prev = if delta { w ^ prev } else { w };
+                out.push(f64::from_bits(prev));
+            }
+            return Ok(());
+        }
+        let mut iter = bytes.iter();
+        while let Some(&first) = iter.next() {
+            let mut w = u64::from(first & 0x7F);
+            let mut byte = first;
+            let mut shift = 7u32;
+            while byte & 0x80 != 0 {
+                byte = *iter.next().ok_or_else(|| StoreError::Invalid {
+                    detail: "varint stream ends mid-word".into(),
+                })?;
+                if shift >= 64 {
+                    return Err(StoreError::Invalid {
+                        detail: "varint word overflows u64".into(),
+                    });
+                }
+                w |= u64::from(byte & 0x7F) << shift;
+                shift += 7;
+            }
+            prev = if delta { w ^ prev } else { w };
+            out.push(f64::from_bits(prev));
+        }
+        Ok(())
     }
 }
 

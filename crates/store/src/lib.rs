@@ -8,10 +8,10 @@
 //!   a CRC-32 header and an optional delta/varint compression pipeline
 //!   ([`codec`]). Chunks live behind the [`storage::Storage`] trait, with
 //!   filesystem ([`storage::FsStorage`]) and in-memory
-//!   ([`storage::MemStorage`]) backends. [`series::WindowScan`] streams
-//!   standardized training windows chunk-by-chunk under a bounded
-//!   read-ahead buffer, so discovery memory is set by the window budget,
-//!   not the series length.
+//!   ([`storage::MemStorage`]) backends.
+//!   [`series::SeriesStore::standardized_windows`] reads each chunk once
+//!   and keeps only the requested windows, so discovery memory is set by
+//!   the window budget, not the series length.
 //! * [`tensors`] — the `CFTENS1` envelope, a safetensors-style binary
 //!   format for named tensors: a JSON header mapping
 //!   `name → {dtype, shape, offset}` followed by a raw little-endian
@@ -117,10 +117,11 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) slicing-by-8 tables, built
+/// at compile time. `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -133,19 +134,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the per-chunk integrity check. Like the
 /// checkpoint envelope's FNV-1a this guards against torn writes and bit
-/// rot, not adversaries.
+/// rot, not adversaries. Folds eight bytes per step (slicing-by-8); the
+/// values are those of the bytewise CRC-32/ISO-HDLC.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -163,6 +189,30 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise CRC the slicing-by-8 fold must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every length (so every remainder after the 8-byte steps) and
+        /// every start offset (so every alignment of the slice).
+        #[test]
+        fn crc32_slicing_matches_bytewise(
+            bytes in proptest::collection::vec(0u8..=255, 0..200),
+            offset in 0usize..16,
+        ) {
+            let slice = &bytes[offset.min(bytes.len())..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     #[test]

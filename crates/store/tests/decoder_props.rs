@@ -229,3 +229,51 @@ fn store_range_with_overflowing_geometry_is_an_error() {
     let err = SeriesStore::open(storage).unwrap().read_all().unwrap_err();
     assert!(err.to_string().contains("overflows"), "{err}");
 }
+
+/// The staged read path as a chunk read takes it: `Pipeline::decode`,
+/// then whole little-endian words. `None` when either step fails (a
+/// length that is not a multiple of 8 holds no whole sample).
+fn staged_words(p: &Pipeline, bytes: &[u8]) -> Option<Vec<u64>> {
+    let raw = p.decode(bytes).ok()?;
+    raw.len().is_multiple_of(8).then(|| {
+        raw.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass codec paths are the staged pipeline: encoding any
+    /// words (split into rows anywhere) gives the staged bytes, and
+    /// decoding encoded, damaged or random bytes gives the staged words
+    /// or fails exactly where the staged path fails.
+    #[test]
+    fn fused_codec_paths_match_the_staged_pipeline(
+        words in proptest::collection::vec(0u64..=u64::MAX, 0..24),
+        split in 0usize..24,
+        codec in 0usize..CODECS.len(),
+        damage in mutation(),
+        noise in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        let p = Pipeline::by_name(CODECS[codec]).unwrap();
+        let raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let values: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+        let (a, b) = values.split_at(split.min(values.len()));
+        let mut fused = b"header".to_vec();
+        p.encode_f64s([a, b], &mut fused);
+        let encoded = p.encode(&raw).unwrap();
+        prop_assert_eq!(&fused[6..], &encoded[..]);
+        let damaged = damage.apply(&encoded).unwrap_or_default();
+        for bytes in [&encoded[..], &damaged[..], &noise[..]] {
+            for expected in [words.len(), usize::MAX] {
+                let mut out = vec![1.0]; // the decoder clears it
+                let got = p
+                    .decode_f64s(bytes, expected, &mut out)
+                    .map(|()| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                prop_assert_eq!(got.ok(), staged_words(&p, bytes));
+            }
+        }
+    }
+}
