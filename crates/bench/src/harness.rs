@@ -78,13 +78,10 @@ pub fn parse_options(args: impl Iterator<Item = String>) -> Options {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage_abort("--threads requires a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_abort("--threads must be a positive integer"));
-                if n == 0 {
-                    usage_abort("--threads must be ≥ 1");
-                }
-                options.threads = Some(n);
+                options.threads = Some(
+                    cf_par::parse_threads(&v)
+                        .unwrap_or_else(|e| usage_abort(&format!("--threads: {e}"))),
+                );
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -110,8 +107,8 @@ usage: <experiment> [--quick] [--seeds K] [--json PATH] [--metrics]
   --json PATH  dump machine-readable results
   --metrics    also write wall times + op profile to <PATH>.metrics.json
                (metrics.json without --json)
-  --threads N  worker threads (default: CF_THREADS env, else all cores;
-               results are identical at any thread count)
+  --threads N  worker threads, 1 to 1024 (default: CF_THREADS env, else
+               all cores; results are identical at any thread count)
   --dtype D    CausalFormer compute precision: f64 (default, bitwise-
                reproducible) or f32 (~2× faster; baselines stay f64)";
 

@@ -99,8 +99,9 @@ discover options:
   --window T           observation window override
   --epochs E           training epoch override
   --seed S             RNG seed (default 0)
-  --threads N          worker threads (default: CF_THREADS env, else all
-                       cores; results are identical at any thread count)
+  --threads N          worker threads, 1 to 1024 (default: CF_THREADS env,
+                       else all cores; results are identical at any
+                       thread count)
   --dtype D            compute precision: f64 (default; bitwise-
                        reproducible) or f32 (faster training — speedup
                        grows with model width — with f64-accumulated
@@ -337,7 +338,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--window" => a.window = Some(f.num(flag)?),
                     "--epochs" => a.epochs = Some(f.num(flag)?),
                     "--seed" => a.seed = f.num(flag)?,
-                    "--threads" => a.threads = Some(f.count(flag)?),
+                    "--threads" => {
+                        a.threads = Some(
+                            cf_par::parse_threads(&f.value(flag)?)
+                                .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?,
+                        )
+                    }
                     "--dtype" => a.dtype = f.value(flag)?.parse().map_err(CliError::Usage)?,
                     "--dot" => a.dot = Some(f.value(flag)?),
                     "--save" => a.save = Some(f.value(flag)?),
@@ -990,6 +996,21 @@ mod tests {
         match parse(&s(&["discover", "--input", "x.csv", "--dtype", "f16"])) {
             Err(CliError::Usage(m)) => assert!(m.contains("unknown dtype"), "{m}"),
             other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn threads_flag_is_bounded() {
+        let threads = |n: &str| parse(&s(&["discover", "--input", "x.csv", "--threads", n]));
+        match threads(&cf_par::MAX_THREADS.to_string()).unwrap() {
+            Command::Discover(a) => assert_eq!(a.threads, Some(cf_par::MAX_THREADS)),
+            other => panic!("wrong command {other:?}"),
+        }
+        for bad in ["0", "1025", "x"] {
+            match threads(bad) {
+                Err(CliError::Usage(m)) => assert!(m.contains("--threads"), "{m}"),
+                other => panic!("--threads {bad}: expected a usage error, got {other:?}"),
+            }
         }
     }
 

@@ -250,7 +250,7 @@ fn parse_metrics(path: &str, text: &str) -> Result<Metrics, CliError> {
                 }
             }
             Some("metrics_summary") => {
-                // Work-stealing scheduler telemetry: every `par.*`
+                // cf-par scheduler telemetry: every `par.*`
                 // counter and gauge from the snapshot. The summary is
                 // emitted once at the end of a run; if several appear
                 // (concatenated files), the last one wins.
@@ -1158,13 +1158,13 @@ fn render_html(
     }
     html.push_str("</section>");
 
-    // Panel 8: work-stealing scheduler counters (metrics summary).
-    html.push_str(r#"<section id="panel-scheduler"><h2>Scheduler</h2><p class="caption">Work-stealing pool telemetry for the whole run: parallel vs inline dispatches, chunk tasks, scope spawns, steals, injector overflow, and summed busy/idle time.</p>"#);
+    // Panel 8: cf-par scheduler counters (metrics summary).
+    html.push_str(r#"<section id="panel-scheduler"><h2>Scheduler</h2><p class="caption">Parallel-for pool telemetry for the whole run: parallel vs inline dispatches, chunks executed, and summed busy/idle time.</p>"#);
     match metrics.map(|m| m.scheduler.as_slice()) {
         Some(rows) if !rows.is_empty() => html.push_str(&scheduler_table(rows)),
         _ => html.push_str(&note(
             "no scheduler counters in metrics (needs a --metrics-out file \
-             from a build with the cf-par task scheduler)",
+             from a build with the cf-par scheduler)",
         )),
     }
     html.push_str("</section>");
@@ -1354,7 +1354,7 @@ mod tests {
             concat!(
                 "{\"event\":\"meta\",\"schema_version\":\"2.1\"}\n",
                 "{\"event\":\"metrics_summary\",\"ts\":1.0,\"metrics\":{",
-                "\"counters\":{\"par.jobs\":12,\"par.steals\":3,",
+                "\"counters\":{\"par.jobs\":12,\"par.tasks\":3,",
                 "\"par.busy_ns\":2500000000,\"mem.pool.hit\":99},",
                 "\"gauges\":{\"par.threads\":4.0},\"histograms\":{}}}\n"
             ),
@@ -1365,7 +1365,7 @@ mod tests {
         assert_eq!(m.scheduler.len(), 4, "{:?}", m.scheduler);
         assert!(m.scheduler.iter().all(|(n, _)| n.starts_with("par.")));
         let html = render_html(Some(&m), None, None, None);
-        assert!(html.contains("par.steals"), "{html}");
+        assert!(html.contains("par.tasks"), "{html}");
         // Nanosecond counters render as durations: 2.5e9 ns = 2.50 s.
         assert!(html.contains("2.50"), "{html}");
         std::fs::remove_file(&path).ok();

@@ -292,14 +292,14 @@ pub fn aggregate_scores<E: Scalar>(
     // Each sampled window is an independent, rng-free scoring pass — the
     // coarse grain the scheduler wants, and the only fan-out of detection:
     // within a window, one gradient pass and one relevance pass serve every
-    // target. Fan the windows out as tasks, then accumulate sequentially in
+    // target. Fan the windows out as chunks, then accumulate sequentially in
     // sample order: the same left fold the old serial loop performed, so
     // the sum stays bitwise identical.
     let per_window: Vec<CausalScores> = cf_par::par_map(k, |s| {
         let idx = (s as f64 * step) as usize;
         let scores = window_scores(model, store, &windows[idx.min(windows.len() - 1)], cfg.mode);
         // Parallel progress: each completed window ticks the heartbeat
-        // unit. Tick order varies with stealing; the scores don't.
+        // unit. Tick order varies with scheduling; the scores don't.
         cf_obs::heartbeat::progress_inc("detect.window", k as u64);
         scores
     });

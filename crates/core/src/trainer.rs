@@ -433,17 +433,18 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
             // reduction shape depends only on the batch size).
             let n_params = store.len();
             // The sparsity penalty depends only on the parameters, not
-            // the windows, so it overlaps the data-parallel batch as a
-            // stealable task via `join`: both sides are rng-free, read
-            // the store immutably, and record on their own pooled tapes,
-            // so every tensor is bitwise identical to the old sequential
-            // order — only the wall-clock overlap changes.
-            let (per_window, (penalty_val, mut pvec)) = cf_par::join(
-                || {
-                    cf_par::par_map(batch.len(), |bi| {
-                        let w = &train_set[batch[bi]];
-                        with_pooled_tape(|tape| {
-                            let bound = store.bind(tape);
+            // the windows, so it runs as one more slot of the batch's
+            // `par_map` (slot `batch.len()`) and is popped off before the
+            // reduction: it is rng-free, reads the store immutably and
+            // records on its own pooled tape, so every tensor is bitwise
+            // identical to the sequential order — only the wall-clock
+            // overlap changes.
+            let mut per_window = cf_par::par_map(batch.len() + 1, |bi| {
+                with_pooled_tape(|tape| {
+                    let bound = store.bind(tape);
+                    let (value, mut grads) = match batch.get(bi) {
+                        Some(&wi) => {
+                            let w = &train_set[wi];
                             let trace = model.forward(tape, &bound, w);
                             let loss = model.prediction_loss(tape, &trace, w);
                             let loss_val = tape.value(loss).item();
@@ -452,26 +453,20 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                             // f32, keeping backward-kernel products out of
                             // the subnormal range). Unscaled below via
                             // `inv`.
-                            let mut grads =
-                                tape.backward_with_seed(loss, TensorBase::scalar(E::GRAD_SCALE));
-                            let mut gvec: Vec<Option<TensorBase<E>>> = vec![None; n_params];
-                            bound.take_gradients(&mut grads, |id, g| gvec[id.index()] = Some(g));
-                            (loss_val, gvec)
-                        })
-                    })
-                },
-                || {
-                    with_pooled_tape(|ptape| {
-                        let pbound = store.bind(ptape);
-                        let penalty = model.sparsity_penalty(ptape, &pbound);
-                        let penalty_val = ptape.value(penalty).item();
-                        let mut pgrads = ptape.backward(penalty);
-                        let mut pvec: Vec<Option<TensorBase<E>>> = vec![None; n_params];
-                        pbound.take_gradients(&mut pgrads, |id, g| pvec[id.index()] = Some(g));
-                        (penalty_val, pvec)
-                    })
-                },
-            );
+                            let seed = TensorBase::scalar(E::GRAD_SCALE);
+                            (loss_val, tape.backward_with_seed(loss, seed))
+                        }
+                        None => {
+                            let penalty = model.sparsity_penalty(tape, &bound);
+                            (tape.value(penalty).item(), tape.backward(penalty))
+                        }
+                    };
+                    let mut gvec: Vec<Option<TensorBase<E>>> = vec![None; n_params];
+                    bound.take_gradients(&mut grads, |id, g| gvec[id.index()] = Some(g));
+                    (value, gvec)
+                })
+            });
+            let (penalty_val, mut pvec) = per_window.pop().expect("penalty slot");
             let batch_len = per_window.len();
             let (loss_sum, mut grad_sum) = cf_par::tree_reduce(per_window, |mut a, b| {
                 a.0 += b.0;

@@ -120,9 +120,9 @@ fn per_thread_sums() -> (u64, u64, u64) {
 #[test]
 fn pool_is_invisible_to_numerics_and_allocation_free_in_steady_state() {
     // --- 1 + 2: pooled vs unpooled bitwise equivalence, per thread count.
-    // The multi-thread runs drive the full steal path: coarse per-window
-    // training and detector tasks migrate between workers (and back to the main
-    // thread while it help-waits), so every pool grab below may execute on
+    // The multi-thread runs drive the full queued path: coarse per-window
+    // training and detector chunks run on whichever thread claims them (the
+    // main thread included, while it help-waits), so every pool grab below may execute on
     // a thread other than the one that queued the work — exactly the
     // attribution the per-thread counter invariant at the end pins down.
     for threads in [1usize, 2, 4] {
@@ -198,10 +198,10 @@ fn pool_is_invisible_to_numerics_and_allocation_free_in_steady_state() {
         );
     }
 
-    // --- 4: per-thread counter attribution under work stealing. All the
+    // --- 4: per-thread counter attribution across threads. All the
     // runs above are complete (the scheduler is quiescent), so the
     // per-thread records — bumped by whichever thread *executed* each
-    // grab, including stolen tasks — must sum exactly to the global
+    // grab, whichever thread claimed the chunk — must sum exactly to the global
     // totals: every event counted once, none double-counted when a buffer
     // migrated between threads.
     let totals = pool::stats();

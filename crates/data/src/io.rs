@@ -26,6 +26,16 @@ pub enum CsvError {
         /// Offending cell text.
         text: String,
     },
+    /// A cell parsed as `NaN` or an infinity: no series can carry one
+    /// through training.
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based column number.
+        column: usize,
+        /// Offending cell text.
+        text: String,
+    },
     /// A row has a different number of cells than the first row.
     RaggedRow {
         /// 1-based line number.
@@ -47,6 +57,12 @@ impl fmt::Display for CsvError {
                 write!(
                     f,
                     "line {line}, column {column}: cannot parse {text:?} as a number"
+                )
+            }
+            CsvError::NonFinite { line, column, text } => {
+                write!(
+                    f,
+                    "line {line}, column {column}: {text:?} is not a finite number"
                 )
             }
             CsvError::RaggedRow {
@@ -90,8 +106,9 @@ impl SeriesCsv {
     }
 }
 
-/// Reads a column-per-series CSV from any reader. A first row that fails
-/// numeric parsing entirely is treated as a header.
+/// Reads a column-per-series CSV from any reader. A first row with a cell
+/// that fails numeric parsing is treated as a header. A `NaN` or infinite
+/// cell is an error.
 pub fn read_series_csv<R: Read>(reader: R) -> Result<SeriesCsv, CsvError> {
     let buf = BufReader::new(reader);
     let mut rows: Vec<Vec<f64>> = Vec::new();
@@ -124,7 +141,16 @@ pub fn read_series_csv<R: Read>(reader: R) -> Result<SeriesCsv, CsvError> {
             .map(|(c, s)| s.parse::<f64>().map_err(|_| c))
             .collect();
         match parsed {
-            Ok(values) => rows.push(values),
+            Ok(values) => {
+                if let Some(col) = values.iter().position(|v| !v.is_finite()) {
+                    return Err(CsvError::NonFinite {
+                        line: line_no,
+                        column: col + 1,
+                        text: cells[col].to_string(),
+                    });
+                }
+                rows.push(values)
+            }
             Err(col) => {
                 // A non-numeric row is only legal as the very first line
                 // (header).
@@ -218,6 +244,29 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_cells() {
+        for (csv, line, column, text) in [
+            ("a,b\n1,2\n3,NaN\n", 3, 2, "NaN"),
+            ("1,inf\n", 1, 2, "inf"),
+            ("1,2\n-infinity,4\n", 2, 1, "-infinity"),
+        ] {
+            match read_series_csv(csv.as_bytes()).unwrap_err() {
+                CsvError::NonFinite {
+                    line: l,
+                    column: c,
+                    text: t,
+                } => assert_eq!((l, c, t.as_str()), (line, column, text), "{csv:?}"),
+                other => panic!("{csv:?}: wrong error: {other}"),
+            }
+        }
+        let err = read_series_csv("1,2\n3,nan\n".as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2, column 2: \"nan\" is not a finite number"
+        );
     }
 
     #[test]

@@ -475,7 +475,6 @@ fn sample(
         .f64("pool_bytes_outstanding", g("mem.pool.bytes_outstanding"))
         .f64("par_threads", g("par.threads"))
         .u64("par_tasks", m("par.tasks"))
-        .u64("par_steals", m("par.steals"))
         .u64("par_busy_ns", m("par.busy_ns"))
         .u64("par_idle_ns", m("par.idle_ns"))
         .u64("progress_epoch", epoch)

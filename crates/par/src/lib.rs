@@ -1,14 +1,10 @@
-//! `cf-par`: a zero-dependency work-stealing task scheduler for the
-//! CausalFormer stack.
+//! `cf-par`: a zero-dependency parallel-for pool for the CausalFormer
+//! stack.
 //!
 //! The build environment has no network registry, so this crate supplies
 //! the small slice of rayon the workloads actually need, built on
 //! `std::thread` only:
 //!
-//! * [`scope`] / [`Scope::spawn`] — structured task parallelism: spawn
-//!   heterogeneous tasks that may themselves spawn or run nested
-//!   parallel loops, with panics propagated to the scope owner,
-//! * [`join`] — run two closures in parallel, returning both results,
 //! * [`par_for`] — chunked parallel iteration over an index range,
 //! * [`par_chunks_mut`] — parallel iteration over disjoint mutable
 //!   sub-slices (row-blocked kernels),
@@ -21,24 +17,22 @@
 //!
 //! # Scheduler shape
 //!
-//! Each spawned worker owns a deque of tasks protected by a mutex. The
-//! owner pushes and pops at the *back* (LIFO — newest, cache-hot,
-//! finest-grained work first), while thieves steal from the *front*
-//! (FIFO — oldest, coarsest work first, the classic Cilk property that
-//! keeps steal counts logarithmic in the task-tree depth). Threads with
-//! no deque of their own — the main thread publishing a job, or CLI
-//! callers — push to a shared injector queue instead. A thread looking
-//! for work scans: own deque (back) → injector (front) → other deques
-//! (front, starting from a random victim).
+//! There is one kind of job: a parallel-for of `chunks` calls whose
+//! indices any participating thread claims from the job's atomic cursor.
+//! Publishing a job pushes one runner handle per thread that could
+//! usefully join in onto the pool's single mutex-guarded queue, then the
+//! publisher claims chunks itself. Every thread pops the queue
+//! newest-first, so a job published inside a chunk (nested fan-out) is
+//! worked before the older, coarser jobs beneath it. A handle popped
+//! after its job's chunks are all claimed is a cheap no-op.
 //!
-//! Blocking is cooperative: a thread waiting for a scope or parallel-for
-//! to finish *helps* — it executes queued tasks instead of parking — so
-//! nested parallelism cannot deadlock and a pool of size 1 still runs
-//! every spawned task on the calling thread. Idle workers park on a
-//! condvar guarded by a global activity epoch; every task push and every
-//! job/scope completion bumps the epoch, which makes lost wakeups
-//! impossible (the sleeper re-checks the epoch under the lock before
-//! waiting).
+//! Blocking is cooperative: a publisher whose chunks are all claimed
+//! *helps* — runs chunks of other queued jobs — until its own last chunk
+//! finishes, so a chunk that publishes its own job cannot deadlock and a
+//! pool of size 1 runs every chunk inline. Idle threads park on a condvar
+//! guarded by an activity epoch; every push and every job completion
+//! bumps the epoch, which makes lost wakeups impossible (the sleeper
+//! re-checks the epoch under the lock before waiting).
 //!
 //! # Determinism contract
 //!
@@ -46,10 +40,9 @@
 //!
 //! * Work is split into chunks whose boundaries depend only on the problem
 //!   size and the caller-supplied grain — not on the number of threads.
-//!   Which *worker* executes a chunk (or steals a task) is
-//!   scheduling-dependent, but each chunk is a pure function of its inputs
-//!   writing a disjoint output region, so results are bitwise identical
-//!   regardless of assignment.
+//!   Which thread executes a chunk is scheduling-dependent, but each chunk
+//!   is a pure function of its inputs writing a disjoint output region, so
+//!   results are bitwise identical regardless of assignment.
 //! * Cross-chunk combination must go through [`tree_reduce`] (or another
 //!   fixed-order fold); its floating-point association is a function of
 //!   the chunk count alone.
@@ -65,79 +58,76 @@
 //!
 //! Kernel call sites gate their parallel dispatch on
 //! [`should_fan_out`]`(work, threshold)`: below the threshold the loop
-//! stays serial on the executing worker. When the caller is already
-//! inside a scheduler task (`in_task()`), the threshold is multiplied by
-//! [`NESTED_FANOUT_FACTOR`] — coarse tasks (per-window detector passes,
-//! per-target baseline training, bench cells) have already claimed the
-//! workers, so only genuinely large nested kernels are worth splitting
-//! into stealable subtasks.
+//! stays serial on the executing thread. When the caller is already
+//! inside a chunk (`in_task()`), the threshold is multiplied by
+//! [`NESTED_FANOUT_FACTOR`] — coarse chunks (per-window detector passes,
+//! per-window training steps, bench cells) have already claimed the
+//! threads, so only genuinely large nested kernels are worth splitting
+//! further.
 //!
 //! # Pool lifecycle
 //!
 //! A process-global pool is created lazily on first use, sized by the
 //! `CF_THREADS` environment variable (falling back to
 //! `std::thread::available_parallelism`). [`set_threads`] replaces the
-//! pool (used by `--threads` CLI flags and the equivalence tests).
-//! Workers are long-lived and park between tasks; a pool of size 1
-//! spawns no threads at all.
+//! pool (used by `--threads` CLI flags and the equivalence tests). No
+//! pool exceeds [`MAX_THREADS`]. Workers are long-lived and park between
+//! jobs; a pool of size 1 spawns no threads at all.
 //!
 //! # Observability
 //!
 //! Each dispatch updates `cf-obs` counters: `par.jobs` / `par.jobs_inline`
 //! (parallel vs inline dispatches), `par.tasks` (chunks executed),
-//! `par.spawns` (scope tasks spawned), `par.steals` (tasks taken from
-//! another worker's deque), `par.overflow` (tasks routed through the
-//! shared injector), `par.busy_ns` (summed chunk execution time, each
-//! nanosecond once: a chunk excludes nested chunks its thread ran while
-//! it waited), and
+//! `par.busy_ns` (summed chunk execution time, each nanosecond once: a
+//! chunk excludes nested chunks its thread ran while it waited), and
 //! `par.idle_ns` (pool-size × job wall-clock minus busy time). The
 //! `par.threads` gauge records the pool size. Scheduler spans: `par.job`
-//! (a parallel-for dispatch), `par.chunk` (one chunk), `par.task` (one
-//! spawned task), and `par.steal` (wrapping execution of a stolen task),
-//! so `analyze --compare` can attribute residual serial fraction to
-//! scheduling rather than kernels. Each job and task carries the span
-//! path open where it was published (`cf_obs::span::context`), and its
-//! chunks run under it: a span opened inside a task nests under the
-//! publisher's path whichever thread runs it, so span paths do not
-//! depend on the thread count. The context also carries the publisher's
-//! `cf_obs::Recorder`: chunks and tasks write their spans, counters and
-//! progress into the publisher's recorder, whichever worker runs them.
-//! Each job and scope fetches its counter handles from that recorder
+//! (one dispatch) and `par.chunk` (one chunk), so `analyze --compare` can
+//! attribute residual serial fraction to scheduling rather than kernels.
+//! Each job carries the span path open where it was published
+//! (`cf_obs::span::context`), and its chunks run under it: a span opened
+//! inside a chunk nests under the publisher's path whichever thread runs
+//! it, so span paths do not depend on the thread count. The context also
+//! carries the publisher's `cf_obs::Recorder`: chunks write their spans,
+//! counters and progress into the publisher's recorder, whichever thread
+//! runs them. Each job fetches its counter handles from that recorder
 //! once. The pool itself, and so its size, is process-wide.
 //!
-//! Every chunk/task completion additionally bumps the executing
-//! thread's `cf_obs::heartbeat` progress epoch and busy time —
-//! the live signal the stall watchdog and the `monitor` per-thread
-//! busy view are built on. A run whose epoch stops advancing for the
-//! watchdog window is flagged stalled.
+//! Every chunk completion additionally bumps the executing thread's
+//! `cf_obs::heartbeat` progress epoch and busy time — the live signal the
+//! stall watchdog and the `monitor` per-thread busy view are built on. A
+//! run whose epoch stops advancing for the watchdog window is flagged
+//! stalled.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Multiplier applied to a kernel's FLOP threshold when the caller is
-/// already running inside a scheduler task: nested fan-out has to beat
-/// the coarse-grained parallelism that is already in flight, so it needs
+/// already running inside a chunk: nested fan-out has to beat the
+/// coarse-grained parallelism that is already in flight, so it needs
 /// proportionally more work to pay for its dispatch.
 pub const NESTED_FANOUT_FACTOR: u64 = 4;
 
+/// The largest pool size: `--threads` and `CF_THREADS` values above it
+/// are refused, and [`Pool::new`] clamps to it.
+pub const MAX_THREADS: usize = 1024;
+
 // ---------------------------------------------------------------------
-// Tasks
+// Jobs
 // ---------------------------------------------------------------------
 
 /// One parallel-for dispatch shared between the publisher and every
-/// thread that picks up a runner task for it.
+/// thread that pops a runner handle for it.
 ///
 /// Type-erased chunk closure: the pointer borrows from the publishing
 /// stack frame; soundness rests on [`Pool::run`] not returning until
 /// every chunk has finished executing (`done == total`), after which no
-/// thread dereferences `func` again — a stale runner task popped later
-/// finds the claim cursor exhausted and touches only atomics.
+/// thread dereferences `func` again — a stale handle popped later finds
+/// the claim cursor exhausted and touches only atomics.
 struct ForJob {
     func: *const (dyn Fn(usize) + Sync),
     total: usize,
@@ -166,6 +156,7 @@ impl ForJob {
     /// a chunk panics, remaining claims are drained without executing so
     /// waiters unblock quickly; the first payload is kept for rethrow.
     fn work(&self, shared: &Shared) {
+        let prev = IN_TASK.with(|c| c.replace(true));
         loop {
             if self.next.load(Ordering::Relaxed) >= self.total {
                 break;
@@ -211,38 +202,7 @@ impl ForJob {
                 shared.signal();
             }
         }
-    }
-}
-
-/// Book-keeping shared by a [`scope`] and the tasks it spawned.
-struct ScopeState {
-    pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    metrics: ParMetrics,
-}
-
-/// A spawned closure whose `'scope` lifetime has been erased. Soundness:
-/// [`scope`] does not return (or unwind) until `pending == 0`, so every
-/// borrow captured by `f` outlives its execution.
-struct OnceTask {
-    f: Box<dyn FnOnce() + Send>,
-    scope: Arc<ScopeState>,
-    /// The spawner's open span path and recorder; the task runs under it.
-    ctx: cf_obs::span::Context,
-}
-
-enum Task {
-    For(Arc<ForJob>),
-    Once(OnceTask),
-}
-
-impl Task {
-    /// The counters of the job or scope this task belongs to.
-    fn metrics(&self) -> &ParMetrics {
-        match self {
-            Task::For(job) => &job.metrics,
-            Task::Once(task) => &task.scope.metrics,
-        }
+        IN_TASK.with(|c| c.set(prev));
     }
 }
 
@@ -250,21 +210,15 @@ impl Task {
 // Shared scheduler state
 // ---------------------------------------------------------------------
 
-struct SchedState {
-    shutdown: bool,
-}
-
 struct Shared {
-    /// One deque per spawned worker (`size - 1` of them). Owners push and
-    /// pop at the back; thieves steal from the front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Overflow queue for tasks pushed by threads without a deque.
-    injector: Mutex<VecDeque<Task>>,
-    sched: Mutex<SchedState>,
+    /// Runner handles of published jobs; every thread pops the newest.
+    queue: Mutex<Vec<Arc<ForJob>>>,
+    /// Set when the pool drops; also the lock the condvar waits under.
+    shutdown: Mutex<bool>,
     cv: Condvar,
-    /// Activity epoch: bumped on every push and every job/scope
-    /// completion. Sleepers re-check it under `sched` before waiting, so
-    /// a signal between "scan found nothing" and "wait" is never lost.
+    /// Activity epoch: bumped on every push and every job completion.
+    /// Sleepers re-check it under `shutdown` before waiting, so a signal
+    /// between "queue was empty" and "wait" is never lost.
     epoch: AtomicU64,
     /// Number of threads inside the condvar wait loop; lets `signal`
     /// skip the lock when nobody is parked.
@@ -272,46 +226,17 @@ struct Shared {
 }
 
 std::thread_local! {
-    /// `(shared-identity, deque-index)` for pool workers; `None` on every
-    /// other thread. The identity pins the worker to its own pool so a
-    /// private test pool's worker never pushes into the global pool.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-    /// True while this thread is executing a scheduler task or chunk.
+    /// True while this thread is executing a chunk.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
-    /// Per-thread xorshift state for random victim selection.
-    static STEAL_RNG: Cell<u64> = const { Cell::new(0) };
     /// Wall time of the outermost chunks this thread has finished. A
     /// chunk that helps run nested chunks while it waits subtracts their
     /// share, so `par.busy_ns` counts each nanosecond once.
     static CHUNK_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn rng_next() -> u64 {
-    STEAL_RNG.with(|c| {
-        let mut x = c.get();
-        if x == 0 {
-            static SEED: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
-            x = SEED.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed) | 1;
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        c.set(x);
-        x
-    })
-}
-
 impl Shared {
-    fn identity(&self) -> usize {
-        self as *const Shared as usize
-    }
-
-    /// Index of the calling thread's own deque in this pool, if any.
-    fn own_deque(&self) -> Option<usize> {
-        match WORKER.with(|w| w.get()) {
-            Some((id, idx)) if id == self.identity() => Some(idx),
-            _ => None,
-        }
+    fn lock_shutdown(&self) -> std::sync::MutexGuard<'_, bool> {
+        self.shutdown.lock().expect("cf-par shutdown poisoned")
     }
 
     fn signal(&self) {
@@ -319,156 +244,69 @@ impl Shared {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             // Taking the lock orders this notify after any sleeper's
             // epoch re-check, closing the lost-wakeup window.
-            let _g = self.sched.lock().expect("cf-par sched poisoned");
+            let _g = self.lock_shutdown();
             self.cv.notify_all();
         }
     }
 
-    /// Queues a task: onto the caller's own deque when the caller is a
-    /// worker of this pool (back — LIFO for the owner), else through the
-    /// shared injector.
-    fn push_task(&self, task: Task) {
-        match self.own_deque() {
-            Some(idx) => {
-                self.deques[idx]
-                    .lock()
-                    .expect("cf-par deque poisoned")
-                    .push_back(task);
-            }
-            None => {
-                task.metrics().overflow.add(1);
-                self.injector
-                    .lock()
-                    .expect("cf-par injector poisoned")
-                    .push_back(task);
-            }
+    /// Queues `runners` handles of `job` and wakes parked threads.
+    fn push(&self, job: &Arc<ForJob>, runners: usize) {
+        let mut queue = self.queue.lock().expect("cf-par queue poisoned");
+        for _ in 0..runners {
+            queue.push(Arc::clone(job));
         }
+        drop(queue);
         self.signal();
     }
 
-    /// Scans for runnable work: own deque (back) → injector (front) →
-    /// other deques (front), starting from a random victim. The `bool`
-    /// is true when the task was stolen from another worker's deque.
-    fn find_task(&self) -> Option<(Task, bool)> {
-        let own = self.own_deque();
-        if let Some(idx) = own {
-            if let Some(t) = self.deques[idx]
-                .lock()
-                .expect("cf-par deque poisoned")
-                .pop_back()
-            {
-                return Some((t, false));
-            }
-        }
-        if let Some(t) = self
-            .injector
-            .lock()
-            .expect("cf-par injector poisoned")
-            .pop_front()
-        {
-            return Some((t, false));
-        }
-        let n = self.deques.len();
-        if n > 0 {
-            let start = (rng_next() % n as u64) as usize;
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if own == Some(victim) {
-                    continue;
-                }
-                if let Some(t) = self.deques[victim]
-                    .lock()
-                    .expect("cf-par deque poisoned")
-                    .pop_front()
-                {
-                    t.metrics().steals.add(1);
-                    return Some((t, true));
-                }
-            }
-        }
-        None
+    /// The newest queued runner handle, if any.
+    fn pop(&self) -> Option<Arc<ForJob>> {
+        self.queue.lock().expect("cf-par queue poisoned").pop()
     }
 
-    /// Runs one task with the in-task flag set, wrapping stolen work in a
-    /// `par.steal` span so traces show migration cost.
-    fn execute(&self, task: Task, stolen: bool) {
-        let _steal_span =
-            stolen.then(|| cf_obs::span!("par.steal", parent = &cf_obs::span::Context::HERE));
-        let prev = IN_TASK.with(|c| c.replace(true));
-        match task {
-            Task::For(job) => job.work(self),
-            Task::Once(OnceTask { f, scope, ctx }) => {
-                // Closes before `pending` counts the task; see `ForJob::work`.
-                let task_span = cf_obs::span!("par.task", parent = &ctx);
-                let started = Instant::now();
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                    let mut slot = scope.panic.lock().expect("cf-par scope panic poisoned");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-                cf_obs::heartbeat::add_busy_ns(started.elapsed().as_nanos() as u64);
-                cf_obs::heartbeat::bump_progress();
-                drop(task_span);
-                if scope.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    self.signal();
-                }
-            }
-        }
-        IN_TASK.with(|c| c.set(prev));
-    }
-
-    /// Cooperative wait: executes queued tasks until `done()` holds,
-    /// parking on the condvar only when a full scan finds nothing. The
-    /// epoch protocol guarantees progress: whoever makes `done()` true
-    /// (or pushes a task) bumps the epoch after the fact, so a sleeper
-    /// that read the epoch before its failed scan cannot miss it.
-    fn help_until(&self, done: &dyn Fn() -> bool) {
+    /// Cooperative wait: runs chunks of queued jobs until every chunk of
+    /// `job` has finished, parking on the condvar only when the queue is
+    /// empty. The epoch protocol guarantees progress: whoever finishes
+    /// `job`'s last chunk (or pushes a handle) bumps the epoch after the
+    /// fact, so a sleeper that read the epoch before its failed pop cannot
+    /// miss it.
+    fn help_until_done(&self, job: &ForJob) {
         loop {
             let seen = self.epoch.load(Ordering::SeqCst);
-            if done() {
+            if job.is_done() {
                 return;
             }
-            if let Some((task, stolen)) = self.find_task() {
-                self.execute(task, stolen);
-                continue;
+            match self.pop() {
+                Some(other) => other.work(self),
+                None => {
+                    self.park(seen);
+                }
             }
-            self.park(seen);
         }
     }
 
-    /// Blocks until the activity epoch moves past `seen` (or shutdown).
-    fn park(&self, seen: u64) {
-        let mut g = self.sched.lock().expect("cf-par sched poisoned");
+    /// Blocks until the activity epoch moves past `seen` or the pool
+    /// shuts down; returns true on shutdown.
+    fn park(&self, seen: u64) -> bool {
+        let mut g = self.lock_shutdown();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        while !g.shutdown && self.epoch.load(Ordering::SeqCst) == seen {
-            g = self.cv.wait(g).expect("cf-par sched poisoned");
+        while !*g && self.epoch.load(Ordering::SeqCst) == seen {
+            g = self.cv.wait(g).expect("cf-par shutdown poisoned");
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        *g
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.identity(), index))));
+fn worker_loop(shared: Arc<Shared>) {
     loop {
         let seen = shared.epoch.load(Ordering::SeqCst);
-        if let Some((task, stolen)) = shared.find_task() {
-            shared.execute(task, stolen);
-            continue;
-        }
-        {
-            let mut g = shared.sched.lock().expect("cf-par sched poisoned");
-            if g.shutdown {
-                return;
-            }
-            shared.sleepers.fetch_add(1, Ordering::SeqCst);
-            while !g.shutdown && shared.epoch.load(Ordering::SeqCst) == seen {
-                g = shared.cv.wait(g).expect("cf-par sched poisoned");
-            }
-            let stop = g.shutdown;
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if stop {
-                return;
+        match shared.pop() {
+            Some(job) => job.work(&shared),
+            None => {
+                if shared.park(seen) {
+                    return;
+                }
             }
         }
     }
@@ -478,8 +316,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 // Pool
 // ---------------------------------------------------------------------
 
-/// A fixed-size work-stealing pool. Most callers use the process-global
-/// pool via the free functions; tests may build private pools.
+/// A fixed-size pool. Most callers use the process-global pool via the
+/// free functions; tests may build private pools.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -487,14 +325,14 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool executing on `size` threads total (the publishing thread
-    /// counts as one; `size - 1` background workers are spawned).
+    /// A pool executing on `size` threads total, clamped to
+    /// `1..=`[`MAX_THREADS`] (the publishing thread counts as one;
+    /// `size - 1` background workers are spawned).
     pub fn new(size: usize) -> Self {
-        let size = size.max(1);
+        let size = size.clamp(1, MAX_THREADS);
         let shared = Arc::new(Shared {
-            deques: (1..size).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            sched: Mutex::new(SchedState { shutdown: false }),
+            queue: Mutex::new(Vec::new()),
+            shutdown: Mutex::new(false),
             cv: Condvar::new(),
             epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -504,7 +342,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cf-par-{i}"))
-                    .spawn(move || worker_loop(shared, i - 1))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawning cf-par worker")
             })
             .collect();
@@ -522,17 +360,18 @@ impl Pool {
 
     /// Executes `f(0), …, f(chunks - 1)` across the pool, blocking until
     /// all calls complete. Runs inline when the pool has one thread or
-    /// the job has at most one chunk; otherwise publishes stealable
-    /// runner tasks — including from *inside* another task, which is how
-    /// nested parallelism fans out instead of serialising.
+    /// the job has at most one chunk; otherwise queues runner handles —
+    /// including from *inside* another chunk, which is how nested
+    /// parallelism fans out instead of serialising.
     pub fn run(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         if chunks == 0 {
             return;
         }
         let _job_span = cf_obs::span!("par.job", parent = &cf_obs::span::Context::HERE);
+        let metrics = ParMetrics::fetch();
         if self.size == 1 || chunks == 1 {
-            cf_obs::metrics::counter("par.jobs_inline").inc();
-            cf_obs::metrics::counter("par.tasks").add(chunks as u64);
+            metrics.jobs_inline.add(1);
+            metrics.tasks.add(chunks as u64);
             // Inline chunks still count as scheduler progress — a
             // 1-thread run must not read as stalled — but busy time is
             // attributed once per job to keep this path lean.
@@ -559,23 +398,17 @@ impl Pool {
             panic_payload: Mutex::new(None),
             busy_ns: AtomicU64::new(0),
             ctx: cf_obs::span::context(),
-            metrics: ParMetrics::fetch(),
+            metrics,
         });
         let started = Instant::now();
-        // One runner task per thread that could usefully join in; the
-        // publisher itself is the remaining runner. Runner tasks left
-        // over after the job drains are popped later as cheap no-ops.
-        let runners = chunks.min(self.size) - 1;
-        for _ in 0..runners {
-            self.shared.push_task(Task::For(Arc::clone(&job)));
-        }
+        // One runner handle per other thread that could usefully join
+        // in; the publisher itself is the remaining runner.
+        self.shared.push(&job, chunks.min(self.size) - 1);
 
-        // The publisher works its own job, then helps (executing other
-        // queued tasks if its own chunks are all claimed) until done.
-        let prev = IN_TASK.with(|c| c.replace(true));
+        // The publisher works its own job, then helps (running chunks of
+        // other queued jobs once its own are all claimed) until done.
         job.work(&self.shared);
-        IN_TASK.with(|c| c.set(prev));
-        self.shared.help_until(&|| job.is_done());
+        self.shared.help_until_done(&job);
 
         let wall_ns = started.elapsed().as_nanos() as u64;
         let busy_ns = job.busy_ns.load(Ordering::Relaxed);
@@ -599,108 +432,16 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.sched.lock().expect("cf-par sched poisoned");
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
+        *self.shared.lock_shutdown() = true;
+        self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Scoped tasks
-// ---------------------------------------------------------------------
-
-/// Handle passed to the closure of [`scope`]; lets it spawn tasks that
-/// may borrow from the enclosing stack frame.
-pub struct Scope<'scope> {
-    shared: Arc<Shared>,
-    state: Arc<ScopeState>,
-    // Invariant over 'scope, like rayon: stops the borrow checker from
-    // shrinking the scope lifetime to something the tasks outlive.
-    _marker: PhantomData<Cell<&'scope ()>>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Queues `f` as a stealable task. It may run on any pool thread (or
-    /// on the scope owner while it waits); it is guaranteed to have
-    /// finished before [`scope`] returns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        self.state.metrics.spawns.add(1);
-        let f: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: lifetime erasure. `scope` does not return or unwind
-        // until `pending == 0`, i.e. until this task has run to
-        // completion, so every `'scope` borrow it captures stays live.
-        let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
-        self.shared.push_task(Task::Once(OnceTask {
-            f,
-            scope: Arc::clone(&self.state),
-            ctx: cf_obs::span::context(),
-        }));
-    }
-}
-
-/// Structured-concurrency scope on the global pool: `op` may spawn tasks
-/// borrowing anything that outlives the call; all of them complete
-/// before `scope` returns. The owner helps execute queued tasks while it
-/// waits, so nesting scopes inside tasks (to any depth) cannot deadlock.
-/// A panic in `op` or any task is re-thrown here after all tasks finish.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let pool = current();
-    let state = Arc::new(ScopeState {
-        pending: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        metrics: ParMetrics::fetch(),
-    });
-    let s = Scope {
-        shared: Arc::clone(&pool.shared),
-        state: Arc::clone(&state),
-        _marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&s)));
-    // Even when `op` panicked, spawned tasks may still borrow the frame:
-    // wait for all of them before unwinding further.
-    pool.shared
-        .help_until(&|| state.pending.load(Ordering::SeqCst) == 0);
-    match result {
-        Err(payload) => resume_unwind(payload),
-        Ok(r) => {
-            if let Some(payload) = state.panic.lock().expect("cf-par scope poisoned").take() {
-                resume_unwind(payload);
-            }
-            r
-        }
-    }
-}
-
-/// Runs `a` on the calling thread and `b` as a stealable task, returning
-/// both results. Panics in either branch propagate after both finish.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    let mut rb: Option<RB> = None;
-    let ra = scope(|s| {
-        s.spawn(|| rb = Some(b()));
-        a()
-    });
-    (ra, rb.expect("cf-par join: spawned branch completed"))
-}
-
-/// True while the calling thread is executing a scheduler task or chunk;
-/// used by the cost model to demand more work before nested fan-out.
+/// True while the calling thread is executing a chunk; used by the cost
+/// model to demand more work before nested fan-out.
 pub fn in_task() -> bool {
     IN_TASK.with(|c| c.get())
 }
@@ -708,7 +449,7 @@ pub fn in_task() -> bool {
 /// The FLOP cost model: should a kernel loop with `work` estimated
 /// operations dispatch in parallel? False on a single-thread pool (the
 /// serial path is contractually bitwise identical), and nested calls —
-/// from inside a task that already claimed a worker — must clear
+/// from inside a chunk that already claimed a thread — must clear
 /// `threshold ×` [`NESTED_FANOUT_FACTOR`].
 pub fn should_fan_out(work: u64, threshold: u64) -> bool {
     if threads() <= 1 {
@@ -736,15 +477,25 @@ fn global() -> &'static Mutex<Option<Arc<Pool>>> {
 /// taking the pool mutex.
 static POOL_SIZE: AtomicUsize = AtomicUsize::new(0);
 
-/// The pool size the environment asks for: `CF_THREADS` if set and
-/// positive, else `available_parallelism`.
+/// Parses a worker-thread count from outside input (`--threads`,
+/// `CF_THREADS`): an integer in `1..=`[`MAX_THREADS`].
+pub fn parse_threads(text: &str) -> Result<usize, String> {
+    match text.trim().parse::<usize>() {
+        Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "expected a thread count from 1 to {MAX_THREADS}, got {text:?}"
+        )),
+    }
+}
+
+/// The pool size the environment asks for: `CF_THREADS` if it holds a
+/// valid count (see [`parse_threads`]), else `available_parallelism`.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("CF_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("CF_THREADS")
+        .ok()
+        .and_then(|v| parse_threads(&v).ok())
+    {
+        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -762,10 +513,11 @@ fn current() -> Arc<Pool> {
     Arc::clone(guard.as_ref().expect("just installed"))
 }
 
-/// Replaces the process-global pool with one of `n` threads (clamped to a
-/// minimum of 1). In-flight jobs on the old pool finish undisturbed.
+/// Replaces the process-global pool with one of `n` threads (clamped to
+/// `1..=`[`MAX_THREADS`]). In-flight jobs on the old pool finish
+/// undisturbed.
 pub fn set_threads(n: usize) {
-    let pool = Arc::new(Pool::new(n.max(1)));
+    let pool = Arc::new(Pool::new(n));
     cf_obs::metrics::gauge("par.threads").set(pool.size() as f64);
     POOL_SIZE.store(pool.size(), Ordering::SeqCst);
     *global().lock().expect("cf-par global pool poisoned") = Some(pool);
@@ -780,13 +532,11 @@ pub fn threads() -> usize {
     current().size()
 }
 
-/// The `par.*` counters of one job or scope, in its publisher's recorder.
+/// The `par.*` counters of one job, in its publisher's recorder.
 struct ParMetrics {
     jobs: cf_obs::metrics::Counter,
+    jobs_inline: cf_obs::metrics::Counter,
     tasks: cf_obs::metrics::Counter,
-    spawns: cf_obs::metrics::Counter,
-    steals: cf_obs::metrics::Counter,
-    overflow: cf_obs::metrics::Counter,
     busy_ns: cf_obs::metrics::Counter,
     idle_ns: cf_obs::metrics::Counter,
 }
@@ -797,10 +547,8 @@ impl ParMetrics {
         let counter = cf_obs::metrics::counter;
         ParMetrics {
             jobs: counter("par.jobs"),
+            jobs_inline: counter("par.jobs_inline"),
             tasks: counter("par.tasks"),
-            spawns: counter("par.spawns"),
-            steals: counter("par.steals"),
-            overflow: counter("par.overflow"),
             busy_ns: counter("par.busy_ns"),
             idle_ns: counter("par.idle_ns"),
         }
@@ -948,7 +696,7 @@ mod tests {
     fn dispatch_bumps_heartbeat_progress_epochs() {
         let _g = pool_lock();
         // Both dispatch paths must advance the watchdog's progress
-        // epoch: inline (1 thread) and the work-stealing path.
+        // epoch: inline (1 thread) and the queued path.
         for threads in [1, 4] {
             set_threads(threads);
             let before = cf_obs::heartbeat::progress_epoch();
@@ -959,14 +707,6 @@ mod tests {
                 "no progress epoch advance at {threads} threads"
             );
         }
-        // Scope tasks count too.
-        let before = cf_obs::heartbeat::progress_epoch();
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {});
-            }
-        });
-        assert!(cf_obs::heartbeat::progress_epoch() > before);
     }
 
     #[test]
@@ -1022,7 +762,7 @@ mod tests {
         let count = AtomicUsize::new(0);
         par_for(4, 1, |outer| {
             // Nested call must not deadlock and must cover its range;
-            // under the task scheduler the inner chunks are stealable.
+            // idle threads may claim the inner chunks.
             par_for(8, 2, |inner| {
                 count.fetch_add(inner.len() * outer.len(), Ordering::SeqCst);
             });
@@ -1062,134 +802,114 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_spawned_tasks_with_borrows() {
-        let _g = pool_lock();
-        for threads in [1, 4] {
-            set_threads(threads);
-            let hits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-            scope(|s| {
-                for i in 0..32 {
-                    let hits = &hits;
-                    s.spawn(move || {
-                        hits[i].fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::SeqCst), 1, "task {i} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn nested_scopes_complete_to_depth() {
+    fn nested_jobs_complete_to_depth() {
         let _g = pool_lock();
         set_threads(4);
         let count = AtomicUsize::new(0);
-        scope(|outer| {
-            for _ in 0..4 {
-                let count = &count;
-                outer.spawn(move || {
-                    scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(move || {
-                                // Innermost level: a parallel loop.
-                                par_for(10, 3, |r| {
-                                    count.fetch_add(r.len(), Ordering::SeqCst);
-                                });
-                            });
-                        }
-                    });
+        par_for(4, 1, |_| {
+            par_for(4, 1, |_| {
+                // Innermost level: a multi-chunk parallel loop.
+                par_for(10, 3, |r| {
+                    count.fetch_add(r.len(), Ordering::SeqCst);
                 });
-            }
+            });
         });
         assert_eq!(count.load(Ordering::SeqCst), 4 * 4 * 10);
     }
 
+    /// Spins until `flag` is set or ten seconds pass.
+    fn spin_until(flag: &AtomicBool) {
+        let start = Instant::now();
+        while !flag.load(Ordering::SeqCst) && start.elapsed().as_secs() < 10 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn scope_panic_in_task_propagates_and_pool_survives() {
+    fn nested_chunk_panic_propagates_after_siblings_and_pool_survives() {
         let _g = pool_lock();
-        set_threads(2);
-        let finished = AtomicUsize::new(0);
+        set_threads(4);
+        let here = std::thread::current().id();
+        let on_publisher = || std::thread::current().id() == here;
+        let pause = std::time::Duration::from_millis(20);
+        let [outer_started, outer_finished, inner_started, inner_finished, panicked] =
+            std::array::from_fn(|_| AtomicBool::new(false));
+        // At both levels the chunk on this thread fails while its sibling
+        // still runs on another thread: each publisher must wait for that
+        // sibling before it rethrows.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|| panic!("task boom"));
-                s.spawn(|| {
-                    finished.fetch_add(1, Ordering::SeqCst);
+            par_for(2, 1, |_| {
+                if !on_publisher() {
+                    outer_started.store(true, Ordering::SeqCst);
+                    spin_until(&panicked);
+                    std::thread::sleep(pause);
+                    outer_finished.store(true, Ordering::SeqCst);
+                    return;
+                }
+                spin_until(&outer_started);
+                par_for(2, 1, |_| {
+                    if !on_publisher() {
+                        inner_started.store(true, Ordering::SeqCst);
+                        std::thread::sleep(pause);
+                        inner_finished.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    spin_until(&inner_started);
+                    panicked.store(true, Ordering::SeqCst);
+                    panic!("nested chunk boom");
                 });
             });
         }));
-        assert!(result.is_err(), "task panic must propagate from scope");
-        // The sibling task still ran to completion before the rethrow.
-        assert_eq!(finished.load(Ordering::SeqCst), 1);
-        // Pool stays usable afterwards.
-        assert_eq!(par_map(8, |i| i).len(), 8);
+        assert!(
+            result.is_err(),
+            "nested panic must reach the outer publisher"
+        );
+        assert!(inner_finished.load(Ordering::SeqCst), "inner sibling");
+        assert!(outer_finished.load(Ordering::SeqCst), "outer sibling");
+        // Pool stays usable afterwards, nested fan-out included.
+        let sum = AtomicUsize::new(0);
+        par_for(4, 1, |_| {
+            par_for(8, 1, |r| {
+                sum.fetch_add(r.start, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(sum.load(Ordering::SeqCst), 4 * 28);
     }
 
     #[test]
-    fn join_returns_both_results_and_propagates_panics() {
-        let _g = pool_lock();
-        set_threads(2);
-        let (a, b) = join(|| 2 + 2, || "b".to_string());
-        assert_eq!((a, b.as_str()), (4, "b"));
-        let r = std::panic::catch_unwind(|| join(|| 1, || panic!("right boom")));
-        assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| join(|| panic!("left boom"), || 1));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn idle_threads_steal_tasks_spawned_inside_a_task() {
+    fn idle_threads_run_chunks_published_inside_a_chunk() {
         let _g = pool_lock();
         set_threads(4);
-        let stolen = AtomicBool::new(false);
-        scope(|s| {
-            let stolen = &stolen;
-            s.spawn(move || {
-                // This task occupies one thread. Tasks it spawns land on
-                // its own deque (or the injector) and can only start
-                // while it is still spinning if another thread takes
-                // them — which is exactly what we assert.
-                scope(|inner| {
-                    inner.spawn(move || {
-                        stolen.store(true, Ordering::SeqCst);
-                    });
-                    let start = Instant::now();
-                    while !stolen.load(Ordering::SeqCst) {
-                        if start.elapsed().as_secs() > 10 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                });
+        let ran_elsewhere = AtomicBool::new(false);
+        par_for(2, 1, |outer| {
+            if outer.start != 0 {
+                return;
+            }
+            // The publisher's own inner chunk spins, so the other inner
+            // chunk can only run while it spins if another thread takes
+            // it — which is exactly what we assert.
+            let publisher = std::thread::current().id();
+            par_for(2, 1, |_| {
+                if std::thread::current().id() == publisher {
+                    spin_until(&ran_elsewhere);
+                } else {
+                    ran_elsewhere.store(true, Ordering::SeqCst);
+                }
             });
         });
         assert!(
-            stolen.load(Ordering::SeqCst),
-            "an idle thread should have taken the inner task while its owner spun"
+            ran_elsewhere.load(Ordering::SeqCst),
+            "an idle thread should have run the inner chunk while its publisher spun"
         );
     }
 
     #[test]
-    fn steals_spread_work_across_workers() {
-        let _g = pool_lock();
-        set_threads(4);
-        // Many slow-ish tasks spawned from one thread: correctness (every
-        // task runs exactly once) is asserted strictly; distribution is
-        // asserted via the scheduler's own invariant that all tasks
-        // complete even though the spawner never executes them itself.
-        let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        scope(|s| {
-            for i in 0..64 {
-                let ran = &ran;
-                s.spawn(move || {
-                    std::thread::yield_now();
-                    ran[i].fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        for (i, r) in ran.iter().enumerate() {
-            assert_eq!(r.load(Ordering::SeqCst), 1, "task {i} ran exactly once");
+    fn parse_threads_bounds_outside_input() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 4 "), Ok(4));
+        assert_eq!(parse_threads(&MAX_THREADS.to_string()), Ok(MAX_THREADS));
+        for bad in ["0", "1025", "-1", "x", "", "99999999999999999999999"] {
+            assert!(parse_threads(bad).is_err(), "{bad:?} accepted");
         }
     }
 

@@ -44,9 +44,9 @@
 //! are shared across element types (they answer "is the process allocating",
 //! not "which dtype is"). Alongside the totals, each thread keeps its own
 //! hit/miss/alloc record ([`per_thread_stats`]): events are attributed to
-//! the thread that *executed* the grab, so under the work-stealing
-//! scheduler the stealing worker owns the counters of the task it ran and
-//! a migrated buffer is never counted twice.
+//! the thread that *executed* the grab, so whichever thread claims a
+//! cf-par chunk owns the counters of the chunk it ran and a migrated
+//! buffer is never counted twice.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
@@ -110,8 +110,8 @@ thread_local! {
 }
 
 /// Per-thread attribution of the hit/miss/alloc counters. The *executing*
-/// thread owns the bump: under the work-stealing scheduler a grab made
-/// while running a stolen task is attributed to the thief (the thread
+/// thread owns the bump: a grab made while running a chunk another
+/// thread published is attributed to the thread that ran it (the thread
 /// whose free list actually served or missed the request), and a buffer
 /// that migrates home → global list → foreign thread counts exactly one
 /// hit, on the thread that re-grabbed it — attribution moves with the
@@ -394,9 +394,9 @@ pub struct ThreadPoolStats {
 }
 
 /// Per-thread attribution snapshot, sorted by thread id. Each event is
-/// counted exactly once, on the thread that executed the grab — so under
-/// work stealing the stealing worker owns the hits and misses of the task
-/// it ran, and at any quiescent point the per-thread sums equal the
+/// counted exactly once, on the thread that executed the grab — so the
+/// thread that claims a chunk owns the hits and misses of the chunk it
+/// ran, and at any quiescent point the per-thread sums equal the
 /// [`stats`] totals (the invariant `pool_equivalence` pins down).
 pub fn per_thread_stats() -> Vec<ThreadPoolStats> {
     let mut out: Vec<ThreadPoolStats> = counter_registry()

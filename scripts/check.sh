@@ -26,6 +26,14 @@ CF_THREADS=1 cargo test -q --workspace
 echo "== cargo test -q --workspace (CF_THREADS=4)"
 CF_THREADS=4 cargo test -q --workspace
 
+# Scheduler soak: the cf-par suite 20 times in a row, so a lost wakeup or
+# a drain race in the pool's queue fails the gate instead of flaking later.
+echo "== cf-par scheduler soak (20 consecutive runs)"
+for run in $(seq 20); do
+  out=$(cargo test -q -p cf-par 2>&1) \
+    || { echo "$out"; echo "cf-par soak run $run/20 failed"; exit 1; }
+done
+
 # Resume-determinism gate: interrupted-then-resumed training (3 epochs →
 # checkpoint → resume 3 more) must be bitwise identical to 6 epochs straight
 # — parameters, loss history, and the downstream causal matrix — and the
