@@ -69,7 +69,9 @@ impl CausalScores {
             }
         }
         for k in &mut self.kernel {
-            *k = k.scale(w);
+            for v in k.data_mut() {
+                *v *= w;
+            }
         }
     }
 }
@@ -94,7 +96,7 @@ pub fn window_scores<E: Scalar>(
             .then(|| rrp::propagate(layers, &Tensor::ones(&[n, t])));
         let shape = (n, t, trace.attn.len());
         let (attn, kernel) = (0..n)
-            .map(|i| combine_target(mode, i, shape, grads.as_ref(), rel.as_ref()))
+            .map(|i| combine_target(i, shape, grads.as_ref(), rel.as_ref()))
             .unzip();
         CausalScores { attn, kernel }
     })
@@ -164,7 +166,6 @@ fn score_window<E: Scalar>(
         let ffn_pre_v = tape.value(trace.ffn_pre).to_f64_tensor();
         let att_v = tape.value(trace.att).to_f64_tensor();
         let shifted_v = tape.value(trace.shifted).to_f64_tensor();
-        let conv_v = tape.value(trace.conv).to_f64_tensor();
         let bank_v = tape.value(trace.bank).to_f64_tensor();
         let w_out_v = store.value(weights.output_w).to_f64_tensor();
         let b_out_v = store.value(biases.output_b).to_f64_tensor();
@@ -183,7 +184,6 @@ fn score_window<E: Scalar>(
             head_out: &head_out,
             attn: &attn_vals,
             shifted: &shifted_v,
-            conv: &conv_v,
             bank: &bank_v,
             w_out: &w_out_v,
             b_out: &b_out_v,
@@ -208,14 +208,18 @@ struct CutGradients<E: Scalar> {
     bank: TensorBase<E>,
 }
 
-/// One backward pass from the prediction, seeded with `seed` (`N×T`).
+/// One backward pass from the prediction, seeded with `seed` (`N×T`), that
+/// stops at the cut: only the nodes between `pred` and the attention
+/// matrices / kernel bank are differentiated.
 fn cut_gradients<E: Scalar>(
     tape: &TapeBase<E>,
     trace: &ForwardTrace,
     seed: TensorBase<E>,
 ) -> CutGradients<E> {
     let (n, t) = (seed.shape()[0], seed.shape()[1]);
-    let mut grads = tape.backward_with_seed(trace.pred, seed);
+    let mut cut = trace.attn.clone();
+    cut.push(trace.bank);
+    let mut grads = tape.backward_to(trace.pred, seed, &cut);
     CutGradients {
         attn: trace
             .attn
@@ -228,44 +232,58 @@ fn cut_gradients<E: Scalar>(
     }
 }
 
-/// Eq. 19 (or its ablated variants) for target `i`: row `i` of every
-/// attention gradient and relevance, slab `[:, i, :]` of the kernel ones.
-/// Returns the target's attention-score row and its `N×T` kernel scores.
+/// One entry of Eq. 19 before the (·)⁺ rectifier: `|∇f|·R`, or the
+/// ablated `|∇f|` (w/o relevance) or `R` (w/o gradient).
+#[inline]
+fn eq19_term<E: Scalar>(grad: Option<E>, rel: Option<f64>) -> f64 {
+    match (grad, rel) {
+        (Some(g), Some(r)) => g.to_f64().abs() * r,
+        (Some(g), None) => g.to_f64().abs(),
+        (None, Some(r)) => r,
+        (None, None) => unreachable!("Eq. 19 needs a gradient or a relevance"),
+    }
+}
+
+/// Eq. 19 (or its ablated variants: whichever of `grads` and `rel` the mode
+/// computed) for target `i`: row `i` of every attention gradient and
+/// relevance, slab `[:, i, :]` of the kernel ones. Returns the target's
+/// attention-score row and its `N×T` kernel scores.
 fn combine_target<E: Scalar>(
-    mode: DetectorMode,
     i: usize,
     (n, t, heads): (usize, usize, usize),
     grads: Option<&CutGradients<E>>,
     rel: Option<&RrpResult>,
 ) -> (Vec<f64>, Tensor) {
-    let grad = || grads.expect("gradient computed");
-    let rel = || rel.expect("relevance computed");
+    // Heads accumulate in order per entry, then average.
     let mut attn_row = vec![0.0; n];
-    let mut kernel_i = Tensor::zeros(&[n, t]);
-    for j in 0..n {
-        let mut acc = 0.0;
-        for h in 0..heads {
-            let val = match mode {
-                DetectorMode::NoRelevance => grad().attn[h].get2(i, j).abs(),
-                DetectorMode::NoGradient => rel().attn[h].get2(i, j),
-                _ => grad().attn[h].get2(i, j).abs() * rel().attn[h].get2(i, j),
-            };
-            acc += val.max(0.0); // the (·)⁺ rectifier
+    for h in 0..heads {
+        let g = grads.map(|g| g.attn[h].row(i));
+        let r = rel.map(|r| r.attn[h].row(i));
+        for (j, acc) in attn_row.iter_mut().enumerate() {
+            *acc += eq19_term(g.map(|g| g[j]), r.map(|r| r[j])).max(0.0);
         }
-        attn_row[j] = acc / heads as f64;
+    }
+    for acc in &mut attn_row {
+        *acc /= heads as f64;
+    }
 
-        for u in 0..t {
-            let val = match mode {
-                DetectorMode::NoRelevance => grad().bank.get3(j, i, u).abs(),
-                DetectorMode::NoGradient => rel().kernel.get3(j, i, u),
-                _ => grad().bank.get3(j, i, u).abs() * rel().kernel.get3(j, i, u),
-            };
-            let prev = kernel_i.get2(j, u);
-            kernel_i.set2(j, u, prev + val.max(0.0));
+    let mut kernel_i = Tensor::zeros(&[n, t]);
+    for (j, out) in kernel_i.data_mut().chunks_exact_mut(t).enumerate() {
+        let slab = (j * n + i) * t..(j * n + i + 1) * t;
+        let g = grads.map(|g| &g.bank.data()[slab.clone()]);
+        let r = rel.map(|r| &r.kernel.data()[slab.clone()]);
+        for (u, o) in out.iter_mut().enumerate() {
+            *o += eq19_term(g.map(|g| g[u]), r.map(|r| r[u])).max(0.0);
         }
     }
     (attn_row, kernel_i)
 }
+
+/// Windows [`aggregate_scores`] scores per block and per cf-par thread
+/// before folding the block into the running sum: detection holds
+/// `SCORE_BLOCK_PER_THREAD × threads` per-window scores at a time, however
+/// many windows it samples.
+pub const SCORE_BLOCK_PER_THREAD: usize = 8;
 
 /// Averages [`window_scores`] over up to `cfg.sample_windows` windows
 /// (evenly spaced through `windows`).
@@ -292,22 +310,26 @@ pub fn aggregate_scores<E: Scalar>(
     // Each sampled window is an independent, rng-free scoring pass — the
     // coarse grain the scheduler wants, and the only fan-out of detection:
     // within a window, one gradient pass and one relevance pass serve every
-    // target. Fan the windows out as chunks, then accumulate sequentially in
-    // sample order: the same left fold the old serial loop performed, so
-    // the sum stays bitwise identical.
-    let per_window: Vec<CausalScores> = cf_par::par_map(k, |s| {
-        let idx = (s as f64 * step) as usize;
-        let scores = window_scores(model, store, &windows[idx.min(windows.len() - 1)], cfg.mode);
-        // Parallel progress: each completed window ticks the heartbeat
-        // unit. Tick order varies with scheduling; the scores don't.
-        cf_obs::heartbeat::progress_inc("detect.window", k as u64);
-        scores
-    });
-    let used = per_window.len();
-    for ws in &per_window {
-        total.add_scaled(ws, 1.0);
+    // target. Score a block of windows as chunks, fold it into `total` in
+    // sample order, then start the next: the same left fold the old serial
+    // loop performed, so the sum stays bitwise identical at any thread
+    // count, and at most one block of per-window scores is alive at once.
+    let block = SCORE_BLOCK_PER_THREAD * cf_par::threads();
+    for start in (0..k).step_by(block) {
+        let scored = cf_par::par_map(block.min(k - start), |b| {
+            let idx = ((start + b) as f64 * step) as usize;
+            let scores =
+                window_scores(model, store, &windows[idx.min(windows.len() - 1)], cfg.mode);
+            // Parallel progress: each completed window ticks the heartbeat
+            // unit. Tick order varies with scheduling; the scores don't.
+            cf_obs::heartbeat::progress_inc("detect.window", k as u64);
+            scores
+        });
+        for ws in &scored {
+            total.add_scaled(ws, 1.0);
+        }
     }
-    total.scale(1.0 / used as f64);
+    total.scale(1.0 / k as f64);
     total
 }
 
@@ -514,14 +536,14 @@ mod tests {
                     });
                     let rel =
                         (mode != DetectorMode::NoRelevance).then(|| rrp::propagate(layers, &seed));
-                    combine_target(mode, i, shape, grads.as_ref(), rel.as_ref())
+                    combine_target(i, shape, grads.as_ref(), rel.as_ref())
                 })
                 .unzip();
             CausalScores { attn, kernel }
         })
     }
 
-    fn assert_one_pass_matches_per_target<E: Scalar>(n: usize) {
+    fn assert_one_pass_matches_per_target<E: Scalar>(n: usize, single_kernel: bool) {
         const MODES: [DetectorMode; 5] = [
             DetectorMode::Full,
             DetectorMode::NoInterpretation,
@@ -536,6 +558,7 @@ mod tests {
             d_model: 8,
             d_qk: 8,
             d_ffn: 8,
+            single_kernel,
             ..ModelConfig::compact(n, t)
         };
         let model = CausalityAwareTransformer::new(&mut store, &mut rng, cfg);
@@ -570,8 +593,69 @@ mod tests {
     #[test]
     fn one_pass_scores_match_per_target_passes_bitwise() {
         for n in [3, 8, 20] {
-            assert_one_pass_matches_per_target::<f64>(n);
-            assert_one_pass_matches_per_target::<f32>(n);
+            for single_kernel in [false, true] {
+                assert_one_pass_matches_per_target::<f64>(n, single_kernel);
+                assert_one_pass_matches_per_target::<f32>(n, single_kernel);
+            }
+        }
+    }
+
+    /// The detector's backward pass stops at the cut: at the attention
+    /// matrices and the kernel bank it must give bitwise the full pass's
+    /// gradients, and no parameter off the cut may receive one.
+    fn assert_cut_walk_matches_full_backward<E: Scalar>(single_kernel: bool) {
+        let (n, t) = (5, 6);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStoreBase::<E>::new();
+        let cfg = ModelConfig {
+            d_model: 8,
+            d_qk: 8,
+            d_ffn: 8,
+            single_kernel,
+            ..ModelConfig::compact(n, t)
+        };
+        let model = CausalityAwareTransformer::new(&mut store, &mut rng, cfg);
+        let x = TensorBase::<E>::from_f64_tensor(&uniform(&mut rng, &[n, t], -1.0, 1.0));
+        let mut tape = TapeBase::<E>::new();
+        let bound = store.bind(&mut tape);
+        let trace = model.forward(&mut tape, &bound, &x);
+        let mut cut = trace.attn.clone();
+        cut.push(trace.bank);
+        let full = tape.backward_with_seed(trace.pred, TensorBase::ones(&[n, t]));
+        let part = tape.backward_to(trace.pred, TensorBase::ones(&[n, t]), &cut);
+        let bits = |g: &TensorBase<E>| -> Vec<u64> {
+            g.data().iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        for &c in &cut {
+            let what = format!("single_kernel={single_kernel} node {}", c.index());
+            assert_eq!(
+                bits(part.expect(c, &what)),
+                bits(full.expect(c, &what)),
+                "{what}"
+            );
+        }
+        // Without `single_kernel` the bank is the kernel parameter itself,
+        // a cut node; with it, the bank is tiled from the parameter below.
+        for id in store.ids().filter(|&id| !cut.contains(&bound.var(id))) {
+            let var = bound.var(id);
+            assert!(
+                full.get(var).is_some(),
+                "full pass misses {}",
+                store.name(id)
+            );
+            assert!(
+                part.get(var).is_none(),
+                "single_kernel={single_kernel}: parameter {} got a gradient",
+                store.name(id)
+            );
+        }
+    }
+
+    #[test]
+    fn cut_backward_matches_full_backward_and_skips_parameters() {
+        for single_kernel in [false, true] {
+            assert_cut_walk_matches_full_backward::<f64>(single_kernel);
+            assert_cut_walk_matches_full_backward::<f32>(single_kernel);
         }
     }
 

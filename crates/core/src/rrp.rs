@@ -91,8 +91,6 @@ pub struct RrpLayers<'a> {
     pub attn: &'a [Tensor],
     /// Shifted convolution values (`N×N×T`).
     pub shifted: &'a Tensor,
-    /// Raw convolution result (`N×N×T`).
-    pub conv: &'a Tensor,
     /// Kernel bank as used by the convolution (`N×N×T`).
     pub bank: &'a Tensor,
     /// Output layer weight (`T×T`) and bias (`T`).
@@ -161,49 +159,68 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     // Head combination: att = Σ_h W_O[h] · head_out[h] — a sum of products;
     // each term takes the share of its positive contribution (z⁺).
     let h = layers.head_out.len();
+    let w_o = layers.w_o.data();
     let mut r_heads = vec![Tensor::zeros(&[n, t]); h];
-    for a in 0..n {
-        for tt in 0..t {
-            let r = r_att.get2(a, tt);
-            if r == 0.0 {
-                continue;
-            }
-            let denom: f64 = (0..h)
-                .map(|k| pos(layers.w_o.data()[k] * layers.head_out[k].get2(a, tt)))
-                .sum();
-            let denom = stab(denom);
-            for (k, r_head) in r_heads.iter_mut().enumerate() {
-                let z = pos(layers.w_o.data()[k] * layers.head_out[k].get2(a, tt));
-                r_head.set2(a, tt, z / denom * r);
-            }
+    let mut z = vec![0.0; h];
+    for (p, &r) in r_att.data().iter().enumerate() {
+        if r == 0.0 {
+            continue;
+        }
+        for ((zk, &wk), out) in z.iter_mut().zip(w_o).zip(layers.head_out) {
+            *zk = pos(wk * out.data()[p]);
+        }
+        let denom = stab(z.iter().sum());
+        for (r_head, &zk) in r_heads.iter_mut().zip(&z) {
+            r_head.data_mut()[p] = zk / denom * r;
         }
     }
 
     // Attention application (Eq. 18 product rule, z⁺):
-    // out[a,t] = Σ_j 𝒜[a,j] · V[j,a,t]
-    let mut attn_rel = Vec::with_capacity(h);
+    // out[a,t] = Σ_j 𝒜[a,j] · V[j,a,t]. Target `a` reads the value
+    // column V[:, a, :], gathered once as `v_a[t][j]` so each z⁺ row is
+    // contiguous; its relevance collects in `r_v_a` and is scattered back.
+    // The goldens pin the summation order: 𝒜 relevance sums over time,
+    // V relevance over heads, each ascending.
+    let mut attn_rel = vec![Tensor::zeros(&[n, n]); h];
     let mut r_shifted = Tensor::zeros(layers.shifted.shape());
-    for (k, r_head) in r_heads.iter().enumerate() {
-        let mut r_attn = Tensor::zeros(&[n, n]);
-        for a in 0..n {
-            for tt in 0..t {
-                let r_out = r_head.get2(a, tt);
+    let (mut v_a, mut r_v_a) = (vec![0.0; t * n], vec![0.0; t * n]);
+    let mut z = vec![0.0; n];
+    let shifted = layers.shifted.data();
+    for a in 0..n {
+        for j in 0..n {
+            let src = &shifted[(j * n + a) * t..(j * n + a + 1) * t];
+            for (tt, &v) in src.iter().enumerate() {
+                v_a[tt * n + j] = v;
+            }
+        }
+        r_v_a.fill(0.0);
+        for ((r_head, attn), r_attn) in r_heads.iter().zip(layers.attn).zip(&mut attn_rel) {
+            let attn_row = attn.row(a);
+            let r_attn_row = &mut r_attn.data_mut()[a * n..(a + 1) * n];
+            for (tt, &r_out) in r_head.row(a).iter().enumerate() {
                 if r_out == 0.0 {
                     continue;
                 }
-                let denom: f64 = (0..n)
-                    .map(|j| pos(layers.attn[k].get2(a, j) * layers.shifted.get3(j, a, tt)))
-                    .sum();
-                let denom = stab(denom);
-                for j in 0..n {
-                    let z = pos(layers.attn[k].get2(a, j) * layers.shifted.get3(j, a, tt));
-                    let contrib = z / denom * r_out;
-                    r_attn.set2(a, j, r_attn.get2(a, j) + contrib);
-                    r_shifted.set3(j, a, tt, r_shifted.get3(j, a, tt) + contrib);
+                let v_row = &v_a[tt * n..(tt + 1) * n];
+                for ((zj, &aj), &vj) in z.iter_mut().zip(attn_row).zip(v_row) {
+                    *zj = pos(aj * vj);
+                }
+                let denom = stab(z.iter().sum());
+                let r_v_row = &mut r_v_a[tt * n..(tt + 1) * n];
+                for ((ra, rv), &zj) in r_attn_row.iter_mut().zip(r_v_row).zip(&z) {
+                    let contrib = zj / denom * r_out;
+                    *ra += contrib;
+                    *rv += contrib;
                 }
             }
         }
-        attn_rel.push(r_attn);
+        let rsd = r_shifted.data_mut();
+        for j in 0..n {
+            let dst = &mut rsd[(j * n + a) * t..(j * n + a + 1) * t];
+            for (tt, d) in dst.iter_mut().enumerate() {
+                *d = r_v_a[tt * n + j];
+            }
+        }
     }
 
     // Self-shift: relevance relocates exactly like gradients (pure index
@@ -211,28 +228,30 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     let r_conv = ops::self_shift_backward(&r_shifted);
 
     // Convolution → kernel (conv-specialised Eq. 18, z⁺):
-    // conv[a,b,t] = Σ_s 𝒦[a,b,u]·x[a,s]/(t+1) with u = T−1−t+s.
+    // conv[a,b,t] = Σ_s 𝒦[a,b,u]·x[a,s]/(t+1) with u = T−1−t+s, so output
+    // slot t reads the last t+1 taps of kernel row (a,b) against x[a, ..=t].
     let mut r_kernel = Tensor::zeros(layers.bank.shape());
+    let mut z = vec![0.0; t];
+    let (bank, rcd) = (layers.bank.data(), r_conv.data());
+    let rkd = r_kernel.data_mut();
     for a in 0..n {
+        let x_row = layers.x.row(a);
         for b in 0..n {
-            for tt in 0..t {
-                let r_out = r_conv.get3(a, b, tt);
+            let ab = (a * n + b) * t..(a * n + b + 1) * t;
+            let (bank_row, out) = (&bank[ab.clone()], &mut rkd[ab.clone()]);
+            for (tt, &r_out) in rcd[ab].iter().enumerate() {
                 if r_out == 0.0 {
                     continue;
                 }
                 let scale = 1.0 / (tt + 1) as f64;
-                let denom: f64 = (0..=tt)
-                    .map(|s| {
-                        let u = t - 1 - tt + s;
-                        pos(layers.bank.get3(a, b, u) * layers.x.get2(a, s) * scale)
-                    })
-                    .sum();
-                let denom = stab(denom);
-                for s in 0..=tt {
-                    let u = t - 1 - tt + s;
-                    let z = pos(layers.bank.get3(a, b, u) * layers.x.get2(a, s) * scale);
-                    let term = z / denom * r_out;
-                    r_kernel.set3(a, b, u, r_kernel.get3(a, b, u) + term);
+                let taps = t - 1 - tt..;
+                let z_tt = &mut z[..=tt];
+                for ((zs, &k), &xv) in z_tt.iter_mut().zip(&bank_row[taps.clone()]).zip(x_row) {
+                    *zs = pos(k * xv * scale);
+                }
+                let denom = stab(z_tt.iter().sum());
+                for (o, &zs) in out[taps].iter_mut().zip(z_tt.iter()) {
+                    *o += zs / denom * r_out;
                 }
             }
         }
@@ -266,21 +285,27 @@ fn linear_rrp(
     let q = y.shape()[1];
     assert_eq!(w.shape(), &[p, q], "weight shape");
     assert_eq!(r_y.shape(), y.shape(), "relevance shape");
+    // Row j of Wᵀ is the column that output j reads.
+    let w_t = w.transpose2();
     let mut r_x = Tensor::zeros(&[rows, p]);
+    let mut z = vec![0.0; p];
     for nrow in 0..rows {
-        for j in 0..q {
-            let r = r_y.get2(nrow, j);
+        let x_row = x.row(nrow);
+        let out = &mut r_x.data_mut()[nrow * p..(nrow + 1) * p];
+        for (j, &r) in r_y.row(nrow).iter().enumerate() {
             if r == 0.0 {
                 continue;
             }
-            let mut denom: f64 = (0..p).map(|i| pos(x.get2(nrow, i) * w.get2(i, j))).sum();
+            for ((zi, &xv), &wv) in z.iter_mut().zip(x_row).zip(w_t.row(j)) {
+                *zi = pos(xv * wv);
+            }
+            let mut denom: f64 = z.iter().sum();
             if with_bias {
                 denom += pos(b.data()[j]);
             }
             let denom = stab(denom);
-            for i in 0..p {
-                let z = pos(x.get2(nrow, i) * w.get2(i, j));
-                r_x.set2(nrow, i, r_x.get2(nrow, i) + z / denom * r);
+            for (o, &zi) in out.iter_mut().zip(&z) {
+                *o += zi / denom * r;
             }
         }
     }
@@ -296,7 +321,6 @@ impl<'a> RrpLayers<'a> {
         debug_assert_eq!(self.x.shape(), &[n, t]);
         debug_assert_eq!(self.att.shape(), &[n, t]);
         debug_assert_eq!(self.shifted.shape(), &[n, n, t]);
-        debug_assert_eq!(self.conv.shape(), &[n, n, t]);
         debug_assert_eq!(self.bank.shape(), &[n, n, t]);
         debug_assert_eq!(self.head_out.len(), self.attn.len());
         debug_assert_eq!(self.w_o.len(), self.head_out.len());
@@ -397,7 +421,6 @@ mod tests {
             head_out: &head_out,
             attn: &attn,
             shifted: tape.value(trace.shifted),
-            conv: tape.value(trace.conv),
             bank: tape.value(trace.bank),
             w_out: store.value(weights.output_w),
             b_out: store.value(biases.output_b),

@@ -21,9 +21,13 @@
 //!   size-class pool, and backward draws its gradient scratch from a
 //!   per-thread free list — after one warm-up pass a step performs no heap
 //!   allocation.
-//! * **`requires_grad` pruning.** Constant leaves (input data, masks) are
-//!   marked as not requiring gradients; backward skips whole subtrees that
-//!   cannot reach a parameter.
+//! * **`requires_grad` pruning, and cut pruning.** Constant leaves (input
+//!   data, masks) are marked as not requiring gradients; backward skips
+//!   whole subtrees that cannot reach a parameter. [`TapeBase::backward_to`]
+//!   prunes further for callers that want gradients at a few interior
+//!   nodes only (the detector's `𝒜` and `𝒦`): it propagates only into
+//!   nodes on a path from one of those *cut* nodes to the root and stops
+//!   at the lowest cut node.
 //! * **Generic element type.** [`TapeBase<E>`] is generic over the
 //!   [`Scalar`] element; `Tape`/`Gradients` are the historical `f64`
 //!   aliases. Per-dtype tape pools and gradient scratch live behind the
@@ -180,6 +184,35 @@ impl<E: Scalar> Op<E> {
             Op::TilePairs(..) => "bwd.tile_pairs",
         }
     }
+
+    /// The nodes this op reads.
+    fn parents(&self) -> [Option<VarId>; 2] {
+        match *self {
+            Op::Leaf => [None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowVector(a, b)
+            | Op::MulRowVector(a, b)
+            | Op::MatMul(a, b)
+            | Op::MatMulNT(a, b)
+            | Op::ScaleByElem { x: a, w: b, .. }
+            | Op::CausalConv { x: a, kernel: b }
+            | Op::AttnApply { attn: a, v: b } => [Some(a), Some(b)],
+            Op::Scale(a, _)
+            | Op::SoftmaxRows(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Square(a)
+            | Op::MulConst(a, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::L1(a)
+            | Op::SelfShift(a)
+            | Op::TilePairs(a) => [Some(a), None],
+        }
+    }
 }
 
 struct Node<E: Scalar> {
@@ -255,6 +288,89 @@ impl<E: Scalar> Drop for GradientsBase<E> {
                 s.push(scratch);
             }
         });
+    }
+}
+
+/// The gradient slots of one backward walk and the filter naming the nodes
+/// it propagates into: every node that requires gradients for
+/// [`TapeBase::backward_with_seed`], the live nodes for
+/// [`TapeBase::backward_to`].
+struct GradSink<'g, E: Scalar, W> {
+    grads: &'g mut [Option<TensorBase<E>>],
+    wants: W,
+}
+
+impl<E: Scalar, W: Fn(VarId) -> bool> GradSink<'_, E, W> {
+    #[inline]
+    fn wants(&self, id: VarId) -> bool {
+        (self.wants)(id)
+    }
+
+    fn accumulate(&mut self, id: VarId, contribution: TensorBase<E>) {
+        if !self.wants(id) {
+            return;
+        }
+        match &mut self.grads[id.0] {
+            Some(existing) => existing.add_assign(&contribution),
+            slot @ None => *slot = Some(contribution),
+        }
+    }
+
+    /// Accumulates `alpha · src` into the slot for `id`, axpy-ing into the
+    /// existing buffer when one is present instead of materialising a scaled
+    /// copy first. Numerically identical to
+    /// `accumulate(…, src.scale(alpha))`: both round `alpha·srcᵢ` once, then
+    /// add.
+    fn accumulate_scaled(&mut self, id: VarId, alpha: f64, src: &TensorBase<E>) {
+        if !self.wants(id) {
+            return;
+        }
+        match &mut self.grads[id.0] {
+            Some(existing) => existing.axpy(alpha, src),
+            slot @ None => {
+                *slot = Some(if alpha == 1.0 {
+                    src.clone()
+                } else {
+                    src.scale(alpha)
+                })
+            }
+        }
+    }
+
+    /// Accumulates the Hadamard product `g ⊙ other` into the slot for `id`
+    /// without allocating the product tensor when a buffer already exists.
+    fn accumulate_mul(&mut self, id: VarId, g: &TensorBase<E>, other: &TensorBase<E>) {
+        if !self.wants(id) {
+            return;
+        }
+        match &mut self.grads[id.0] {
+            Some(existing) => existing.add_mul_assign(g, other),
+            slot @ None => *slot = Some(g.mul(other)),
+        }
+    }
+
+    /// Accumulates a contribution produced by writing *in place* into a
+    /// freshly zeroed pooled buffer of `shape`. An empty slot receives the
+    /// filled buffer directly; an occupied slot gets a pooled temporary
+    /// then a single `add_assign` — computing into zeros and adding
+    /// afterwards preserves the exact rounding of the allocate-then-
+    /// accumulate path, so results stay bitwise identical while no path
+    /// allocates once the pool is warm.
+    fn accumulate_into(
+        &mut self,
+        id: VarId,
+        shape: &[usize],
+        fill: impl FnOnce(&mut TensorBase<E>),
+    ) {
+        if !self.wants(id) {
+            return;
+        }
+        let mut contribution = TensorBase::zeros(shape);
+        fill(&mut contribution);
+        match &mut self.grads[id.0] {
+            Some(existing) => existing.add_assign(&contribution),
+            slot @ None => *slot = Some(contribution),
+        }
     }
 }
 
@@ -624,13 +740,67 @@ impl<E: Scalar> TapeBase<E> {
     }
 
     /// Backpropagates from `root` with an explicit output gradient `seed`
-    /// (same shape as `root`'s value). This is how the causality detector
-    /// obtains `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦` for every target `i` at once:
-    /// it seeds the prediction with ones on every row, and because
-    /// prediction row `i` depends only on attention row `i` and kernel
-    /// slab `[:, i, :]`, those entries of the result are exactly target
-    /// `i`'s gradients.
+    /// (same shape as `root`'s value): every node that requires gradients
+    /// and is reached from `root` receives its gradient.
     pub fn backward_with_seed(&self, root: VarId, seed: TensorBase<E>) -> GradientsBase<E> {
+        self.walk(root, seed, 0, |id| self.rg(id), |_| true)
+    }
+
+    /// Backpropagates from `root` with `seed`, but only as far as the `cut`
+    /// nodes. This is how the causality detector obtains
+    /// `∂(Σ_t X̃[i,t])/∂𝒜` and `∂/∂𝒦` for every target `i` at once: it
+    /// seeds the prediction with ones on every row, and because prediction
+    /// row `i` depends only on attention row `i` and kernel slab
+    /// `[:, i, :]`, those entries of the result are exactly target `i`'s
+    /// gradients.
+    ///
+    /// Gradients flow only into *live* nodes — cut nodes, and nodes that
+    /// read a live node — and the walk ends at the lowest cut node, so
+    /// nothing below the cut and no parameter above it is differentiated.
+    /// A live node's consumers are all live, so it receives the same
+    /// contributions in the same order as under
+    /// [`TapeBase::backward_with_seed`]: the gradients at the cut nodes
+    /// are bitwise equal. Nodes off every path from a cut node to `root`
+    /// have no gradient in the result.
+    pub fn backward_to(&self, root: VarId, seed: TensorBase<E>, cut: &[VarId]) -> GradientsBase<E> {
+        /// Receives gradient: a cut node, or a node that reads a live one.
+        const LIVE: u8 = 1;
+        /// Passes gradient on: reads a live node.
+        const FEEDS: u8 = 2;
+        let mut mask = vec![0u8; root.0 + 1];
+        let mut lo = root.0 + 1;
+        for &c in cut.iter().filter(|c| c.0 <= root.0 && self.rg(**c)) {
+            mask[c.0] = LIVE;
+            lo = lo.min(c.0);
+        }
+        for idx in lo..=root.0 {
+            let [a, b] = self.nodes[idx].op.parents();
+            if [a, b].into_iter().flatten().any(|p| mask[p.0] & LIVE != 0) {
+                mask[idx] |= LIVE | FEEDS;
+            }
+        }
+        self.walk(
+            root,
+            seed,
+            lo,
+            |id| mask[id.0] & LIVE != 0,
+            |idx| mask[idx] & FEEDS != 0,
+        )
+    }
+
+    /// The reverse walk shared by both backward passes: seeds `root`, then
+    /// visits nodes `root..=lo` in reverse insertion order, propagating
+    /// each node that `steps` admits into the parents that `wants` admits.
+    /// Both filters are closure types, so each pass compiles its own walk
+    /// and the full pass keeps its plain `requires_grad` test.
+    fn walk(
+        &self,
+        root: VarId,
+        seed: TensorBase<E>,
+        lo: usize,
+        wants: impl Fn(VarId) -> bool,
+        steps: impl Fn(usize) -> bool,
+    ) -> GradientsBase<E> {
         assert_eq!(
             self.value(root).shape(),
             seed.shape(),
@@ -641,133 +811,55 @@ impl<E: Scalar> TapeBase<E> {
         let mut grads = E::with_grad_scratch(|s| s.borrow_mut().pop()).unwrap_or_default();
         grads.clear();
         grads.resize_with(self.nodes.len(), || None);
-        if !self.rg(root) {
+        if !wants(root) {
             return GradientsBase { grads };
         }
         grads[root.0] = Some(seed);
 
-        for idx in (0..=root.0).rev() {
-            let Some(g) = grads[idx].take() else {
+        let mut sink = GradSink {
+            grads: &mut grads,
+            wants,
+        };
+        for idx in (lo..=root.0).rev() {
+            if !steps(idx) {
+                continue;
+            }
+            let Some(g) = sink.grads[idx].take() else {
                 continue;
             };
             // Re-store: callers may want gradients of interior nodes too.
             let node = &self.nodes[idx];
             let _t = cf_obs::span!(node.op.bwd_kind(), flops = 2 * self.op_flops(&node.op));
-            self.propagate(&node.op, &g, idx, &mut grads);
-            grads[idx] = Some(g);
+            self.propagate(&node.op, &g, idx, &mut sink);
+            sink.grads[idx] = Some(g);
         }
         GradientsBase { grads }
     }
 
-    fn accumulate(
-        &self,
-        grads: &mut [Option<TensorBase<E>>],
-        id: VarId,
-        contribution: TensorBase<E>,
-    ) {
-        if !self.rg(id) {
-            return;
-        }
-        match &mut grads[id.0] {
-            Some(existing) => existing.add_assign(&contribution),
-            slot @ None => *slot = Some(contribution),
-        }
-    }
-
-    /// Accumulates `alpha · src` into the slot for `id`, axpy-ing into the
-    /// existing buffer when one is present instead of materialising a scaled
-    /// copy first. Numerically identical to
-    /// `accumulate(…, src.scale(alpha))`: both round `alpha·srcᵢ` once, then
-    /// add.
-    fn accumulate_scaled(
-        &self,
-        grads: &mut [Option<TensorBase<E>>],
-        id: VarId,
-        alpha: f64,
-        src: &TensorBase<E>,
-    ) {
-        if !self.rg(id) {
-            return;
-        }
-        match &mut grads[id.0] {
-            Some(existing) => existing.axpy(alpha, src),
-            slot @ None => {
-                *slot = Some(if alpha == 1.0 {
-                    src.clone()
-                } else {
-                    src.scale(alpha)
-                })
-            }
-        }
-    }
-
-    /// Accumulates the Hadamard product `g ⊙ other` into the slot for `id`
-    /// without allocating the product tensor when a buffer already exists.
-    fn accumulate_mul(
-        &self,
-        grads: &mut [Option<TensorBase<E>>],
-        id: VarId,
-        g: &TensorBase<E>,
-        other: &TensorBase<E>,
-    ) {
-        if !self.rg(id) {
-            return;
-        }
-        match &mut grads[id.0] {
-            Some(existing) => existing.add_mul_assign(g, other),
-            slot @ None => *slot = Some(g.mul(other)),
-        }
-    }
-
-    /// Accumulates a contribution produced by writing *in place* into a
-    /// freshly zeroed pooled buffer of `shape`. An empty slot receives the
-    /// filled buffer directly; an occupied slot gets a pooled temporary
-    /// then a single `add_assign` — computing into zeros and adding
-    /// afterwards preserves the exact rounding of the allocate-then-
-    /// accumulate path, so results stay bitwise identical while no path
-    /// allocates once the pool is warm.
-    fn accumulate_into(
-        &self,
-        grads: &mut [Option<TensorBase<E>>],
-        id: VarId,
-        shape: &[usize],
-        fill: impl FnOnce(&mut TensorBase<E>),
-    ) {
-        if !self.rg(id) {
-            return;
-        }
-        let mut contribution = TensorBase::zeros(shape);
-        fill(&mut contribution);
-        match &mut grads[id.0] {
-            Some(existing) => existing.add_assign(&contribution),
-            slot @ None => *slot = Some(contribution),
-        }
-    }
-
-    fn propagate(
+    fn propagate<W: Fn(VarId) -> bool>(
         &self,
         op: &Op<E>,
         g: &TensorBase<E>,
         idx: usize,
-        grads: &mut [Option<TensorBase<E>>],
+        sink: &mut GradSink<'_, E, W>,
     ) {
         match op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                self.accumulate_scaled(grads, *a, 1.0, g);
-                self.accumulate_scaled(grads, *b, 1.0, g);
+                sink.accumulate_scaled(*a, 1.0, g);
+                sink.accumulate_scaled(*b, 1.0, g);
             }
             Op::Sub(a, b) => {
-                self.accumulate_scaled(grads, *a, 1.0, g);
-                self.accumulate_scaled(grads, *b, -1.0, g);
+                sink.accumulate_scaled(*a, 1.0, g);
+                sink.accumulate_scaled(*b, -1.0, g);
             }
             Op::Mul(a, b) => {
-                self.accumulate_mul(grads, *a, g, self.value(*b));
-                self.accumulate_mul(grads, *b, g, self.value(*a));
+                sink.accumulate_mul(*a, g, self.value(*b));
+                sink.accumulate_mul(*b, g, self.value(*a));
             }
             Op::AddRowVector(m, bias) => {
-                self.accumulate_scaled(grads, *m, 1.0, g);
-                if self.rg(*bias) {
+                sink.accumulate_scaled(*m, 1.0, g);
+                if sink.wants(*bias) {
                     // Column sums of g.
                     let (r, c) = (g.shape()[0], g.shape()[1]);
                     let mut gb = TensorBase::zeros(&[c]);
@@ -780,12 +872,12 @@ impl<E: Scalar> TapeBase<E> {
                             }
                         }
                     }
-                    self.accumulate(grads, *bias, gb);
+                    sink.accumulate(*bias, gb);
                 }
             }
             Op::MulRowVector(m, v) => {
                 let (r, c) = (g.shape()[0], g.shape()[1]);
-                if self.rg(*m) {
+                if sink.wants(*m) {
                     let vv = self.value(*v);
                     let mut gm = g.clone();
                     {
@@ -797,9 +889,9 @@ impl<E: Scalar> TapeBase<E> {
                             }
                         }
                     }
-                    self.accumulate(grads, *m, gm);
+                    sink.accumulate(*m, gm);
                 }
-                if self.rg(*v) {
+                if sink.wants(*v) {
                     let mv = self.value(*m);
                     let mut gv = TensorBase::zeros(&[c]);
                     {
@@ -812,26 +904,26 @@ impl<E: Scalar> TapeBase<E> {
                             }
                         }
                     }
-                    self.accumulate(grads, *v, gv);
+                    sink.accumulate(*v, gv);
                 }
             }
-            Op::Scale(a, alpha) => self.accumulate_scaled(grads, *a, *alpha, g),
+            Op::Scale(a, alpha) => sink.accumulate_scaled(*a, *alpha, g),
             Op::MatMul(a, b) => {
                 // y = a·b : da = g·bᵀ, db = aᵀ·g — each written in place
                 // into a pooled zeroed buffer of the parent's shape.
-                self.accumulate_into(grads, *a, self.value(*a).shape(), |da| {
+                sink.accumulate_into(*a, self.value(*a).shape(), |da| {
                     g.matmul_nt_into(self.value(*b), da)
                 });
-                self.accumulate_into(grads, *b, self.value(*b).shape(), |db| {
+                sink.accumulate_into(*b, self.value(*b).shape(), |db| {
                     self.value(*a).matmul_tn_into(g, db)
                 });
             }
             Op::MatMulNT(a, b) => {
                 // y = a·bᵀ : da = g·b, db = gᵀ·a
-                self.accumulate_into(grads, *a, self.value(*a).shape(), |da| {
+                sink.accumulate_into(*a, self.value(*a).shape(), |da| {
                     g.matmul_into(self.value(*b), da)
                 });
-                self.accumulate_into(grads, *b, self.value(*b).shape(), |db| {
+                sink.accumulate_into(*b, self.value(*b).shape(), |db| {
                     g.matmul_tn_into(self.value(*a), db)
                 });
             }
@@ -839,7 +931,7 @@ impl<E: Scalar> TapeBase<E> {
                 // ds = (g − Σ_j g·s per row) ⊙ s
                 let s = &self.nodes[idx].value;
                 let (r, c) = (s.shape()[0], s.shape()[1]);
-                self.accumulate_into(grads, *a, &[r, c], |out| {
+                sink.accumulate_into(*a, &[r, c], |out| {
                     let od = out.data_mut();
                     for i in 0..r {
                         let srow = s.row(i);
@@ -859,57 +951,57 @@ impl<E: Scalar> TapeBase<E> {
                 let x = self.value(*a);
                 let s = E::from_f64(*slope);
                 let gx = g.zip_map(x, |gv, xv| if xv >= E::ZERO { gv } else { gv * s });
-                self.accumulate(grads, *a, gx);
+                sink.accumulate(*a, gx);
             }
             Op::Tanh(a) => {
                 let y = &self.nodes[idx].value;
-                self.accumulate(grads, *a, g.zip_map(y, |gv, yv| gv * (E::ONE - yv * yv)));
+                sink.accumulate(*a, g.zip_map(y, |gv, yv| gv * (E::ONE - yv * yv)));
             }
             Op::Sigmoid(a) => {
                 let y = &self.nodes[idx].value;
-                self.accumulate(grads, *a, g.zip_map(y, |gv, yv| gv * yv * (E::ONE - yv)));
+                sink.accumulate(*a, g.zip_map(y, |gv, yv| gv * yv * (E::ONE - yv)));
             }
             Op::Square(a) => {
                 let x = self.value(*a);
                 let two = E::from_f64(2.0);
-                self.accumulate(grads, *a, g.zip_map(x, |gv, xv| gv * two * xv));
+                sink.accumulate(*a, g.zip_map(x, |gv, xv| gv * two * xv));
             }
-            Op::MulConst(a, c) => self.accumulate_mul(grads, *a, g, c),
+            Op::MulConst(a, c) => sink.accumulate_mul(*a, g, c),
             Op::SumAll(a) => {
                 let val = TensorBase::full(self.value(*a).shape(), g.item());
-                self.accumulate(grads, *a, val);
+                sink.accumulate(*a, val);
             }
             Op::MeanAll(a) => {
                 let n = self.value(*a).len() as f64;
                 let val = TensorBase::full(self.value(*a).shape(), g.item() / n);
-                self.accumulate(grads, *a, val);
+                sink.accumulate(*a, val);
             }
             Op::L1(a) => {
                 let x = self.value(*a);
                 let gi = E::from_f64(g.item());
-                self.accumulate(grads, *a, x.map(|v| gi * v.signum()));
+                sink.accumulate(*a, x.map(|v| gi * v.signum()));
             }
             Op::ScaleByElem { x, w, idx: wi } => {
                 let weight = self.value(*w).data()[*wi].to_f64();
-                if self.rg(*x) {
-                    self.accumulate_scaled(grads, *x, weight, g);
+                if sink.wants(*x) {
+                    sink.accumulate_scaled(*x, weight, g);
                 }
-                if self.rg(*w) {
+                if sink.wants(*w) {
                     let mut gw = TensorBase::zeros(self.value(*w).shape());
                     let dot = g.mul(self.value(*x)).sum();
                     gw.data_mut()[*wi] = E::from_f64(dot);
-                    self.accumulate(grads, *w, gw);
+                    sink.accumulate(*w, gw);
                 }
             }
             Op::CausalConv { x, kernel } => {
-                self.accumulate_into(grads, *x, self.value(*x).shape(), |gx| {
+                sink.accumulate_into(*x, self.value(*x).shape(), |gx| {
                     ops::causal_conv_backward_x_into(self.value(*kernel), g, gx)
                 });
-                self.accumulate_into(grads, *kernel, self.value(*kernel).shape(), |gk| {
+                sink.accumulate_into(*kernel, self.value(*kernel).shape(), |gk| {
                     ops::causal_conv_backward_kernel_into(self.value(*x), g, gk)
                 });
             }
-            Op::SelfShift(a) => self.accumulate(grads, *a, ops::self_shift_backward(g)),
+            Op::SelfShift(a) => sink.accumulate(*a, ops::self_shift_backward(g)),
             Op::TilePairs(a) => {
                 // Sum gradients over the tiled (target) axis.
                 let (n, t_len) = (g.shape()[0], g.shape()[2]);
@@ -927,13 +1019,13 @@ impl<E: Scalar> TapeBase<E> {
                         }
                     }
                 }
-                self.accumulate(grads, *a, gx);
+                sink.accumulate(*a, gx);
             }
             Op::AttnApply { attn, v } => {
-                self.accumulate_into(grads, *attn, self.value(*attn).shape(), |ga| {
+                sink.accumulate_into(*attn, self.value(*attn).shape(), |ga| {
                     ops::attn_apply_backward_attn_into(self.value(*v), g, ga)
                 });
-                self.accumulate_into(grads, *v, self.value(*v).shape(), |gv| {
+                sink.accumulate_into(*v, self.value(*v).shape(), |gv| {
                     ops::attn_apply_backward_v_into(self.value(*attn), g, gv)
                 });
             }
@@ -1211,6 +1303,38 @@ mod tests {
         let grads = tape.backward_with_seed(y, seed);
         let gx = grads.expect(x, "x");
         assert_eq!(gx.data(), &[0.0, 0.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn backward_to_matches_full_backward_at_the_cut_and_skips_the_rest() {
+        let mut tape = Tape::new();
+        let x = tape.constant(rand_t(&[3, 4], 40));
+        let w_below = tape.leaf(rand_t(&[4, 3], 41), true);
+        let h = tape.matmul(x, w_below);
+        let a = tape.softmax_rows(h);
+        let w_above = tape.leaf(rand_t(&[3, 3], 42), true);
+        let y1 = tape.matmul(a, w_above);
+        let y2 = tape.mul(a, a);
+        let y = tape.add(y1, y2);
+        let root = tape.tanh(y);
+        let seed = rand_t(&[3, 3], 43);
+        let full = tape.backward_with_seed(root, seed.clone());
+        // One cut node, and two where one lies above the other: the lower
+        // one must still collect every path through the upper one.
+        for cut in [vec![a], vec![h, y1]] {
+            let part = tape.backward_to(root, seed.clone(), &cut);
+            for &c in &cut {
+                let (p, f) = (part.expect(c, "cut"), full.expect(c, "cut"));
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(p), bits(f), "cut node {c:?}");
+            }
+            for p in [w_below, w_above, x] {
+                assert!(part.get(p).is_none(), "{p:?} got a gradient");
+            }
+        }
+        let part = tape.backward_to(root, seed, &[a]);
+        assert!(part.get(h).is_none(), "walk went below the cut");
+        assert!(part.get(y).is_some());
     }
 
     #[test]

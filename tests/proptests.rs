@@ -194,7 +194,6 @@ proptest! {
             head_out: std::slice::from_ref(tape.value(head)),
             attn: std::slice::from_ref(tape.value(attn)),
             shifted: tape.value(shifted),
-            conv: tape.value(conv),
             bank: &kernel,
             w_out: &w_out,
             b_out: &zeros_t,
