@@ -27,7 +27,7 @@
 
 use crate::config::{DetectorConfig, DetectorMode};
 use crate::model::{CausalityAwareTransformer, ForwardTrace};
-use crate::rrp::{self, RrpLayers, RrpResult};
+use crate::rrp::{self, RrpLayers, RrpResult, WidenedWeights};
 use cf_metrics::kmeans::top_class_mask;
 use cf_metrics::CausalGraph;
 use cf_nn::ParamStoreBase;
@@ -87,19 +87,39 @@ pub fn window_scores<E: Scalar>(
     x_window: &TensorBase<E>,
     mode: DetectorMode,
 ) -> CausalScores {
+    let weights = WidenedWeights::of(model, store);
+    scores_with(model, store, &weights, x_window, mode)
+}
+
+/// [`window_scores`] with the model's RRP weights already widened, so a
+/// detection over many windows widens and transposes them once.
+fn scores_with<E: Scalar>(
+    model: &CausalityAwareTransformer,
+    store: &ParamStoreBase<E>,
+    weights: &WidenedWeights,
+    x_window: &TensorBase<E>,
+    mode: DetectorMode,
+) -> CausalScores {
     let _span = cf_obs::span!("window_scores");
-    score_window(model, store, x_window, mode, |tape, trace, layers| {
-        let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
-        let grads = (mode != DetectorMode::NoGradient)
-            .then(|| cut_gradients(tape, trace, TensorBase::ones(&[n, t])));
-        let rel = (mode != DetectorMode::NoRelevance)
-            .then(|| rrp::propagate(layers, &Tensor::ones(&[n, t])));
-        let shape = (n, t, trace.attn.len());
-        let (attn, kernel) = (0..n)
-            .map(|i| combine_target(i, shape, grads.as_ref(), rel.as_ref()))
-            .unzip();
-        CausalScores { attn, kernel }
-    })
+    score_window(
+        model,
+        store,
+        weights,
+        x_window,
+        mode,
+        |tape, trace, layers| {
+            let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
+            let grads = (mode != DetectorMode::NoGradient)
+                .then(|| cut_gradients(tape, trace, TensorBase::ones(&[n, t])));
+            let rel = (mode != DetectorMode::NoRelevance)
+                .then(|| rrp::propagate(layers, &Tensor::ones(&[n, t])));
+            let shape = (n, t, trace.attn.len());
+            let (attn, kernel) = (0..n)
+                .map(|i| combine_target(i, shape, grads.as_ref(), rel.as_ref()))
+                .unzip();
+            CausalScores { attn, kernel }
+        },
+    )
 }
 
 /// Runs the forward pass on a pooled tape and hands `passes` the tape, the
@@ -108,6 +128,7 @@ pub fn window_scores<E: Scalar>(
 fn score_window<E: Scalar>(
     model: &CausalityAwareTransformer,
     store: &ParamStoreBase<E>,
+    weights: &WidenedWeights,
     x_window: &TensorBase<E>,
     mode: DetectorMode,
     passes: impl FnOnce(&TapeBase<E>, &ForwardTrace, &RrpLayers<'_>) -> CausalScores,
@@ -145,10 +166,8 @@ fn score_window<E: Scalar>(
         // Pull the forward values needed by RRP off the tape once. RRP
         // itself stays f64 whatever the training dtype: relevance
         // propagation is a read-out, not a hot loop, so the forward
-        // values and weights are materialised as f64 tensors here (an
-        // identity copy when E = f64).
-        let weights = model.rrp_weights();
-        let biases = model.rrp_biases();
+        // values are materialised as f64 tensors here (an identity copy
+        // when E = f64), as the caller did the weights.
         let head_out: Vec<Tensor> = trace
             .head_out
             .iter()
@@ -167,13 +186,6 @@ fn score_window<E: Scalar>(
         let att_v = tape.value(trace.att).to_f64_tensor();
         let shifted_v = tape.value(trace.shifted).to_f64_tensor();
         let bank_v = tape.value(trace.bank).to_f64_tensor();
-        let w_out_v = store.value(weights.output_w).to_f64_tensor();
-        let b_out_v = store.value(biases.output_b).to_f64_tensor();
-        let w2_v = store.value(weights.ffn2_w).to_f64_tensor();
-        let b2_v = store.value(biases.ffn2_b).to_f64_tensor();
-        let w1_v = store.value(weights.ffn1_w).to_f64_tensor();
-        let b1_v = store.value(biases.ffn1_b).to_f64_tensor();
-        let w_o_v = store.value(weights.w_o).to_f64_tensor();
         let layers = RrpLayers {
             x: &x_v,
             pred: &pred_v,
@@ -185,13 +197,7 @@ fn score_window<E: Scalar>(
             attn: &attn_vals,
             shifted: &shifted_v,
             bank: &bank_v,
-            w_out: &w_out_v,
-            b_out: &b_out_v,
-            w2: &w2_v,
-            b2: &b2_v,
-            w1: &w1_v,
-            b1: &b1_v,
-            w_o: &w_o_v,
+            weights,
             with_bias: mode != DetectorMode::NoBias,
         };
         layers.validate_shapes();
@@ -314,12 +320,13 @@ pub fn aggregate_scores<E: Scalar>(
     // sample order, then start the next: the same left fold the old serial
     // loop performed, so the sum stays bitwise identical at any thread
     // count, and at most one block of per-window scores is alive at once.
+    let weights = WidenedWeights::of(model, store);
     let block = SCORE_BLOCK_PER_THREAD * cf_par::threads();
     for start in (0..k).step_by(block) {
         let scored = cf_par::par_map(block.min(k - start), |b| {
             let idx = ((start + b) as f64 * step) as usize;
-            let scores =
-                window_scores(model, store, &windows[idx.min(windows.len() - 1)], cfg.mode);
+            let window = &windows[idx.min(windows.len() - 1)];
+            let scores = scores_with(model, store, &weights, window, cfg.mode);
             // Parallel progress: each completed window ticks the heartbeat
             // unit. Tick order varies with scheduling; the scores don't.
             cf_obs::heartbeat::progress_inc("detect.window", k as u64);
@@ -522,25 +529,33 @@ mod tests {
         x_window: &TensorBase<E>,
         mode: DetectorMode,
     ) -> CausalScores {
-        score_window(model, store, x_window, mode, |tape, trace, layers| {
-            let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
-            let shape = (n, t, trace.attn.len());
-            let (attn, kernel) = (0..n)
-                .map(|i| {
-                    let mut seed = Tensor::zeros(&[n, t]);
-                    for tt in 0..t {
-                        seed.set2(i, tt, 1.0);
-                    }
-                    let grads = (mode != DetectorMode::NoGradient).then(|| {
-                        cut_gradients(tape, trace, TensorBase::<E>::from_f64_tensor(&seed))
-                    });
-                    let rel =
-                        (mode != DetectorMode::NoRelevance).then(|| rrp::propagate(layers, &seed));
-                    combine_target(i, shape, grads.as_ref(), rel.as_ref())
-                })
-                .unzip();
-            CausalScores { attn, kernel }
-        })
+        let weights = WidenedWeights::of(model, store);
+        score_window(
+            model,
+            store,
+            &weights,
+            x_window,
+            mode,
+            |tape, trace, layers| {
+                let (n, t) = (layers.pred.shape()[0], layers.pred.shape()[1]);
+                let shape = (n, t, trace.attn.len());
+                let (attn, kernel) = (0..n)
+                    .map(|i| {
+                        let mut seed = Tensor::zeros(&[n, t]);
+                        for tt in 0..t {
+                            seed.set2(i, tt, 1.0);
+                        }
+                        let grads = (mode != DetectorMode::NoGradient).then(|| {
+                            cut_gradients(tape, trace, TensorBase::<E>::from_f64_tensor(&seed))
+                        });
+                        let rel = (mode != DetectorMode::NoRelevance)
+                            .then(|| rrp::propagate(layers, &seed));
+                        combine_target(i, shape, grads.as_ref(), rel.as_ref())
+                    })
+                    .unzip();
+                CausalScores { attn, kernel }
+            },
+        )
     }
 
     fn assert_one_pass_matches_per_target<E: Scalar>(n: usize, single_kernel: bool) {

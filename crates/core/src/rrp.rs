@@ -40,7 +40,9 @@
 //! The bias keeps its Eq. 15/16 role — a positive bias absorbs part of the
 //! relevance (ablatable via `with_bias`).
 
-use cf_tensor::{ops, Tensor};
+use crate::model::CausalityAwareTransformer;
+use cf_nn::ParamStoreBase;
+use cf_tensor::{ops, Scalar, Tensor};
 
 /// Numerical stabiliser added (sign-preservingly) to RRP denominators — the
 /// ε of LRP-ε. Keeps relevance finite when an activation is ≈ 0.
@@ -70,6 +72,45 @@ pub struct RrpResult {
     pub kernel: Tensor,
 }
 
+/// The model weights an RRP pass reads, widened to f64, with each
+/// linear layer's weight transposed so row `j` is the column output `j`
+/// reads. They are the same for every window, so a detection builds them
+/// once ([`WidenedWeights::of`]).
+pub struct WidenedWeights {
+    /// Output layer weight, transposed (`T×T`).
+    pub w_out_t: Tensor,
+    /// Output layer bias (`T`).
+    pub b_out: Tensor,
+    /// Second FFN weight, transposed (`T×d_FFN`).
+    pub w2_t: Tensor,
+    /// Second FFN bias (`T`).
+    pub b2: Tensor,
+    /// First FFN weight, transposed (`d_FFN×T`).
+    pub w1_t: Tensor,
+    /// First FFN bias (`d_FFN`).
+    pub b1: Tensor,
+    /// Head-combination weights (`h`).
+    pub w_o: Tensor,
+}
+
+impl WidenedWeights {
+    /// Reads `model`'s RRP weights out of `store` (an identity copy when
+    /// `E = f64`).
+    pub fn of<E: Scalar>(model: &CausalityAwareTransformer, store: &ParamStoreBase<E>) -> Self {
+        let (w, b) = (model.rrp_weights(), model.rrp_biases());
+        let widen = |id| store.value(id).to_f64_tensor();
+        Self {
+            w_out_t: widen(w.output_w).transpose2(),
+            b_out: widen(b.output_b),
+            w2_t: widen(w.ffn2_w).transpose2(),
+            b2: widen(b.ffn2_b),
+            w1_t: widen(w.ffn1_w).transpose2(),
+            b1: widen(b.ffn1_b),
+            w_o: widen(w.w_o),
+        }
+    }
+}
+
 /// Inputs to an RRP pass: forward values and weights, all plain tensors
 /// (already pulled off the tape by the detector).
 pub struct RrpLayers<'a> {
@@ -93,20 +134,8 @@ pub struct RrpLayers<'a> {
     pub shifted: &'a Tensor,
     /// Kernel bank as used by the convolution (`N×N×T`).
     pub bank: &'a Tensor,
-    /// Output layer weight (`T×T`) and bias (`T`).
-    pub w_out: &'a Tensor,
-    /// Output layer bias.
-    pub b_out: &'a Tensor,
-    /// Second FFN weight (`d_FFN×T`) and bias (`T`).
-    pub w2: &'a Tensor,
-    /// Second FFN bias.
-    pub b2: &'a Tensor,
-    /// First FFN weight (`T×d_FFN`) and bias (`d_FFN`).
-    pub w1: &'a Tensor,
-    /// First FFN bias.
-    pub b1: &'a Tensor,
-    /// Head-combination weights (`h`).
-    pub w_o: &'a Tensor,
+    /// The model's weights and biases.
+    pub weights: &'a WidenedWeights,
     /// Whether biases join the denominators (Eq. 15/16). `false` is the
     /// "w/o bias" ablation (plain z-rule, Eq. 14).
     pub with_bias: bool,
@@ -124,12 +153,13 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     let t = layers.pred.shape()[1];
     assert_eq!(seed.shape(), layers.pred.shape(), "seed shape");
 
+    let w = layers.weights;
     // Output layer: pred = ffn_out · W_out + b_out.
     let r_ffn_out = linear_rrp(
         layers.ffn_out,
-        layers.w_out,
+        &w.w_out_t,
         layers.pred,
-        layers.b_out,
+        &w.b_out,
         seed,
         layers.with_bias,
     );
@@ -137,9 +167,9 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     // FFN second linear: ffn_out = ffn_act · W2 + b2.
     let r_ffn_act = linear_rrp(
         layers.ffn_act,
-        layers.w2,
+        &w.w2_t,
         layers.ffn_out,
-        layers.b2,
+        &w.b2,
         &r_ffn_out,
         layers.with_bias,
     );
@@ -149,9 +179,9 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     // ffn_pre = att · W1 + b1, and r_ffn_pre == r_ffn_act.
     let r_att = linear_rrp(
         layers.att,
-        layers.w1,
+        &w.w1_t,
         layers.ffn_pre,
-        layers.b1,
+        &w.b1,
         &r_ffn_act,
         layers.with_bias,
     );
@@ -159,7 +189,7 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     // Head combination: att = Σ_h W_O[h] · head_out[h] — a sum of products;
     // each term takes the share of its positive contribution (z⁺).
     let h = layers.head_out.len();
-    let w_o = layers.w_o.data();
+    let w_o = w.w_o.data();
     let mut r_heads = vec![Tensor::zeros(&[n, t]); h];
     let mut z = vec![0.0; h];
     for (p, &r) in r_att.data().iter().enumerate() {
@@ -273,9 +303,11 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
 /// A positive bias joins the denominator and absorbs its share of the
 /// relevance (the Eq. 16 bias relevance) — exactly the "bias also matters"
 /// effect the w/o-bias ablation removes.
+///
+/// Takes `Wᵀ` (`q×p`): row `j` is the column that output `j` reads.
 fn linear_rrp(
     x: &Tensor,
-    w: &Tensor,
+    w_t: &Tensor,
     y: &Tensor,
     b: &Tensor,
     r_y: &Tensor,
@@ -283,10 +315,8 @@ fn linear_rrp(
 ) -> Tensor {
     let (rows, p) = (x.shape()[0], x.shape()[1]);
     let q = y.shape()[1];
-    assert_eq!(w.shape(), &[p, q], "weight shape");
+    assert_eq!(w_t.shape(), &[q, p], "transposed weight shape");
     assert_eq!(r_y.shape(), y.shape(), "relevance shape");
-    // Row j of Wᵀ is the column that output j reads.
-    let w_t = w.transpose2();
     let mut r_x = Tensor::zeros(&[rows, p]);
     let mut z = vec![0.0; p];
     for nrow in 0..rows {
@@ -323,7 +353,7 @@ impl<'a> RrpLayers<'a> {
         debug_assert_eq!(self.shifted.shape(), &[n, n, t]);
         debug_assert_eq!(self.bank.shape(), &[n, n, t]);
         debug_assert_eq!(self.head_out.len(), self.attn.len());
-        debug_assert_eq!(self.w_o.len(), self.head_out.len());
+        debug_assert_eq!(self.weights.w_o.len(), self.head_out.len());
     }
 }
 
@@ -344,7 +374,7 @@ mod tests {
         let y = x.clone(); // y = x·I
         let b = Tensor::zeros(&[2]);
         let r_y = Tensor::ones(&[1, 2]);
-        let r_x = linear_rrp(&x, &w, &y, &b, &r_y, true);
+        let r_x = linear_rrp(&x, &w.transpose2(), &y, &b, &r_y, true);
         // Each output's relevance flows to its single positive contributor.
         assert!((r_x.get2(0, 0) - 1.0).abs() < 1e-5);
         assert!((r_x.get2(0, 1) - 1.0).abs() < 1e-5);
@@ -359,8 +389,8 @@ mod tests {
         let y = Tensor::from_vec(vec![1, 1], vec![2.0]).unwrap();
         let b = Tensor::from_slice(&[1.0]);
         let r_y = Tensor::ones(&[1, 1]);
-        let with = linear_rrp(&x, &w, &y, &b, &r_y, true).get2(0, 0);
-        let without = linear_rrp(&x, &w, &y, &b, &r_y, false).get2(0, 0);
+        let with = linear_rrp(&x, &w.transpose2(), &y, &b, &r_y, true).get2(0, 0);
+        let without = linear_rrp(&x, &w.transpose2(), &y, &b, &r_y, false).get2(0, 0);
         assert!((with - 0.5).abs() < 1e-5, "with bias: {with}");
         assert!((without - 1.0).abs() < 1e-5, "without bias: {without}");
         assert!(with < without, "bias must reduce input relevance");
@@ -373,7 +403,7 @@ mod tests {
         let y = Tensor::from_vec(vec![1, 1], vec![0.0]).unwrap();
         let b = Tensor::zeros(&[1]);
         let r_y = Tensor::ones(&[1, 1]);
-        let r_x = linear_rrp(&x, &w, &y, &b, &r_y, true);
+        let r_x = linear_rrp(&x, &w.transpose2(), &y, &b, &r_y, true);
         assert!(r_x.get2(0, 0) > 0.9, "positive contributor keeps relevance");
         assert_eq!(r_x.get2(0, 1), 0.0, "negative contributor gets none");
     }
@@ -403,8 +433,7 @@ mod tests {
         let mut tape = Tape::new();
         let bound = store.bind(&mut tape);
         let trace = model.forward(&mut tape, &bound, &x);
-        let weights = model.rrp_weights();
-        let biases = model.rrp_biases();
+        let weights = WidenedWeights::of(&model, &store);
         let head_out: Vec<Tensor> = trace
             .head_out
             .iter()
@@ -422,13 +451,7 @@ mod tests {
             attn: &attn,
             shifted: tape.value(trace.shifted),
             bank: tape.value(trace.bank),
-            w_out: store.value(weights.output_w),
-            b_out: store.value(biases.output_b),
-            w2: store.value(weights.ffn2_w),
-            b2: store.value(biases.ffn2_b),
-            w1: store.value(weights.ffn1_w),
-            b1: store.value(biases.ffn1_b),
-            w_o: store.value(weights.w_o),
+            weights: &weights,
             with_bias: true,
         };
         layers.validate_shapes();

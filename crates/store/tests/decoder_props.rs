@@ -5,7 +5,8 @@
 //! Covers the CFTENS1 tensor envelope (`TensorFile::parse` and its
 //! `typed` / `f64s` / `u64s` readers), the CFSTORE1 manifest
 //! (`SeriesStore::open`), CFCHNK1 chunks (`SeriesStore::read_chunk` over
-//! `MemStorage`) and every codec pipeline (`Pipeline::decode`).
+//! `MemStorage`) and every codec pipeline (`Pipeline::decode_f64s`,
+//! against a byte-at-a-time oracle).
 
 use cf_store::codec::Pipeline;
 use cf_store::{MemStorage, SeriesStore, SeriesWriter, Storage, TensorFile, TensorFileBuilder};
@@ -22,6 +23,11 @@ enum Mutation {
     Truncate(usize),
     Flip(usize, u8),
     Random(Vec<u8>),
+    /// Clear the high bit of one byte: a varint word ends early.
+    EndWord(usize),
+    /// Overwrite a run of bytes with continuation bytes: a varint word
+    /// longer than 10 bytes.
+    LongRun(usize, usize),
 }
 
 impl Mutation {
@@ -36,6 +42,18 @@ impl Mutation {
                 out
             }
             Mutation::Random(random) => random.clone(),
+            Mutation::EndWord(at) => {
+                let mut out = bytes.to_vec();
+                *out.get_mut(at % bytes.len().max(1))? &= 0x7F;
+                out
+            }
+            Mutation::LongRun(at, len) => {
+                let mut out = bytes.to_vec();
+                let at = at % bytes.len().max(1);
+                let end = (at + len).min(out.len());
+                out[at..end].fill(0xFF);
+                out
+            }
         };
         (out != bytes).then_some(out)
     }
@@ -48,6 +66,25 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         1 => Mutation::Flip(at, bit),
         _ => Mutation::Random(random),
     })
+}
+
+/// [`mutation`] plus the damage aimed at the varint decoder's block
+/// path: a word cut short and a run of 11 to 24 continuation bytes,
+/// anywhere in the stream.
+fn codec_damage() -> impl Strategy<Value = Mutation> {
+    (0u8..3, mutation(), 0usize..1 << 16, 11usize..25).prop_map(|(kind, other, at, len)| match kind
+    {
+        0 => Mutation::EndWord(at),
+        1 => Mutation::LongRun(at, len),
+        _ => other,
+    })
+}
+
+/// 0 to 600 words whose varint lengths cover 1 to 10 bytes: a random
+/// word shifted right by 0 to 63 bits.
+fn codec_words() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec((0u64..=u64::MAX, 0u32..64), 0..600)
+        .prop_map(|words| words.into_iter().map(|(w, s)| w >> s).collect())
 }
 
 /// A CFTENS1 document with an f64 tensor, an f32 tensor and u64 words.
@@ -162,18 +199,17 @@ proptest! {
 
     #[test]
     fn codecs_round_trip_and_survive_any_bytes(
-        words in proptest::collection::vec(0u64..=u64::MAX, 0..16),
+        words in codec_words(),
         codec in 0usize..CODECS.len(),
-        damage in mutation(),
+        damage in codec_damage(),
     ) {
         let p = Pipeline::by_name(CODECS[codec]).unwrap();
-        let raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let encoded = p.encode(&raw).unwrap();
-        prop_assert_eq!(p.decode(&encoded).unwrap(), raw);
+        let encoded = encode(p, &words);
+        prop_assert_eq!(decode(p, &encoded, words.len()).unwrap(), words);
         // Codecs carry no checksum (the chunk's CRC does): damaged input
-        // may decode to other bytes, but never panics.
+        // may decode to other words, but never panics.
         if let Some(bad) = damage.apply(&encoded) {
-            let _ = p.decode(&bad);
+            let _ = decode(p, &bad, usize::MAX);
         }
     }
 }
@@ -230,49 +266,120 @@ fn store_range_with_overflowing_geometry_is_an_error() {
     assert!(err.to_string().contains("overflows"), "{err}");
 }
 
-/// The staged read path as a chunk read takes it: `Pipeline::decode`,
-/// then whole little-endian words. `None` when either step fails (a
-/// length that is not a multiple of 8 holds no whole sample).
-fn staged_words(p: &Pipeline, bytes: &[u8]) -> Option<Vec<u64>> {
-    let raw = p.decode(bytes).ok()?;
-    raw.len().is_multiple_of(8).then(|| {
-        raw.chunks_exact(8)
+/// The fast encoder's words, as one row.
+fn encode(p: Pipeline, words: &[u64]) -> Vec<u8> {
+    let values: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+    let mut out = Vec::new();
+    p.encode_f64s([&values[..]], &mut out);
+    out
+}
+
+/// The fast decoder's words; `expected` is the header's sample count.
+fn decode(p: Pipeline, bytes: &[u8], expected: usize) -> Result<Vec<u64>, cf_store::StoreError> {
+    let mut out = vec![1.0]; // the decoder clears it
+    p.decode_f64s(bytes, expected, &mut out)?;
+    Ok(out.iter().map(|v| v.to_bits()).collect())
+}
+
+/// The oracle encoder: XOR deltas and LEB128 varints a byte at a time.
+fn oracle_encode(p: Pipeline, words: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut prev = 0u64;
+    for &bits in words {
+        let mut w = if p == Pipeline::Raw {
+            bits
+        } else {
+            bits ^ prev
+        };
+        prev = bits;
+        if p != Pipeline::DeltaVarint {
+            out.extend_from_slice(&w.to_le_bytes());
+            continue;
+        }
+        loop {
+            let byte = (w & 0x7F) as u8;
+            w >>= 7;
+            if w == 0 {
+                out.push(byte);
+                break;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+    out
+}
+
+/// The oracle decoder: varints a byte at a time, then the XOR deltas
+/// over whole little-endian words. `None` where the stream ends
+/// mid-word, a word overflows `u64`, or the bytes hold no whole number
+/// of words.
+fn oracle_decode(p: Pipeline, bytes: &[u8]) -> Option<Vec<u64>> {
+    let words: Vec<u64> = if p == Pipeline::DeltaVarint {
+        let mut words = Vec::new();
+        let mut iter = bytes.iter();
+        while let Some(&first) = iter.next() {
+            let (mut w, mut byte, mut shift) = (u64::from(first & 0x7F), first, 7u32);
+            while byte & 0x80 != 0 {
+                byte = *iter.next()?;
+                if shift >= 64 {
+                    return None;
+                }
+                w |= u64::from(byte & 0x7F) << shift;
+                shift += 7;
+            }
+            words.push(w);
+        }
+        words
+    } else {
+        if !bytes.len().is_multiple_of(8) {
+            return None;
+        }
+        bytes
+            .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect()
-    })
+    };
+    if p == Pipeline::Raw {
+        return Some(words);
+    }
+    let mut prev = 0u64;
+    Some(
+        words
+            .iter()
+            .map(|&w| {
+                prev ^= w;
+                prev
+            })
+            .collect(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The one-pass codec paths are the staged pipeline: encoding any
-    /// words (split into rows anywhere) gives the staged bytes, and
-    /// decoding encoded, damaged or random bytes gives the staged words
-    /// or fails exactly where the staged path fails.
+    /// The word-at-a-time codec paths are the byte-at-a-time oracle:
+    /// encoding any words (split into rows anywhere) gives the oracle's
+    /// bytes, and decoding encoded, damaged or random bytes gives the
+    /// oracle's words or fails exactly where the oracle fails.
     #[test]
     fn fused_codec_paths_match_the_staged_pipeline(
-        words in proptest::collection::vec(0u64..=u64::MAX, 0..24),
-        split in 0usize..24,
+        words in codec_words(),
+        split in 0usize..600,
         codec in 0usize..CODECS.len(),
-        damage in mutation(),
-        noise in proptest::collection::vec(0u8..=255, 0..96),
+        damage in codec_damage(),
+        noise in proptest::collection::vec(0u8..=255, 0..2048),
     ) {
         let p = Pipeline::by_name(CODECS[codec]).unwrap();
-        let raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let values: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
         let (a, b) = values.split_at(split.min(values.len()));
         let mut fused = b"header".to_vec();
         p.encode_f64s([a, b], &mut fused);
-        let encoded = p.encode(&raw).unwrap();
+        let encoded = oracle_encode(p, &words);
         prop_assert_eq!(&fused[6..], &encoded[..]);
         let damaged = damage.apply(&encoded).unwrap_or_default();
         for bytes in [&encoded[..], &damaged[..], &noise[..]] {
             for expected in [words.len(), usize::MAX] {
-                let mut out = vec![1.0]; // the decoder clears it
-                let got = p
-                    .decode_f64s(bytes, expected, &mut out)
-                    .map(|()| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-                prop_assert_eq!(got.ok(), staged_words(&p, bytes));
+                prop_assert_eq!(decode(p, bytes, expected).ok(), oracle_decode(p, bytes));
             }
         }
     }

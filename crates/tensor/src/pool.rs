@@ -11,7 +11,7 @@
 //!
 //! * **Thread-local free lists** (one array of buckets per thread *per
 //!   element type* — free lists are typed `Vec<E>`, and each
-//!   [`Scalar`](crate::Scalar) implementation owns its own thread-local
+//!   [`Scalar`] implementation owns its own thread-local
 //!   storage; see the storage hooks in `scalar.rs`). The overwhelming
 //!   majority of traffic — tape intermediates created during
 //!   forward/backward and recycled at [`Tape::reset`](crate::Tape::reset) —

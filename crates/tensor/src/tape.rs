@@ -374,8 +374,10 @@ impl<E: Scalar, W: Fn(VarId) -> bool> GradSink<'_, E, W> {
     }
 }
 
-/// A reverse-mode autodiff tape over element type `E`. See the
-/// [module docs](self).
+/// A reverse-mode autodiff tape over element type `E`: a define-by-run
+/// list of nodes, each holding its output tensor and the [`Op`] that made
+/// it, which [`TapeBase::backward`] walks in reverse. See the
+/// [crate docs](crate).
 #[derive(Default)]
 pub struct TapeBase<E: Scalar = f64> {
     nodes: Vec<Node<E>>,

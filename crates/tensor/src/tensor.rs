@@ -688,10 +688,10 @@ impl<E: Scalar> TensorBase<E> {
 
     /// Matrix product of two 2-d tensors: `(m×k)·(k×n) → m×n`.
     ///
-    /// Row-parallel above [`PAR_FLOP_THRESHOLD`]: each worker owns a
-    /// disjoint band of output rows, and every output cell is computed
-    /// entirely within one band, so the result is bitwise identical to the
-    /// serial kernel at any thread count.
+    /// Row-parallel above `PAR_FLOP_THRESHOLD` (2^18) flops: each worker
+    /// owns a disjoint band of output rows, and every output cell is
+    /// computed entirely within one band, so the result is bitwise
+    /// identical to the serial kernel at any thread count.
     pub fn matmul(&self, other: &Self) -> Self {
         let (m, _, n) = self.matmul_dims(other);
         let mut out = Self::zeros(&[m, n]);
@@ -754,9 +754,10 @@ impl<E: Scalar> TensorBase<E> {
     /// Cache-blocked over `j`/`p` (the attention-score kernel hits this with
     /// large `k = N·T` rows, where plain `ijp` order streams the whole of
     /// `other` through cache once per output row) and row-parallel above
-    /// [`PAR_FLOP_THRESHOLD`]. Per `(i,j)` cell the `p`-panel contributions
-    /// accumulate through [`Scalar::dot_from`] — ascending sequential order
-    /// for f64 (bitwise-pinned), an 8-lane register tile for f32.
+    /// `PAR_FLOP_THRESHOLD` (2^18) flops. Per `(i,j)` cell the `p`-panel
+    /// contributions accumulate through [`Scalar::dot_from`] — ascending
+    /// sequential order for f64 (bitwise-pinned), an 8-lane register tile
+    /// for f32.
     pub fn matmul_nt(&self, other: &Self) -> Self {
         assert_eq!(self.rank(), 2, "matmul_nt lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_nt rhs must be 2-d");
@@ -808,10 +809,11 @@ impl<E: Scalar> TensorBase<E> {
 
     /// `selfᵀ · other` for 2-d tensors: `(k×m)ᵀ·(k×n) → m×n`.
     ///
-    /// Output-row-parallel above [`PAR_FLOP_THRESHOLD`]; per cell the `p`
-    /// terms accumulate in ascending order with the same zero-skip as the
-    /// serial kernel (see [`TensorBase::matmul`] for why the skip is free),
-    /// so results are bitwise identical at any thread count.
+    /// Output-row-parallel above `PAR_FLOP_THRESHOLD` (2^18) flops; per
+    /// cell the `p` terms accumulate in ascending order with the same
+    /// zero-skip as the serial kernel (see [`TensorBase::matmul`] for why
+    /// the skip is free), so results are bitwise identical at any thread
+    /// count.
     pub fn matmul_tn(&self, other: &Self) -> Self {
         assert_eq!(self.rank(), 2, "matmul_tn lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_tn rhs must be 2-d");

@@ -10,13 +10,13 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Core and observability docs build warning-free, so intra-doc links
-# cannot point at removed items. Scoped to causalformer and cf-obs:
-# documenting causalformer together with cf-cli collides on the
-# `causalformer` output name, and the other crates still carry older
+# Core, observability, tensor and store docs build warning-free, so
+# intra-doc links cannot point at removed or private items. Scoped to
+# those four: documenting causalformer together with cf-cli collides on
+# the `causalformer` output name, and the other crates still carry older
 # rustdoc warnings.
-echo "== cargo doc -p causalformer -p cf-obs (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p causalformer -p cf-obs --offline
+echo "== cargo doc -p causalformer -p cf-obs -p cf-tensor -p cf-store (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p causalformer -p cf-obs -p cf-tensor -p cf-store --offline
 
 # The suite runs twice — serial and with a 4-worker pool — to enforce the
 # determinism contract: results must be identical at any thread count.

@@ -3,7 +3,7 @@
 //! convolution temporal priority, softmax/attention algebra, k-means and
 //! scoring invariants, and RRP conservation behaviour.
 
-use causalformer::rrp::{propagate, RrpLayers};
+use causalformer::rrp::{propagate, RrpLayers, WidenedWeights};
 use cf_metrics::kmeans::{kmeans_1d, top_class_mask};
 use cf_metrics::{score, CausalGraph};
 use cf_tensor::{ops, Tape, Tensor};
@@ -183,7 +183,6 @@ proptest! {
 
         let zeros_t = Tensor::zeros(&[4]);
         let ident = Tensor::eye(4);
-        let w_o = Tensor::from_slice(&[1.0]);
         let layers = RrpLayers {
             x: &x,
             pred: tape.value(pred),
@@ -195,13 +194,15 @@ proptest! {
             attn: std::slice::from_ref(tape.value(attn)),
             shifted: tape.value(shifted),
             bank: &kernel,
-            w_out: &w_out,
-            b_out: &zeros_t,
-            w2: &ident,
-            b2: &zeros_t,
-            w1: &ident,
-            b1: &zeros_t,
-            w_o: &w_o,
+            weights: &WidenedWeights {
+                w_out_t: w_out.transpose2(),
+                b_out: zeros_t.clone(),
+                w2_t: ident.clone(),
+                b2: zeros_t.clone(),
+                w1_t: ident,
+                b1: zeros_t,
+                w_o: Tensor::from_slice(&[1.0]),
+            },
             with_bias: true,
         };
         let mut seed = Tensor::zeros(&[3, 4]);
