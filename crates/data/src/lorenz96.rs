@@ -41,14 +41,20 @@ impl Default for Lorenz96Config {
     }
 }
 
+/// The Lorenz-96 right-hand side for every variable (`n ≥ 4`).
+///
+/// The cyclic neighbours only wrap at `i = 0`, `1` and `n − 1`, so those
+/// three are written out and the interior runs without index arithmetic;
+/// each element keeps the expression `(x[i+1] − x[i−2])·x[i−1] − x[i] + F`
+/// of the modulo form, so trajectories are bitwise unchanged.
 fn derivative(x: &[f64], forcing: f64, out: &mut [f64]) {
     let n = x.len();
-    for i in 0..n {
-        let ip1 = (i + 1) % n;
-        let im1 = (i + n - 1) % n;
-        let im2 = (i + n - 2) % n;
-        out[i] = (x[ip1] - x[im2]) * x[im1] - x[i] + forcing;
+    out[0] = (x[1] - x[n - 2]) * x[n - 1] - x[0] + forcing;
+    out[1] = (x[2] - x[n - 1]) * x[0] - x[1] + forcing;
+    for i in 2..n - 1 {
+        out[i] = (x[i + 1] - x[i - 2]) * x[i - 1] - x[i] + forcing;
     }
+    out[n - 1] = (x[0] - x[n - 3]) * x[n - 2] - x[n - 1] + forcing;
 }
 
 /// Reusable RK4 integrator: state and scratch buffers are allocated once,
@@ -288,6 +294,52 @@ mod tests {
             for (i, &v) in sample.iter().enumerate() {
                 assert_eq!(v.to_bits(), data[i * 200 + t].to_bits(), "({i}, {t})");
             }
+        }
+    }
+
+    #[test]
+    fn peeled_stencil_matches_modulo_form() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in 4..=40 {
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+            let mut got = vec![0.0; n];
+            derivative(&x, 35.0, &mut got);
+            for i in 0..n {
+                let (ip1, im1, im2) = ((i + 1) % n, (i + n - 1) % n, (i + n - 2) % n);
+                let want = (x[ip1] - x[im2]) * x[im1] - x[i] + 35.0;
+                assert_eq!(got[i].to_bits(), want.to_bits(), "n = {n}, i = {i}");
+            }
+        }
+    }
+
+    /// FNV-1a over the bit patterns of a trajectory, sample-major.
+    fn trajectory_hash(d: &Dataset) -> u64 {
+        d.series.data().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn trajectories_match_golden_hashes() {
+        // Captured from the modulo-indexed stencil before its edges were
+        // peeled; any change to the integrator's arithmetic moves these.
+        for (n, length, seed, want) in [
+            (4, 300, 3, 0x5a97_08b6_c1f4_c72f_u64),
+            (5, 300, 4, 0xb0d5_beea_dba3_3447),
+            (10, 1000, 5, 0x39b0_ecaa_982a_c166),
+            (16, 2000, 7, 0xaef6_76c8_9a6c_7aed),
+            (40, 500, 1, 0x4e13_6fc4_51ff_b327),
+        ] {
+            let config = Lorenz96Config {
+                n,
+                length,
+                ..Default::default()
+            };
+            let got = trajectory_hash(&generate(&mut StdRng::seed_from_u64(seed), config));
+            assert_eq!(got, want, "n = {n}: {got:#018x}");
         }
     }
 

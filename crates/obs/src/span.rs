@@ -462,17 +462,24 @@ pub fn summary_json() -> String {
 }
 
 /// The `op_profile` payload: `[{op, count, total_secs, mean_us,
-/// approx_gflops}, …]` by total time descending.
+/// approx_gflops, gflop_per_s}, …]` by total time descending.
+/// `approx_gflops` is the op's total work in GFLOP (not a rate);
+/// `gflop_per_s` is that work over `total_secs` (0 for an op that does no
+/// counted work or took no measurable time).
 pub fn ops_json() -> String {
     let mut arr = Arr::new();
     for (kind, s) in ops() {
+        let gflop = s.flops as f64 / 1e9;
+        let secs = secs(s.total_ns);
+        let rate = if secs > 0.0 { gflop / secs } else { 0.0 };
         arr = arr.raw(
             &Obj::new()
                 .str("op", kind)
                 .u64("count", s.count)
-                .f64("total_secs", secs(s.total_ns))
+                .f64("total_secs", secs)
                 .f64("mean_us", s.mean_ns() as f64 / 1e3)
-                .f64("approx_gflops", s.flops as f64 / 1e9)
+                .f64("approx_gflops", gflop)
+                .f64("gflop_per_s", rate)
                 .finish(),
         );
     }
@@ -614,6 +621,33 @@ pub(crate) mod tests {
         assert_eq!(stats.count, 2, "op kinds merge across threads");
         assert_eq!(stats.flops, 25);
         assert!(summary().iter().all(|(p, _)| !p.contains("t_op")));
+    }
+
+    #[test]
+    fn op_profile_reports_work_and_rate() {
+        let _run = Recorder::new().enter();
+        set_op_detail(true);
+        {
+            let _t = crate::span!("t_op_rate", flops = 3_000_000_000);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let ops: serde_json::Value = serde_json::from_str(&ops_json()).unwrap();
+        let op = ops
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|o| o["op"].as_str() == Some("t_op_rate"))
+            .expect("op in profile");
+        let (work, secs) = (
+            op["approx_gflops"].as_f64().unwrap(),
+            op["total_secs"].as_f64().unwrap(),
+        );
+        assert_eq!(work, 3.0, "approx_gflops is total work");
+        let rate = op["gflop_per_s"].as_f64().unwrap();
+        assert!(
+            secs >= 0.002 && (rate - work / secs).abs() <= 1e-9 * rate,
+            "{op}"
+        );
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! as a [`StoreError`] naming the offending file, never as silently wrong
 //! numbers.
 
+// The carry-less-multiply CRC and the tensor byte views are the crate's
+// only `unsafe` code; each block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod codec;
 pub mod series;
 pub mod storage;

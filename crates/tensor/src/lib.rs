@@ -46,9 +46,13 @@
 // co-indexed buffers are updated per iteration, which iterator chains
 // would obscure.
 #![allow(clippy::needless_range_loop)]
+// The AVX2 kernels (`kernels`) are the crate's only `unsafe` code; each
+// block states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod error;
 mod init;
+pub mod kernels;
 pub mod ops;
 pub mod pool;
 pub mod rngstate;

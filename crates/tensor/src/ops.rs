@@ -12,11 +12,10 @@
 //! them unit-testable in isolation (including finite-difference checks in
 //! `tape::tests`).
 //!
-//! All kernels are generic over the element type and written as contiguous
-//! slice panels: the convolution inner loop is a [`Scalar::dot_from`] over
-//! the observed prefix (sequential for f64 — bitwise-pinned — and 8-lane
-//! for f32), and the backward/attention loops are `out[..] += a * src[..]`
-//! axpy panels with the bounds checks hoisted out of the inner loop.
+//! The functions here check shapes and fan the convolution out over series;
+//! the arithmetic runs on the dtype's [`Kernels`](crate::kernels::Kernels)
+//! (register-tiled AVX2 where the CPU has it, portable loops elsewhere,
+//! bitwise equal for f64 — see [`crate::kernels`]).
 
 use crate::scalar::Scalar;
 use crate::tensor::TensorBase;
@@ -50,25 +49,22 @@ pub fn causal_conv<E: Scalar>(x: &TensorBase<E>, kernel: &TensorBase<E>) -> Tens
     assert_eq!(kt, t_len, "kernel taps must equal window length");
 
     let mut out = TensorBase::<E>::zeros(&[n, n, t_len]);
+    if t_len == 0 {
+        return out;
+    }
     // Slab-parallel over i: out[i,·,·] is a contiguous, disjoint n·t_len
     // block computed purely from x.row(i) and kernel[i,·,·], so the parallel
     // result is bitwise identical to serial at any thread count.
     let slab_len = n * t_len;
     let kdata = kernel.data();
+    let conv = E::kernels().conv;
     let slab = |i: usize, oslab: &mut [E]| {
-        let xi = x.row(i);
-        let kslab = &kdata[i * slab_len..(i + 1) * slab_len];
-        for j in 0..n {
-            let krow = &kslab[j * t_len..(j + 1) * t_len];
-            let orow = &mut oslab[j * t_len..(j + 1) * t_len];
-            for t in 0..t_len {
-                // s ranges over the observed prefix [0, t]; the matching
-                // kernel taps are u = T−1−t .. T−1, a contiguous suffix —
-                // one microkernel dot per output slot.
-                let acc = E::dot_from(E::ZERO, &krow[t_len - 1 - t..], &xi[..=t]);
-                orow[t] = acc / E::from_f64((t + 1) as f64);
-            }
-        }
+        conv(
+            x.row(i),
+            &kdata[i * slab_len..(i + 1) * slab_len],
+            oslab,
+            t_len,
+        );
     };
     if !cf_par::should_fan_out((n * n * t_len * t_len) as u64, PAR_ELEM_THRESHOLD as u64) {
         for i in 0..n {
@@ -107,29 +103,21 @@ pub fn causal_conv_backward_kernel_into<E: Scalar>(
         &[n, n, t_len],
         "causal_conv_backward_kernel_into output shape"
     );
+    if t_len == 0 {
+        return;
+    }
     // Same per-i slab decomposition as the forward pass: grad_k[i,·,·]
     // depends only on x.row(i) and grad_out[i,·,·].
     let slab_len = n * t_len;
     let gdata = grad_out.data();
+    let backward_kernel = E::kernels().conv_backward_kernel;
     let slab = |i: usize, gkslab: &mut [E]| {
-        let xi = x.row(i);
-        let gslab = &gdata[i * slab_len..(i + 1) * slab_len];
-        for j in 0..n {
-            let grow = &gslab[j * t_len..(j + 1) * t_len];
-            let gkrow = &mut gkslab[j * t_len..(j + 1) * t_len];
-            for t in 0..t_len {
-                let g = grow[t] / E::from_f64((t + 1) as f64);
-                if g == E::ZERO {
-                    continue;
-                }
-                // Taps u = T−1−t .. T−1 receive g · x[0..=t]: a contiguous
-                // axpy panel.
-                let panel = &mut gkrow[t_len - 1 - t..];
-                for (gk, &xv) in panel.iter_mut().zip(&xi[..=t]) {
-                    *gk += g * xv;
-                }
-            }
-        }
+        backward_kernel(
+            x.row(i),
+            &gdata[i * slab_len..(i + 1) * slab_len],
+            gkslab,
+            t_len,
+        );
     };
     if !cf_par::should_fan_out((n * n * t_len * t_len) as u64, PAR_ELEM_THRESHOLD as u64) {
         for i in 0..n {
@@ -166,30 +154,18 @@ pub fn causal_conv_backward_x_into<E: Scalar>(
         &[n, t_len],
         "causal_conv_backward_x_into output shape"
     );
+    if t_len == 0 {
+        return;
+    }
     // Row-parallel over i: grad_x.row(i) depends only on kernel[i,·,·] and
     // grad_out[i,·,·], so rows are disjoint work units.
     let slab_len = n * t_len;
     let kdata = kernel.data();
     let gdata = grad_out.data();
+    let backward_x = E::kernels().conv_backward_x;
     let row = |i: usize, gxrow: &mut [E]| {
-        let kslab = &kdata[i * slab_len..(i + 1) * slab_len];
-        let gslab = &gdata[i * slab_len..(i + 1) * slab_len];
-        for j in 0..n {
-            let grow = &gslab[j * t_len..(j + 1) * t_len];
-            let krow = &kslab[j * t_len..(j + 1) * t_len];
-            for t in 0..t_len {
-                let g = grow[t] / E::from_f64((t + 1) as f64);
-                if g == E::ZERO {
-                    continue;
-                }
-                // x[0..=t] receives g · taps[T−1−t..]: the transpose panel
-                // of the kernel-gradient axpy above.
-                let taps = &krow[t_len - 1 - t..];
-                for (gx, &kv) in gxrow[..=t].iter_mut().zip(taps) {
-                    *gx += g * kv;
-                }
-            }
-        }
+        let slab = i * slab_len..(i + 1) * slab_len;
+        backward_x(&kdata[slab.clone()], &gdata[slab], gxrow, t_len);
     };
     if !cf_par::should_fan_out((n * n * t_len * t_len) as u64, PAR_ELEM_THRESHOLD as u64) {
         for i in 0..n {
@@ -255,22 +231,7 @@ pub fn attn_apply<E: Scalar>(attn: &TensorBase<E>, v: &TensorBase<E>) -> TensorB
     assert_eq!(vn, n, "value axis 0 vs attention size");
     assert_eq!(vn2, n, "value axis 1 vs attention size");
     let mut out = TensorBase::<E>::zeros(&[n, t_len]);
-    let adata = attn.data();
-    let vdata = v.data();
-    let odata = out.data_mut();
-    for i in 0..n {
-        let orow = &mut odata[i * t_len..(i + 1) * t_len];
-        for j in 0..n {
-            let a = adata[i * n + j];
-            if a == E::ZERO {
-                continue;
-            }
-            let vrow = &vdata[(j * n + i) * t_len..(j * n + i + 1) * t_len];
-            for (o, &vv) in orow.iter_mut().zip(vrow) {
-                *o += a * vv;
-            }
-        }
-    }
+    (E::kernels().attn_apply)(attn.data(), v.data(), out.data_mut(), n, t_len);
     out
 }
 
@@ -299,16 +260,7 @@ pub fn attn_apply_backward_attn_into<E: Scalar>(
         &[n, n],
         "attn_apply_backward_attn_into output shape"
     );
-    let vdata = v.data();
-    let gdata = grad_out.data();
-    let ga = grad_a.data_mut();
-    for i in 0..n {
-        let grow = &gdata[i * t_len..(i + 1) * t_len];
-        for j in 0..n {
-            let vrow = &vdata[(j * n + i) * t_len..(j * n + i + 1) * t_len];
-            ga[i * n + j] = E::dot_from(E::ZERO, vrow, grow);
-        }
-    }
+    (E::kernels().attn_backward_attn)(v.data(), grad_out.data(), grad_a.data_mut(), n, t_len);
 }
 
 /// Gradient of [`attn_apply`] with respect to the value tensor.
@@ -338,19 +290,7 @@ pub fn attn_apply_backward_v_into<E: Scalar>(
         &[n, n, t_len],
         "attn_apply_backward_v_into output shape"
     );
-    let adata = attn.data();
-    let gdata = grad_out.data();
-    let gv = grad_v.data_mut();
-    for i in 0..n {
-        let grow = &gdata[i * t_len..(i + 1) * t_len];
-        for j in 0..n {
-            let a = adata[i * n + j];
-            let gvrow = &mut gv[(j * n + i) * t_len..(j * n + i + 1) * t_len];
-            for (o, &g) in gvrow.iter_mut().zip(grow) {
-                *o += a * g;
-            }
-        }
-    }
+    (E::kernels().attn_backward_v)(attn.data(), grad_out.data(), grad_v.data_mut(), n, t_len);
 }
 
 fn dims_2<E: Scalar>(t: &TensorBase<E>, what: &str) -> (usize, usize) {

@@ -27,6 +27,7 @@
 use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock};
 
+use crate::kernels::{self, Kernels};
 use crate::pool::{ThreadPool, NUM_CLASSES};
 use crate::tape::TapeBase;
 use crate::tensor::TensorBase;
@@ -164,6 +165,15 @@ pub trait Scalar:
     /// register tile (tolerance-pinned). See the module docs.
     fn dot_from(acc: Self, a: &[Self], b: &[Self]) -> Self;
 
+    /// The dense kernels every tensor and tape op of this dtype runs on,
+    /// chosen once per process: the AVX2 ones where the CPU has AVX2, the
+    /// portable ones elsewhere (see [`crate::kernels`]).
+    fn kernels() -> &'static Kernels<Self>;
+
+    /// This dtype's AVX2 kernels, or `None` without AVX2; what
+    /// [`crate::kernels::avx2`] returns.
+    fn avx2_kernels() -> Option<Kernels<Self>>;
+
     #[doc(hidden)]
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R;
     #[doc(hidden)]
@@ -251,6 +261,14 @@ impl Scalar for f64 {
             acc += x * y;
         }
         acc
+    }
+
+    fn kernels() -> &'static Kernels<Self> {
+        static K: OnceLock<Kernels<f64>> = OnceLock::new();
+        K.get_or_init(kernels::select)
+    }
+    fn avx2_kernels() -> Option<Kernels<Self>> {
+        kernels::avx2_f64()
     }
 
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R {
@@ -341,6 +359,14 @@ impl Scalar for f32 {
         let head = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
         let rest = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
         acc + (head + rest) + tail
+    }
+
+    fn kernels() -> &'static Kernels<Self> {
+        static K: OnceLock<Kernels<f32>> = OnceLock::new();
+        K.get_or_init(kernels::select)
+    }
+    fn avx2_kernels() -> Option<Kernels<Self>> {
+        kernels::avx2_f32()
     }
 
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R {

@@ -8,6 +8,7 @@
 //! `E = f64` the conversion is the identity, and for `E = f32` it gives
 //! reductions f64 accumulation for free (the tolerance tests rely on it).
 
+use crate::kernels::Lhs;
 use crate::scalar::Scalar;
 use crate::{pool, TensorError};
 
@@ -189,6 +190,32 @@ pub(crate) const PAR_FLOP_THRESHOLD: usize = 262_144;
 /// chunk boundaries (and thus scheduling-independent results) deterministic.
 pub(crate) fn rows_per_block(m: usize, flops_per_row: usize) -> usize {
     (32_768 / flops_per_row.max(1)).clamp(1, m)
+}
+
+/// `out += A·b` for an `m×k` operand `A` (read through `lhs`'s strides)
+/// and a row-major `k×n` `b`, on the dtype's [`Kernels::gemm`]:
+/// row-parallel above `PAR_FLOP_THRESHOLD` flops, each band of output rows
+/// computed whole by one worker, so results are bitwise the same at any
+/// thread count.
+///
+/// [`Kernels::gemm`]: crate::kernels::Kernels::gemm
+fn gemm_bands<E: Scalar>(
+    lhs: Lhs<'_, E>,
+    b: &[E],
+    out: &mut [E],
+    (m, k, n): (usize, usize, usize),
+) {
+    if n == 0 {
+        return;
+    }
+    let gemm = E::kernels().gemm;
+    let band = |i0: usize, orows: &mut [E]| gemm(lhs, b, orows, i0, k, n);
+    if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
+        band(0, out);
+    } else {
+        let rb = rows_per_block(m, 2 * k * n);
+        cf_par::par_chunks_mut(out, rb * n, |ci, chunk| band(ci * rb, chunk));
+    }
 }
 
 impl<E: Scalar> TensorBase<E> {
@@ -706,38 +733,12 @@ impl<E: Scalar> TensorBase<E> {
     pub fn matmul_into(&self, other: &Self, out: &mut Self) {
         let (m, k, n) = self.matmul_dims(other);
         assert_eq!(out.shape(), &[m, n], "matmul_into output shape");
-        let a = &self.data;
-        let b = &other.data;
-        // ikj loop order: the inner loop runs over contiguous memory in both
-        // `other` and `out`, which LLVM vectorises (for f32 at twice the
-        // lane count of f64 — half the bandwidth, double the SIMD width).
-        let band = |i0: usize, orows: &mut [E]| {
-            for (di, orow) in orows.chunks_mut(n).enumerate() {
-                let i = i0 + di;
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    // Zero-skip: the group-lasso penalty and proximal
-                    // shrinkage drive many weights *exactly* to 0, and
-                    // causal masks zero whole bands — skipping dodges a full
-                    // length-n fused-multiply-add row per zero. For finite
-                    // operands this never changes the result (adding a ±0.0
-                    // term is the identity under IEEE ==).
-                    if av == E::ZERO {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        orow[j] += av * brow[j];
-                    }
-                }
-            }
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: k,
+            col_stride: 1,
         };
-        if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
-            band(0, &mut out.data);
-        } else {
-            let rb = rows_per_block(m, 2 * k * n);
-            cf_par::par_chunks_mut(&mut out.data, rb * n, |ci, chunk| band(ci * rb, chunk));
-        }
+        gemm_bands(lhs, &other.data, &mut out.data, (m, k, n));
     }
 
     fn matmul_dims(&self, other: &Self) -> (usize, usize, usize) {
@@ -751,13 +752,12 @@ impl<E: Scalar> TensorBase<E> {
 
     /// `self · otherᵀ` for 2-d tensors: `(m×k)·(n×k)ᵀ → m×n`.
     ///
-    /// Cache-blocked over `j`/`p` (the attention-score kernel hits this with
-    /// large `k = N·T` rows, where plain `ijp` order streams the whole of
-    /// `other` through cache once per output row) and row-parallel above
-    /// `PAR_FLOP_THRESHOLD` (2^18) flops. Per `(i,j)` cell the `p`-panel
-    /// contributions accumulate through [`Scalar::dot_from`] — ascending
-    /// sequential order for f64 (bitwise-pinned), an 8-lane register tile
-    /// for f32.
+    /// Row-parallel above `PAR_FLOP_THRESHOLD` (2^18) flops. Per `(i,j)`
+    /// cell the terms accumulate as [`Scalar::dot_from`] orders them —
+    /// ascending and sequential for f64 (bitwise-pinned), an 8-lane
+    /// register tile for f32. The portable kernel is cache-blocked over
+    /// `j`/`p` panels; the AVX2 one (f64) packs `otherᵀ` and runs the
+    /// `matmul` tile (see [`crate::kernels`]).
     pub fn matmul_nt(&self, other: &Self) -> Self {
         assert_eq!(self.rank(), 2, "matmul_nt lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_nt rhs must be 2-d");
@@ -775,30 +775,12 @@ impl<E: Scalar> TensorBase<E> {
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dims: {k} vs {k2}");
         assert_eq!(out.shape(), &[m, n], "matmul_nt_into output shape");
-        // Block sizes: JB rows of `other` (JB·PB elements ≈ 128 KiB of f64,
-        // 64 KiB of f32) stay resident while a band of `self` rows streams
-        // against them.
-        const JB: usize = 64;
-        const PB: usize = 256;
-        let a = &self.data;
-        let b = &other.data;
-        let band = |i0: usize, orows: &mut [E]| {
-            let rows = orows.len() / n;
-            for jb in (0..n).step_by(JB) {
-                let jhi = (jb + JB).min(n);
-                for pb in (0..k).step_by(PB) {
-                    let phi = (pb + PB).min(k);
-                    for di in 0..rows {
-                        let arow = &a[(i0 + di) * k + pb..(i0 + di) * k + phi];
-                        let orow = &mut orows[di * n..(di + 1) * n];
-                        for j in jb..jhi {
-                            let brow = &b[j * k + pb..j * k + phi];
-                            orow[j] = E::dot_from(orow[j], arow, brow);
-                        }
-                    }
-                }
-            }
-        };
+        if n == 0 {
+            return;
+        }
+        let gemm_nt = E::kernels().gemm_nt;
+        let (a, b) = (&self.data[..], &other.data[..]);
+        let band = |i0: usize, orows: &mut [E]| gemm_nt(a, b, orows, i0, k, n);
         if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
             band(0, &mut out.data);
         } else {
@@ -831,29 +813,12 @@ impl<E: Scalar> TensorBase<E> {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dims: {k} vs {k2}");
         assert_eq!(out.shape(), &[m, n], "matmul_tn_into output shape");
-        let a = &self.data;
-        let b = &other.data;
-        let band = |i0: usize, orows: &mut [E]| {
-            for (di, orow) in orows.chunks_mut(n).enumerate() {
-                let i = i0 + di;
-                for p in 0..k {
-                    let av = a[p * m + i];
-                    if av == E::ZERO {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        orow[j] += av * brow[j];
-                    }
-                }
-            }
+        let lhs = Lhs {
+            data: &self.data,
+            row_stride: 1,
+            col_stride: m,
         };
-        if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
-            band(0, &mut out.data);
-        } else {
-            let rb = rows_per_block(m, 2 * k * n);
-            cf_par::par_chunks_mut(&mut out.data, rb * n, |ci, chunk| band(ci * rb, chunk));
-        }
+        gemm_bands(lhs, &other.data, &mut out.data, (m, k, n));
     }
 
     /// Adds a length-`c` row vector to every row of an `r×c` matrix.

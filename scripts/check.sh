@@ -60,8 +60,9 @@ trap 'rm -rf "$smoke_dir"' EXIT
 
 # Out-of-core peak-RSS gate: stream a 320 MB lorenz96 series into a
 # chunked store, discover from it, and fail if the discover process's
-# VmHWM (sampled by its heartbeat) crosses the 200 MiB budget. CI runs
-# the same script.
+# VmHWM (sampled by its heartbeat) crosses the budget the script derives
+# from the run's geometry (baseline + windows + one chunk). CI runs the
+# same script.
 echo "== out-of-core peak-RSS gate (scripts/rss_gate.sh)"
 scripts/rss_gate.sh "$smoke_dir/rss"
 
