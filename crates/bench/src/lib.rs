@@ -227,9 +227,6 @@ pub fn maybe_dump_metrics(options: &Options, cells: &[Cell]) {
                 .finish(),
         );
     }
-    // Fold the buffer pool's allocator counters into the registry before
-    // snapshotting so mem.pool.* / mem.alloc.count ride along.
-    cf_tensor::pool::publish_obs();
     let doc = cf_obs::json::Obj::new()
         .f64("ts", cf_obs::unix_time())
         .u64("seeds", options.seeds as u64)

@@ -628,7 +628,6 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
     // watchdog. It only ever *reads* runtime state, so the discovery
     // result is bitwise identical with or without it.
     let heartbeat = if a.heartbeat_out.is_some() || std::env::var_os("CF_WATCHDOG").is_some() {
-        cf_tensor::pool::install_obs_sampler();
         let cfg = cf_obs::heartbeat::Config::from_env(METRICS_SCHEMA_VERSION);
         let path = a.heartbeat_out.as_ref().map(std::path::Path::new);
         Some(
@@ -743,9 +742,6 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
                 .f64("wall_secs", started.elapsed().as_secs_f64())
                 .finish(),
         );
-        // Sync the buffer pool's counters into the registry so the metrics
-        // summary includes mem.pool.* and mem.alloc.count.
-        cf_tensor::pool::publish_obs();
         cf_obs::sink::emit_summaries();
         out.push_str(&format!("metrics written to {path}\n"));
     }
@@ -753,9 +749,8 @@ pub fn run_discover(a: &DiscoverArgs) -> Result<String, CliError> {
         out.push_str(&format!("diagnostics written to {path}\n"));
     }
     if let Some(path) = &a.trace_out {
-        // Final counter samples for the pool track, then stop recording
-        // before the drain so the write itself is not traced.
-        cf_tensor::pool::publish_obs();
+        // Stop recording before the drain so the write itself is not
+        // traced.
         cf_obs::trace::set_enabled(false);
         cf_obs::export::write_chrome_trace(std::path::Path::new(path))
             .map_err(|e| CliError::Run(format!("writing {path}: {e}")))?;
@@ -1124,13 +1119,16 @@ mod tests {
 
     /// What a `--metrics-out` file says about its run, minus wall time:
     /// span paths and counts, op kinds with counts and FLOPs, per-epoch
-    /// losses, and the discovered edge count.
+    /// losses, the discovered edge count, and the buffer-pool lookups
+    /// (`mem.pool.hit + mem.pool.miss`; which of them hit depends on how
+    /// warm the pool is, their sum does not).
     #[derive(Debug, PartialEq)]
     struct Telemetry {
         spans: Vec<(String, u64)>,
         ops: Vec<(String, u64, f64)>,
         epochs: Vec<(f64, f64)>,
         edges: Vec<u64>,
+        lookups: Vec<u64>,
     }
 
     fn telemetry(path: &std::path::Path) -> Telemetry {
@@ -1183,13 +1181,19 @@ mod tests {
             edges: of("discovery")
                 .map(|e| e["edges"].as_u64().unwrap())
                 .collect(),
+            lookups: of("metrics_summary")
+                .map(|e| {
+                    let count = |name: &str| e["metrics"]["counters"][name].as_u64().unwrap();
+                    count("mem.pool.hit") + count("mem.pool.miss")
+                })
+                .collect(),
         }
     }
 
     /// Two discoveries at once in one process record into recorders of
-    /// their own: each run's metrics match the same run done alone, and
-    /// the fully instrumented run's cfdiag is byte-identical to its solo
-    /// artifact.
+    /// their own: each run's metrics, its buffer-pool lookups included,
+    /// match the same run done alone, and the fully instrumented run's
+    /// cfdiag is byte-identical to its solo artifact.
     #[test]
     fn concurrent_discoveries_keep_their_artifacts_apart() {
         let dir = std::env::temp_dir();
@@ -1245,7 +1249,7 @@ mod tests {
         for run in ["a", "b"] {
             let alone = telemetry(&path(&format!("{run}_alone.jsonl")));
             assert!(
-                !alone.spans.is_empty() && !alone.ops.is_empty(),
+                !alone.spans.is_empty() && !alone.ops.is_empty() && alone.lookups.len() == 1,
                 "{alone:?}"
             );
             let together = telemetry(&path(&format!("{run}_together.jsonl")));

@@ -567,13 +567,13 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                     grad_norms.last().expect("pushed above"),
                     epoch_secs,
                 );
+                // The run's pool counters: one sample per epoch on the
+                // trace's counter tracks, and in the epoch record.
+                let pool = cf_tensor::pool::stats();
+                cf_obs::trace::counter("mem.pool.hit", pool.hit as f64);
+                cf_obs::trace::counter("mem.pool.miss", pool.miss as f64);
+                cf_obs::trace::counter("mem.pool.bytes_outstanding", pool.bytes_outstanding as f64);
                 if cf_obs::sink::is_installed() {
-                    // Fold the buffer pool's allocator counters into the
-                    // registry so the epoch record's eventual summary (and
-                    // any `--metrics-out` dump) carries mem.* alongside the
-                    // par.* and span counters.
-                    cf_tensor::pool::publish_obs();
-                    let pool = cf_tensor::pool::stats();
                     cf_obs::sink::emit(
                         &cf_obs::json::Obj::new()
                             .str("event", "epoch")

@@ -5,7 +5,7 @@
 //! Traces and metrics say what happened once a run finishes; the
 //! heartbeat says what is happening. [`start`] spawns a sampler, handed
 //! the calling thread's [`crate::Recorder`], that every period (default
-//! 250 ms, `CF_HEARTBEAT_MS`) snapshots process RSS/VmHWM, the
+//! 250 ms, `CF_HEARTBEAT_MS`) snapshots process RSS/VmHWM, the run's
 //! `mem.pool.*` and `par.*` metrics, per-thread progress epochs, and the
 //! latest progress units, and appends one `heartbeat` JSON line to a file
 //! with a single `write_all`, so the file can be tailed mid-run
@@ -27,12 +27,10 @@
 //! stderr — a stuck worker kills the run instead of hanging a fleet.
 //!
 //! Layering note: this crate sits *below* `cf-par` and `cf-tensor`,
-//! so the sampler cannot call them. `par.*` counters are read back
-//! from the recorder's [`crate::metrics`] registry (the scheduler already
-//! publishes there), and pool gauges are refreshed via
-//! [`add_sampler_hook`] — `cf_tensor::pool::install_obs_sampler()`
-//! registers its publisher at startup. The hooks are process-wide; the
-//! sampler runs them inside its recorder.
+//! so the sampler cannot call them. It reads what they write into its
+//! recorder: the `par.*` counters from the [`crate::metrics`] registry,
+//! and the buffer pool's traffic, which every thread adds to its own
+//! record there ([`crate::metrics::mem`]). Both are the run's own.
 
 use crate::json::{Arr, Obj};
 use crate::recorder::local;
@@ -40,7 +38,7 @@ use crate::{lock, Recorder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default sampler period (`CF_HEARTBEAT_MS` overrides).
@@ -149,27 +147,6 @@ fn emit_progress_event(recorder: &Recorder, unit: &str, done: u64, total: u64) {
         .u64("total", total)
         .finish();
     recorder.heartbeat_sink.emit(&line);
-}
-
-// ---------------------------------------------------------------------------
-// Sampler hooks (how higher layers publish gauges without a dep edge).
-// ---------------------------------------------------------------------------
-
-type Hook = Box<dyn Fn() + Send + Sync>;
-
-static HOOKS: Mutex<Vec<Hook>> = Mutex::new(Vec::new());
-
-/// Registers a closure the sampler runs before every snapshot.
-/// `cf-tensor` registers its pool publisher here so `mem.pool.*`
-/// gauges are fresh in each heartbeat without cf-obs depending on it.
-pub fn add_sampler_hook(hook: Hook) {
-    lock(&HOOKS).push(hook);
-}
-
-fn run_hooks() {
-    for h in lock(&HOOKS).iter() {
-        h();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,8 +383,6 @@ fn sample(
     last_advance: &mut Instant,
     anchors: &mut BTreeMap<String, UnitAnchor>,
 ) {
-    run_hooks();
-
     let now = Instant::now();
     let epoch = progress_epoch();
     if epoch != *last_epoch {
@@ -419,10 +394,11 @@ fn sample(
 
     let (rss, hwm) = proc_rss_bytes();
 
-    // The scheduler and pool publish into the recorder's metrics
-    // registry; read them back by name (an untouched counter reads 0).
+    // The scheduler publishes into the recorder's metrics registry; read
+    // its counters back by name (an untouched counter reads 0).
     let m = |name: &'static str| crate::metrics::counter(name).get();
     let g = |name: &'static str| crate::metrics::gauge(name).get();
+    let pool = crate::metrics::mem();
 
     let threads = thread_progress()
         .iter()
@@ -470,9 +446,9 @@ fn sample(
         .u64("seq", seq)
         .u64("rss_bytes", rss)
         .u64("hwm_bytes", hwm)
-        .u64("pool_hit", m("mem.pool.hit"))
-        .u64("pool_miss", m("mem.pool.miss"))
-        .f64("pool_bytes_outstanding", g("mem.pool.bytes_outstanding"))
+        .u64("pool_hit", pool.hit)
+        .u64("pool_miss", pool.miss)
+        .f64("pool_bytes_outstanding", pool.bytes as f64)
         .f64("par_threads", g("par.threads"))
         .u64("par_tasks", m("par.tasks"))
         .u64("par_busy_ns", m("par.busy_ns"))

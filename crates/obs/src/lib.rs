@@ -19,9 +19,11 @@
 //! belongs to a [`Recorder`]. Every call acts on the calling thread's
 //! current recorder: a run enters a fresh one (`Recorder::new().enter()`)
 //! and sees nothing of any other; a thread that enters none shares the
-//! process default. Process-wide by design: the clock anchor, the log
-//! level ([`log`]), the heartbeat's sampler hooks and, in other crates,
-//! cf-par's pool size and the buffer pool's `mem.*` counters.
+//! process default. That includes the buffer pool's `mem.*` traffic,
+//! which cf-tensor adds to the calling thread's record
+//! ([`metrics::add_mem`]). Process-wide by design: the clock anchor, the
+//! log level ([`log`]) and, in other crates, cf-par's pool size and the
+//! buffer pool's free lists.
 //! Trace analysis: [`analyze`].
 //!
 //! Log verbosity is controlled by [`log`] (`CF_LOG` env var or

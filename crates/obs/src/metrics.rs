@@ -1,13 +1,20 @@
-//! Named counters and gauges.
+//! Named counters and gauges, and the buffer pool's traffic.
 //!
 //! The registry belongs to the current [`Recorder`]. Handles are cheap
 //! `Arc` clones of its slots; updates are lock-free atomics (the registry
 //! mutex is touched only on lookup). Duration percentiles live with the
 //! spans ([`crate::hist`]).
+//!
+//! The buffer pool (`cf_tensor::pool`) counts too often for a lookup: it
+//! adds each event to the calling thread's own record in its current
+//! recorder ([`add_mem`]), and the snapshot reports the recorder's sum
+//! ([`mem`]) as the `mem.pool.hit`, `mem.pool.miss` and `mem.alloc.count`
+//! counters and the `mem.pool.bytes_outstanding` gauge.
 
+use crate::recorder::try_local;
 use crate::{lock, Recorder};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Monotone event counter.
@@ -47,6 +54,64 @@ impl Gauge {
     }
 }
 
+/// Buffer-pool traffic: one event's worth, or a recorder's sum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Mem {
+    /// Requests served from a free list (`mem.pool.hit`).
+    pub hit: u64,
+    /// Requests that found the free lists empty (`mem.pool.miss`).
+    pub miss: u64,
+    /// Fresh heap allocations (`mem.alloc.count`).
+    pub alloc: u64,
+    /// Bytes handed out less bytes handed back
+    /// (`mem.pool.bytes_outstanding`): a recorder's net, negative when it
+    /// dropped more buffers than it took.
+    pub bytes: i64,
+}
+
+/// One thread's [`Mem`] in one recorder. Only that thread writes it, so
+/// an update is a relaxed load and store, no read-modify-write; readers
+/// see each field whole.
+#[derive(Default)]
+pub(crate) struct MemCells {
+    hit: AtomicU64,
+    miss: AtomicU64,
+    alloc: AtomicU64,
+    bytes: AtomicI64,
+}
+
+/// Adds `m` to the calling thread's record in its current recorder: no
+/// lock, no read-modify-write. Does nothing while the thread's locals are
+/// torn down, so a buffer dropped by a thread-local destructor cannot
+/// panic.
+#[inline]
+pub fn add_mem(m: Mem) {
+    try_local(|_, r| {
+        let c = &r.mem;
+        for (cell, n) in [(&c.hit, m.hit), (&c.miss, m.miss), (&c.alloc, m.alloc)] {
+            if n != 0 {
+                cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            }
+        }
+        if m.bytes != 0 {
+            let bytes = c.bytes.load(Ordering::Relaxed) + m.bytes;
+            c.bytes.store(bytes, Ordering::Relaxed);
+        }
+    });
+}
+
+/// The current recorder's buffer-pool traffic, summed over its threads.
+pub fn mem() -> Mem {
+    crate::span::records()
+        .iter()
+        .fold(Mem::default(), |m, r| Mem {
+            hit: m.hit + r.mem.hit.load(Ordering::Relaxed),
+            miss: m.miss + r.mem.miss.load(Ordering::Relaxed),
+            alloc: m.alloc + r.mem.alloc.load(Ordering::Relaxed),
+            bytes: m.bytes + r.mem.bytes.load(Ordering::Relaxed),
+        })
+}
+
 /// Name-sorted, so snapshots list metrics in a stable order.
 #[derive(Default)]
 pub(crate) struct Registry {
@@ -77,19 +142,28 @@ pub fn gauge(name: &str) -> Gauge {
     slot(&mut reg.gauges, name, Gauge::default)
 }
 
-/// Serialises the current recorder's metrics as a JSON object
+/// Serialises the current recorder's metrics, its buffer-pool traffic
+/// included, as a JSON object
 /// `{counters: {...}, gauges: {...}, histograms: {}}`.
 pub fn snapshot_json() -> String {
+    let mem = mem();
     let recorder = Recorder::current();
     let reg = lock(&recorder.metrics);
-    let counters = reg
-        .counters
+    let mut counters: BTreeMap<&str, u64> =
+        reg.counters.iter().map(|(n, c)| (&**n, c.get())).collect();
+    counters.extend([
+        ("mem.pool.hit", mem.hit),
+        ("mem.pool.miss", mem.miss),
+        ("mem.alloc.count", mem.alloc),
+    ]);
+    let mut gauges: BTreeMap<&str, f64> = reg.gauges.iter().map(|(n, g)| (&**n, g.get())).collect();
+    gauges.insert("mem.pool.bytes_outstanding", mem.bytes as f64);
+    let counters = counters
         .iter()
-        .fold(crate::json::Obj::new(), |o, (name, c)| o.u64(name, c.get()));
-    let gauges = reg
-        .gauges
+        .fold(crate::json::Obj::new(), |o, (name, v)| o.u64(name, *v));
+    let gauges = gauges
         .iter()
-        .fold(crate::json::Obj::new(), |o, (name, g)| o.f64(name, g.get()));
+        .fold(crate::json::Obj::new(), |o, (name, v)| o.f64(name, *v));
     crate::json::Obj::new()
         .raw("counters", &counters.finish())
         .raw("gauges", &gauges.finish())
@@ -119,6 +193,45 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(counter("t_metrics_thread_counter").get(), 80_000);
+    }
+
+    #[test]
+    fn pool_traffic_sums_over_the_recorders_threads() {
+        let recorder = Recorder::new();
+        let _run = recorder.enter();
+        let event = Mem {
+            hit: 2,
+            miss: 1,
+            alloc: 1,
+            bytes: 64,
+        };
+        add_mem(event);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _run = recorder.enter();
+                add_mem(Mem {
+                    bytes: -16,
+                    ..event
+                });
+            });
+            // A thread outside the run counts elsewhere.
+            s.spawn(|| add_mem(event));
+        });
+        let want = Mem {
+            hit: 4,
+            miss: 2,
+            alloc: 2,
+            bytes: 48,
+        };
+        assert_eq!(mem(), want);
+        let snap: serde_json::Value = serde_json::from_str(&snapshot_json()).unwrap();
+        assert_eq!(snap["counters"]["mem.pool.hit"].as_u64(), Some(4));
+        assert_eq!(snap["counters"]["mem.pool.miss"].as_u64(), Some(2));
+        assert_eq!(snap["counters"]["mem.alloc.count"].as_u64(), Some(2));
+        assert_eq!(
+            snap["gauges"]["mem.pool.bytes_outstanding"].as_f64(),
+            Some(48.0)
+        );
     }
 
     #[test]

@@ -171,11 +171,19 @@ fn switch(to: Arc<Recorder>) -> Arc<Recorder> {
 
 /// Runs `f` on the calling thread's recorder and its record there.
 pub(crate) fn local<R>(f: impl FnOnce(&Arc<Recorder>, &Record) -> R) -> R {
-    LOCAL.with(|l| {
-        let l = &mut *l.borrow_mut();
-        if l.record.is_none() {
-            l.record = Some(l.lookup());
-        }
-        f(&l.recorder, l.record.as_deref().expect("looked up above"))
-    })
+    try_local(f).expect("recorder state used during thread teardown")
+}
+
+/// [`local`], or `None` once the thread's locals are torn down (a buffer
+/// dropped by another thread-local's destructor).
+pub(crate) fn try_local<R>(f: impl FnOnce(&Arc<Recorder>, &Record) -> R) -> Option<R> {
+    LOCAL
+        .try_with(|l| {
+            let l = &mut *l.borrow_mut();
+            if l.record.is_none() {
+                l.record = Some(l.lookup());
+            }
+            f(&l.recorder, l.record.as_deref().expect("looked up above"))
+        })
+        .ok()
 }

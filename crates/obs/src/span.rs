@@ -13,7 +13,8 @@
 //!   FLOPs per op kind, folded when a span closes under the thread's own
 //!   uncontended lock — no global lock on any span;
 //! * the bounded ring of [trace](mod@crate::trace) events;
-//! * the thread's name, heartbeat progress epoch and busy time.
+//! * the thread's name, heartbeat progress epoch and busy time, and its
+//!   buffer-pool traffic ([`crate::metrics::Mem`]).
 //!
 //! Readers see views that merge the records ([`summary`], [`ops`],
 //! [`open_spans`], [`crate::hist::snapshot_json`],
@@ -38,6 +39,7 @@
 use crate::hist::{bucket_index, BUCKETS};
 use crate::json::{Arr, Obj};
 use crate::lock;
+use crate::metrics::MemCells;
 use crate::recorder::{local, Entered, Recorder, Switch, OP_DETAIL_ON};
 use crate::trace::{Event, Kind, Name};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -148,6 +150,8 @@ pub(crate) struct Record {
     /// scheduler bumps them per chunk without taking the lock.
     pub(crate) epoch: AtomicU64,
     pub(crate) busy_ns: AtomicU64,
+    /// Buffer-pool traffic, relaxed atomics for the same reason.
+    pub(crate) mem: MemCells,
     pub(crate) state: Mutex<State>,
 }
 
@@ -235,6 +239,7 @@ impl Record {
             tid,
             epoch: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
+            mem: MemCells::default(),
             state: Mutex::new(State {
                 name,
                 stack: Vec::new(),

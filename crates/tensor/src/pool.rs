@@ -16,7 +16,7 @@
 //!   majority of traffic — tape intermediates created during
 //!   forward/backward and recycled at [`Tape::reset`](crate::Tape::reset) —
 //!   stays on the worker thread that allocated it and never touches a lock.
-//! * **A global overflow list** (one per element type) behind a mutex.
+//! * **A global list** (one per element type) behind a mutex.
 //!   Gradient tensors are born on cf-par worker threads but dropped on the
 //!   main thread (tree-reduce and the optimizer step run there). Each buffer
 //!   carries the id of its *home* thread; dropping on a foreign thread
@@ -30,7 +30,7 @@
 //! pops from bucket `ceil(log2(n))`, so any buffer found there has
 //! `capacity ≥ 2^ceil(log2(n)) ≥ n`. Classes are *element*-count-based, so
 //! an f32 class holds half the bytes of the same f64 class; all byte
-//! accounting (`bytes_outstanding`, the retention byte caps) multiplies by
+//! accounting (`bytes_outstanding`, the retention ceilings) multiplies by
 //! `size_of::<E>()` rather than assuming 8-byte elements.
 //!
 //! The pool changes *where bytes live, never what they hold*: buffers are
@@ -38,19 +38,24 @@
 //! before use, so numeric results are bitwise identical with the pool on or
 //! off (`CF_POOL=off` disables reuse for A/B testing).
 //!
-//! Counters are module-level relaxed atomics — a registry lookup per
-//! allocation would dwarf the allocation itself — and are published into
-//! the `cf-obs` metrics registry in one batch by [`publish_obs`]. Counters
-//! are shared across element types (they answer "is the process allocating",
-//! not "which dtype is"). Alongside the totals, each thread keeps its own
-//! hit/miss/alloc record ([`per_thread_stats`]): events are attributed to
-//! the thread that *executed* the grab, so whichever thread claims a
-//! cf-par chunk owns the counters of the chunk it ran and a migrated
-//! buffer is never counted twice.
+//! **Retention.** A list keeps another buffer of a class only while the
+//! class's footprint there stays under a byte ceiling, per element type:
+//! 8 MiB in each thread's list, for the buffers the thread drops at home,
+//! and 32 MiB in the global list, for the buffers dropped away from home.
+//! Past the ceiling the buffer is freed, so however many buffers of one
+//! size a thread drops, it parks at most 8 MiB of them.
+//!
+//! **Accounting.** Each grab, recycle, adoption and release adds its hit,
+//! miss, allocation and bytes to the calling thread's record in its
+//! current `cf_obs::Recorder` ([`cf_obs::metrics::add_mem`]): relaxed
+//! atomics, no lock and no registry lookup. cf-par runs a run's chunks
+//! inside the run's recorder, so [`stats`], the metrics summary and the
+//! heartbeat report the run's own traffic, whichever threads carried it.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+use cf_obs::metrics::{add_mem, Mem};
 
 use crate::scalar::Scalar;
 
@@ -58,43 +63,26 @@ use crate::scalar::Scalar;
 /// any CausalFormer workload; larger requests bypass the pool entirely.
 pub(crate) const NUM_CLASSES: usize = 32;
 
-/// Per-thread, per-class retention: a class always keeps up to
-/// [`LOCAL_RETAIN`] buffers, and beyond that keeps growing while its total
-/// footprint stays under [`LOCAL_RETAIN_BYTES`]. The byte budget matters for
-/// small classes — a cLSTM BPTT tape holds tens of thousands of gate-sized
-/// buffers of one class, far past any sane count cap, yet only a few MiB;
-/// capping by count alone frees them at every tape reset and the next epoch
-/// misses its way through the global mutex again.
-const LOCAL_RETAIN: usize = 512;
-const LOCAL_RETAIN_BYTES: usize = 8 << 20;
+/// Bytes one class may park in one thread's free list. Small classes keep
+/// many buffers under it — a cLSTM BPTT tape holds tens of thousands of
+/// gate-sized buffers of one class, yet only a few MiB, and freeing them
+/// at every tape reset would send the next epoch through the global mutex
+/// — while a class of 1 MiB buffers keeps eight.
+const LOCAL_CEILING: usize = 8 << 20;
 
-/// Global-list retention, same shape as the local policy. Beyond both caps,
-/// buffers are genuinely freed — the backstop that bounds pool memory on
-/// pathological workloads.
-const GLOBAL_RETAIN: usize = 4096;
-const GLOBAL_RETAIN_BYTES: usize = 32 << 20;
+/// Bytes one class may park in the global list, which takes the buffers
+/// dropped away from their home thread.
+const GLOBAL_CEILING: usize = 32 << 20;
 
-/// Whether a class holding `len` buffers may retain one more. `class` is
-/// the log2 *element* capacity, so the byte footprint after the push is
-/// `(len + 1) << class` elements × `elem_size` bytes.
+/// Whether a class holding `len` buffers may keep one more under
+/// `ceiling` bytes. `class` is the log2 *element* capacity, so the
+/// footprint after the push is `(len + 1) << class` elements of
+/// `elem_size` bytes. (An adopted buffer's capacity lies below twice its
+/// class, so real bytes stay under twice the ceiling.)
 #[inline]
-fn may_retain(
-    len: usize,
-    class: usize,
-    elem_size: usize,
-    count_cap: usize,
-    byte_cap: usize,
-) -> bool {
-    len < count_cap
-        || (class < usize::BITS as usize - 4 && ((len + 1) << class) * elem_size <= byte_cap)
+fn may_retain(len: usize, class: usize, elem_size: usize, ceiling: usize) -> bool {
+    ((len as u64 + 1) << class) * elem_size as u64 <= ceiling as u64
 }
-
-static HIT: AtomicU64 = AtomicU64::new(0);
-static MISS: AtomicU64 = AtomicU64::new(0);
-static ALLOC: AtomicU64 = AtomicU64::new(0);
-/// Bytes held by live pooled buffers (checked out or external, not yet
-/// recycled). Signed: external buffers can be recycled without a grab.
-static OUTSTANDING: AtomicI64 = AtomicI64::new(0);
 
 /// `false` turns the pool into a pass-through (fresh alloc per grab, free
 /// per recycle). Numerics are identical either way — only allocator traffic
@@ -106,50 +94,6 @@ static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
     static THREAD_ID: Cell<u32> = const { Cell::new(0) };
-    static LOCAL_COUNTERS: RefCell<Option<Arc<ThreadCounters>>> = const { RefCell::new(None) };
-}
-
-/// Per-thread attribution of the hit/miss/alloc counters. The *executing*
-/// thread owns the bump: a grab made while running a chunk another
-/// thread published is attributed to the thread that ran it (the thread
-/// whose free list actually served or missed the request), and a buffer
-/// that migrates home → global list → foreign thread counts exactly one
-/// hit, on the thread that re-grabbed it — attribution moves with the
-/// work, totals are never double-counted.
-struct ThreadCounters {
-    thread: u32,
-    hit: AtomicU64,
-    miss: AtomicU64,
-    alloc: AtomicU64,
-}
-
-fn counter_registry() -> &'static Mutex<Vec<Arc<ThreadCounters>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadCounters>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Runs `f` on this thread's counter record, creating and registering it
-/// on first use. One `RefCell` access plus a relaxed atomic add per pool
-/// event — negligible next to the free-list work itself.
-#[inline]
-fn with_local_counters(f: impl FnOnce(&ThreadCounters)) {
-    LOCAL_COUNTERS.with(|c| {
-        let mut slot = c.borrow_mut();
-        let rec = slot.get_or_insert_with(|| {
-            let rec = Arc::new(ThreadCounters {
-                thread: thread_id(),
-                hit: AtomicU64::new(0),
-                miss: AtomicU64::new(0),
-                alloc: AtomicU64::new(0),
-            });
-            counter_registry()
-                .lock()
-                .expect("pool counter registry poisoned")
-                .push(Arc::clone(&rec));
-            rec
-        });
-        f(rec);
-    });
 }
 
 /// Per-thread, per-dtype free lists. Instances live in the per-dtype
@@ -230,41 +174,25 @@ pub fn set_enabled(on: bool) {
 /// thread id to pass back to [`recycle`]. The caller must fully initialise
 /// the first `n` elements before reading them.
 pub(crate) fn grab<E: Scalar>(n: usize) -> (Vec<E>, u32) {
+    let home = thread_id();
     if n == 0 {
-        return (Vec::new(), thread_id());
+        return (Vec::new(), home);
     }
     let class = class_for_request(n);
-    if class < NUM_CLASSES && enabled() {
-        let local = E::with_pool(|t| t.lists.borrow_mut()[class].pop());
-        let home = thread_id();
-        if let Some(buf) = local {
-            HIT.fetch_add(1, Ordering::Relaxed);
-            with_local_counters(|c| {
-                c.hit.fetch_add(1, Ordering::Relaxed);
+    let pooled = class < NUM_CLASSES && enabled();
+    if pooled {
+        let found = E::with_pool(|t| t.lists.borrow_mut()[class].pop())
+            .or_else(|| E::global_pool().lock().expect("pool mutex poisoned")[class].pop());
+        if let Some(buf) = found {
+            add_mem(Mem {
+                hit: 1,
+                bytes: bytes_of::<E>(buf.capacity()),
+                ..Mem::default()
             });
-            OUTSTANDING.fetch_add(bytes_of::<E>(buf.capacity()), Ordering::Relaxed);
             return (buf, home);
         }
-        let global = E::global_pool().lock().expect("pool mutex poisoned")[class].pop();
-        if let Some(buf) = global {
-            HIT.fetch_add(1, Ordering::Relaxed);
-            with_local_counters(|c| {
-                c.hit.fetch_add(1, Ordering::Relaxed);
-            });
-            OUTSTANDING.fetch_add(bytes_of::<E>(buf.capacity()), Ordering::Relaxed);
-            return (buf, home);
-        }
-        MISS.fetch_add(1, Ordering::Relaxed);
-        with_local_counters(|c| {
-            c.miss.fetch_add(1, Ordering::Relaxed);
-        });
         cf_obs::trace::instant("pool.miss");
     }
-    let home = thread_id();
-    ALLOC.fetch_add(1, Ordering::Relaxed);
-    with_local_counters(|c| {
-        c.alloc.fetch_add(1, Ordering::Relaxed);
-    });
     // Allocate the full class size so the buffer round-trips through its
     // bucket stably instead of shrinking a class on each recycle.
     let cap = if class < NUM_CLASSES {
@@ -272,7 +200,12 @@ pub(crate) fn grab<E: Scalar>(n: usize) -> (Vec<E>, u32) {
     } else {
         n
     };
-    OUTSTANDING.fetch_add(bytes_of::<E>(cap), Ordering::Relaxed);
+    add_mem(Mem {
+        miss: pooled as u64,
+        alloc: 1,
+        bytes: bytes_of::<E>(cap),
+        ..Mem::default()
+    });
     (Vec::with_capacity(cap), home)
 }
 
@@ -285,11 +218,11 @@ fn bytes_of<E>(elems: usize) -> i64 {
 /// with caller-built data) entering circulation.
 pub(crate) fn note_external<E: Scalar>(capacity: usize) {
     if capacity > 0 {
-        ALLOC.fetch_add(1, Ordering::Relaxed);
-        with_local_counters(|c| {
-            c.alloc.fetch_add(1, Ordering::Relaxed);
+        add_mem(Mem {
+            alloc: 1,
+            bytes: bytes_of::<E>(capacity),
+            ..Mem::default()
         });
-        OUTSTANDING.fetch_add(bytes_of::<E>(capacity), Ordering::Relaxed);
     }
 }
 
@@ -297,21 +230,25 @@ pub(crate) fn note_external<E: Scalar>(capacity: usize) {
 /// (e.g. `Tensor::into_data` handing the raw `Vec` to the caller).
 pub(crate) fn forget<E: Scalar>(capacity: usize) {
     if capacity > 0 {
-        OUTSTANDING.fetch_sub(bytes_of::<E>(capacity), Ordering::Relaxed);
+        add_mem(Mem {
+            bytes: -bytes_of::<E>(capacity),
+            ..Mem::default()
+        });
     }
 }
 
 /// Returns a buffer to the pool. `home` is the thread id the buffer was
 /// handed out on: recycling on that thread goes to its lock-free local
-/// list, recycling anywhere else routes through the global overflow list so
+/// list, recycling anywhere else routes through the global list so
 /// cross-thread migration (worker-allocated gradients dropped on the main
-/// thread) flows back to the workers.
+/// thread) flows back to the workers. Past its list's ceiling the buffer
+/// is freed.
 pub(crate) fn recycle<E: Scalar>(mut buf: Vec<E>, home: u32) {
     let cap = buf.capacity();
     if cap == 0 {
         return;
     }
-    OUTSTANDING.fetch_sub(bytes_of::<E>(cap), Ordering::Relaxed);
+    forget::<E>(cap);
     if !enabled() {
         return; // dropped
     }
@@ -321,40 +258,23 @@ pub(crate) fn recycle<E: Scalar>(mut buf: Vec<E>, home: u32) {
     }
     buf.clear();
     let elem = std::mem::size_of::<E>();
-    let kept = E::with_pool(|t| {
-        if home != thread_id() {
-            return false;
-        }
-        let mut l = t.lists.borrow_mut();
-        if may_retain(
-            l[class].len(),
-            class,
-            elem,
-            LOCAL_RETAIN,
-            LOCAL_RETAIN_BYTES,
-        ) {
-            l[class].push(std::mem::take(&mut buf));
-            true
-        } else {
-            false
-        }
-    });
-    if kept {
+    if home == thread_id() {
+        E::with_pool(|t| {
+            let mut l = t.lists.borrow_mut();
+            if may_retain(l[class].len(), class, elem, LOCAL_CEILING) {
+                l[class].push(buf);
+            }
+        });
         return;
     }
     let mut g = E::global_pool().lock().expect("pool mutex poisoned");
-    if may_retain(
-        g[class].len(),
-        class,
-        elem,
-        GLOBAL_RETAIN,
-        GLOBAL_RETAIN_BYTES,
-    ) {
+    if may_retain(g[class].len(), class, elem, GLOBAL_CEILING) {
         g[class].push(buf);
     }
 }
 
-/// A point-in-time snapshot of the pool counters.
+/// A snapshot of the current run's pool counters: the calling thread's
+/// recorder, summed over every thread that worked for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Requests served from a free list.
@@ -364,91 +284,25 @@ pub struct PoolStats {
     /// Fresh heap allocations (pool misses plus external buffers adopted
     /// by tensors). Zero deltas here are the "allocation-free" proof.
     pub alloc: u64,
-    /// Bytes currently held by live pooled buffers (all element types,
-    /// element-size-aware).
+    /// The run's net bytes: handed out (all element types,
+    /// element-size-aware) less handed back.
     pub bytes_outstanding: i64,
 }
 
-/// Reads the current counter values.
+/// Reads the current run's counters.
 pub fn stats() -> PoolStats {
+    let m = cf_obs::metrics::mem();
     PoolStats {
-        hit: HIT.load(Ordering::Relaxed),
-        miss: MISS.load(Ordering::Relaxed),
-        alloc: ALLOC.load(Ordering::Relaxed),
-        bytes_outstanding: OUTSTANDING.load(Ordering::Relaxed),
+        hit: m.hit,
+        miss: m.miss,
+        alloc: m.alloc,
+        bytes_outstanding: m.bytes,
     }
 }
 
-/// One thread's share of the pool counters (see [`per_thread_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPoolStats {
-    /// The pool-assigned stable thread id (see the `home` ids returned by
-    /// grab) of the thread these events executed on.
-    pub thread: u32,
-    /// Requests this thread served from a free list.
-    pub hit: u64,
-    /// Requests this thread found cold.
-    pub miss: u64,
-    /// Fresh allocations performed by this thread.
-    pub alloc: u64,
-}
-
-/// Per-thread attribution snapshot, sorted by thread id. Each event is
-/// counted exactly once, on the thread that executed the grab — so the
-/// thread that claims a chunk owns the hits and misses of the chunk it
-/// ran, and at any quiescent point the per-thread sums equal the
-/// [`stats`] totals (the invariant `pool_equivalence` pins down).
-pub fn per_thread_stats() -> Vec<ThreadPoolStats> {
-    let mut out: Vec<ThreadPoolStats> = counter_registry()
-        .lock()
-        .expect("pool counter registry poisoned")
-        .iter()
-        .map(|c| ThreadPoolStats {
-            thread: c.thread,
-            hit: c.hit.load(Ordering::Relaxed),
-            miss: c.miss.load(Ordering::Relaxed),
-            alloc: c.alloc.load(Ordering::Relaxed),
-        })
-        .collect();
-    out.sort_by_key(|s| s.thread);
-    out
-}
-
-/// Publishes the pool counters into the `cf-obs` metrics registry as
-/// `mem.pool.{hit,miss,bytes_outstanding}` and `mem.alloc.count`, so they
-/// appear in `--metrics-out` JSONL summaries. Counters are forwarded as
-/// deltas since the previous publish (the registry may be reset between
-/// runs); the gauge is forwarded absolute.
-pub fn publish_obs() {
-    static LAST_HIT: AtomicU64 = AtomicU64::new(0);
-    static LAST_MISS: AtomicU64 = AtomicU64::new(0);
-    static LAST_ALLOC: AtomicU64 = AtomicU64::new(0);
-    let s = stats();
-    let delta = |last: &AtomicU64, now: u64| now.saturating_sub(last.swap(now, Ordering::Relaxed));
-    cf_obs::metrics::counter("mem.pool.hit").add(delta(&LAST_HIT, s.hit));
-    cf_obs::metrics::counter("mem.pool.miss").add(delta(&LAST_MISS, s.miss));
-    cf_obs::metrics::counter("mem.alloc.count").add(delta(&LAST_ALLOC, s.alloc));
-    cf_obs::metrics::gauge("mem.pool.bytes_outstanding").set(s.bytes_outstanding as f64);
-    // Cumulative samples onto the trace timeline so Perfetto's counter
-    // track (and the report's pool panel) can plot them over time.
-    cf_obs::trace::counter("mem.pool.hit", s.hit as f64);
-    cf_obs::trace::counter("mem.pool.miss", s.miss as f64);
-    cf_obs::trace::counter("mem.pool.bytes_outstanding", s.bytes_outstanding as f64);
-}
-
-/// Registers [`publish_obs`] as a heartbeat sampler hook, so every
-/// heartbeat carries fresh `mem.pool.*` values. cf-obs sits below this
-/// crate in the workspace graph and cannot call the pool itself; the
-/// CLI (or any embedding binary) calls this once at startup. Safe to
-/// call repeatedly — only the first call registers.
-pub fn install_obs_sampler() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        cf_obs::heartbeat::add_sampler_hook(Box::new(publish_obs));
-    });
-}
-
+// The tests that grab and recycle switch the pool on: they test reuse,
+// which `CF_POOL=off` would otherwise turn off for this whole binary (the
+// rest of it is numerics, the same either way).
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +332,7 @@ mod tests {
 
     #[test]
     fn grab_after_recycle_reuses_the_same_buffer() {
+        set_enabled(true);
         // Use an unusual size so concurrently running tests cannot race this
         // thread-local bucket. Pointer identity proves reuse.
         let n = 12_345;
@@ -493,6 +348,7 @@ mod tests {
 
     #[test]
     fn size_class_rounding_shares_buffers_within_a_class() {
+        set_enabled(true);
         // 9000 and 12000 both round up to the 16384-element class.
         let (buf, home) = grab::<f64>(9_000);
         let ptr = buf.as_ptr();
@@ -505,6 +361,7 @@ mod tests {
 
     #[test]
     fn dtypes_have_disjoint_free_lists() {
+        set_enabled(true);
         // An f64 buffer recycled into class 14 must never be handed to an
         // f32 request of the same class (the lists are separately typed);
         // both round-trip independently.
@@ -525,24 +382,51 @@ mod tests {
 
     #[test]
     fn byte_accounting_is_element_size_aware() {
-        // (The global bytes_outstanding gauge moves concurrently with other
-        // tests, so the accounting units are pinned directly.)
+        // (The run's bytes_outstanding moves concurrently with other tests
+        // on the default recorder, so the accounting units are pinned
+        // directly.)
         assert_eq!(bytes_of::<f64>(100), 800);
         assert_eq!(bytes_of::<f32>(100), 400);
-        // Retention byte caps count real bytes: with the count cap disabled,
-        // a class-10 bucket (1024 elements/buffer) at a 64 KiB cap holds 8
-        // f64 buffers but 16 f32 buffers.
+        // Retention ceilings count real bytes: a class-10 bucket (1024
+        // elements/buffer) under a 64 KiB ceiling holds 8 f64 buffers but
+        // 16 f32 buffers.
         let cap = 64 << 10;
-        assert!(may_retain(7, 10, 8, 0, cap));
-        assert!(!may_retain(8, 10, 8, 0, cap));
-        assert!(may_retain(15, 10, 4, 0, cap));
-        assert!(!may_retain(16, 10, 4, 0, cap));
+        assert!(may_retain(7, 10, 8, cap));
+        assert!(!may_retain(8, 10, 8, cap));
+        assert!(may_retain(15, 10, 4, cap));
+        assert!(!may_retain(16, 10, 4, cap));
+    }
+
+    #[test]
+    fn byte_ceilings_bound_a_class_whatever_its_count() {
+        set_enabled(true);
+        // 600 buffers of 2^17 f64 (1 MiB each; reserved, never touched),
+        // dropped at home: this thread's list keeps 8 MiB of them and the
+        // rest are freed. The global list, which takes only buffers
+        // dropped away from home, stays within its 32 MiB.
+        const CLASS: usize = 17;
+        let held: Vec<_> = (0..600).map(|_| grab::<f64>(1 << CLASS)).collect();
+        for (buf, home) in held {
+            recycle(buf, home);
+        }
+        let parked = |list: &[Vec<f64>]| list.iter().map(|b| b.capacity() * 8).sum::<usize>();
+        let local = f64::with_pool(|t| parked(&t.lists.borrow()[CLASS]));
+        let global = parked(&f64::global_pool().lock().unwrap()[CLASS]);
+        assert!(
+            local <= 8 << 20,
+            "{local} bytes parked in one thread's list"
+        );
+        assert!(
+            global <= 32 << 20,
+            "{global} bytes parked in the global list"
+        );
     }
 
     #[test]
     fn cross_thread_recycle_returns_via_the_global_list() {
+        set_enabled(true);
         // Born on a spawned thread, dropped here: the buffer must flow
-        // through the global overflow list back to a foreign grab.
+        // through the global list back to a foreign grab.
         let n = 23_456;
         let (buf, home) = std::thread::spawn(move || grab::<f64>(n)).join().unwrap();
         let ptr = buf.as_ptr();
@@ -562,51 +446,25 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_counters_attribute_to_the_executing_thread() {
-        // A grab on a spawned thread must land on that thread's record —
-        // including the hit on a buffer that migrated through the global
-        // list from another thread's recycle (counted once, on the
-        // re-grabbing thread).
-        let n = 87_654; // unusual class, private to this test
-        let (buf, home) = grab::<f64>(n);
-        recycle(buf, home); // local: this thread's list now holds it
-        let (buf, home) = grab::<f64>(n); // hit on this thread
-        let my_id = thread_id();
-        let my_hits = |stats: &[ThreadPoolStats]| {
-            stats
-                .iter()
-                .find(|s| s.thread == my_id)
-                .map(|s| s.hit)
-                .unwrap_or(0)
-        };
-        let before = my_hits(&per_thread_stats());
-        // Drop it from a foreign thread → global list; then a second
-        // foreign thread re-grabs it and must own the hit.
-        let (stolen_hit, foreign_id) = std::thread::spawn(move || {
-            recycle(buf, home); // cross-thread recycle: no hit anywhere
-            let before = per_thread_stats();
-            let (again, h2) = grab::<f64>(n); // hit from the global list
-            let id = thread_id();
-            let after = per_thread_stats();
-            recycle(again, h2);
-            let hits = |s: &[ThreadPoolStats]| {
-                s.iter()
-                    .find(|r| r.thread == id)
-                    .map(|r| r.hit)
-                    .unwrap_or(0)
-            };
-            (hits(&after) - hits(&before), id)
-        })
-        .join()
-        .unwrap();
-        assert_eq!(stolen_hit, 1, "foreign re-grab owns exactly one hit");
-        assert_ne!(foreign_id, my_id);
-        let after = my_hits(&per_thread_stats());
-        assert_eq!(after, before, "migration must not double-count on home");
+    fn stats_count_the_calling_threads_run() {
+        // A fresh recorder sees its own traffic and none of another
+        // thread's (which counts in the default recorder).
+        let _run = cf_obs::Recorder::new().enter();
+        let n = 76_543; // unusual class, private to this test
+        let (buf, home) = grab::<f32>(n);
+        std::thread::spawn(move || drop(grab::<f64>(n)))
+            .join()
+            .unwrap();
+        let held = stats();
+        assert_eq!(held.hit + held.alloc, 1, "{held:?}");
+        assert_eq!(held.bytes_outstanding, bytes_of::<f32>(buf.capacity()));
+        recycle(buf, home);
+        assert_eq!(stats().bytes_outstanding, 0, "recycled bytes net out");
     }
 
     #[test]
     fn miss_counter_moves_only_on_cold_requests() {
+        set_enabled(true);
         let n = 54_321; // unusual class, private to this test's thread
         let before = stats();
         let (buf, home) = grab::<f64>(n);

@@ -157,4 +157,11 @@ for case in same outlier slow failed; do
     || { echo "perf_gate.py on '$case' exited $code, expected $want"; cat "$gate/$case.md"; exit 1; }
 done
 
+# Table 1 gate: `table1 --quick` is deterministic, so its JSON must match
+# the committed results/table1.json (wall times aside) at the default
+# thread count and at one thread. A change that moves a paper number
+# regenerates the results/table1.* files and says so in CHANGES.md.
+echo "== table 1 gate (scripts/table1_gate.sh)"
+scripts/table1_gate.sh
+
 echo "All checks passed."
