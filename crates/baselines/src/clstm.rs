@@ -12,7 +12,6 @@
 //! proximal shrinkage step after each Adam update, and survivors are
 //! selected by k-means on the group norms.
 
-use crate::sweep_cache::{fingerprint_payload, SweepCache};
 use crate::Discoverer;
 use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
@@ -20,7 +19,6 @@ use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Linear, LstmCell, Optimizer, ParamStore};
 use cf_tensor::{with_pooled_tape, Tensor};
 use rand::RngCore;
-use std::path::Path;
 
 /// Minimum estimated per-target training FLOPs (MACs through the four gate
 /// projections, forward only) before the per-target sweep is dispatched to
@@ -59,7 +57,7 @@ impl Default for ClstmConfig {
     }
 }
 
-/// The cLSTM discoverer. See the [module docs](self).
+/// The cLSTM discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Clstm {
     /// Hyper-parameters.
@@ -71,25 +69,6 @@ impl Clstm {
     pub fn new(config: ClstmConfig) -> Self {
         Self { config }
     }
-
-    /// [`Discoverer::discover`] with per-target checkpointing under `dir`:
-    /// the four trained gate input-projection matrices of each finished
-    /// target are persisted, and a restarted sweep skips those targets. The
-    /// resulting graph is bitwise identical to an uninterrupted
-    /// [`discover`] call with the same rng seed (see
-    /// [`crate::sweep_cache`]).
-    ///
-    /// [`discover`]: Discoverer::discover
-    pub fn discover_resumable(
-        &self,
-        rng: &mut dyn RngCore,
-        series: &Tensor,
-        dir: &Path,
-    ) -> std::io::Result<CausalGraph> {
-        let payload = fingerprint_payload(&format!("{:?}", self.config), series);
-        let cache = SweepCache::open(dir, "cLSTM", &payload)?;
-        Ok(self.discover_impl(rng, series, Some(&cache)))
-    }
 }
 
 impl Discoverer for Clstm {
@@ -98,17 +77,6 @@ impl Discoverer for Clstm {
     }
 
     fn discover(&self, rng: &mut dyn RngCore, series: &Tensor) -> CausalGraph {
-        self.discover_impl(rng, series, None)
-    }
-}
-
-impl Clstm {
-    fn discover_impl(
-        &self,
-        rng: &mut dyn RngCore,
-        series: &Tensor,
-        cache: Option<&SweepCache>,
-    ) -> CausalGraph {
         let cfg = self.config;
         let n = series.shape()[0];
         let l = series.shape()[1];
@@ -143,44 +111,8 @@ impl Clstm {
             })
             .collect();
 
-        // Resume: restore already-trained gate input projections from the
-        // sweep cache (sequentially). Phase C's group norms read only
-        // these four matrices, so nothing else needs restoring.
-        let gate_names = ["wx0", "wx1", "wx2", "wx3"];
-        let restored: Vec<bool> = if let Some(c) = cache {
-            states
-                .iter_mut()
-                .enumerate()
-                .map(|(t, st)| {
-                    let Some(arts) = c.load(t) else {
-                        return false;
-                    };
-                    let ids = st.cell.input_weights();
-                    let ok = arts.len() == ids.len()
-                        && arts.iter().zip(&ids).zip(&gate_names).all(
-                            |(((name, w), &id), &expect)| {
-                                name == expect && w.shape() == st.store.value(id).shape()
-                            },
-                        );
-                    if !ok {
-                        return false;
-                    }
-                    for ((_, w), &id) in arts.into_iter().zip(&ids) {
-                        *st.store.value_mut(id) = w;
-                    }
-                    true
-                })
-                .collect()
-        } else {
-            vec![false; n]
-        };
-
-        // Phase B: parallel rng-free training (restored targets skip it).
-        let train_target = |idx: usize, st: &mut TargetState| {
-            if restored[idx] {
-                cf_obs::heartbeat::progress_inc("baseline.clstm.target", n as u64);
-                return;
-            }
+        // Phase B: parallel rng-free training.
+        let train_target = |st: &mut TargetState| {
             let target = st.target;
             let (store, cell, head) = (&mut st.store, &st.cell, &st.head);
             let mut adam = Adam::new(cfg.lr);
@@ -263,26 +195,9 @@ impl Clstm {
         // sweeps in one process restart the bar.
         cf_obs::heartbeat::progress("baseline.clstm.target", 0, n as u64);
         if !cf_par::should_fan_out(per_target_flops as u64, CLSTM_PAR_WORK_THRESHOLD as u64) {
-            for (idx, st) in states.iter_mut().enumerate() {
-                train_target(idx, st);
-            }
+            states.iter_mut().for_each(train_target);
         } else {
-            cf_par::par_each_mut(&mut states, train_target);
-        }
-
-        // Checkpoint each freshly trained target (sequential writes).
-        if let Some(c) = cache {
-            for (t, st) in states.iter().enumerate() {
-                if !restored[t] {
-                    let ids = st.cell.input_weights();
-                    let tensors: Vec<(&str, &Tensor)> = gate_names
-                        .iter()
-                        .zip(&ids)
-                        .map(|(&name, &id)| (name, st.store.value(id)))
-                        .collect();
-                    c.store(t, &tensors);
-                }
-            }
+            cf_par::par_each_mut(&mut states, |_, st| train_target(st));
         }
 
         // Phase C: sequential edge selection (consumes rng).

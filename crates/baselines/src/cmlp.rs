@@ -14,7 +14,6 @@
 //! check when the proximal operator has zeroed the rest.
 
 use crate::common::{group_norm, lag_norm, lagged_design};
-use crate::sweep_cache::{fingerprint_payload, SweepCache};
 use crate::Discoverer;
 use cf_data::window::standardize;
 use cf_metrics::kmeans::top_class_mask;
@@ -22,7 +21,6 @@ use cf_metrics::CausalGraph;
 use cf_nn::{Adam, Linear, Optimizer, ParamStore};
 use cf_tensor::{with_pooled_tape, Tensor};
 use rand::RngCore;
-use std::path::Path;
 
 /// Hyper-parameters of the cMLP baseline.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +49,7 @@ impl Default for CmlpConfig {
     }
 }
 
-/// The cMLP discoverer. See the [module docs](self).
+/// The cMLP discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cmlp {
     /// Hyper-parameters.
@@ -62,24 +60,6 @@ impl Cmlp {
     /// A cMLP with the given configuration.
     pub fn new(config: CmlpConfig) -> Self {
         Self { config }
-    }
-
-    /// [`Discoverer::discover`] with per-target checkpointing under `dir`:
-    /// each target's trained input layer is persisted as it finishes, and a
-    /// restarted sweep skips every already-trained target. The resulting
-    /// graph is bitwise identical to an uninterrupted [`discover`] call
-    /// with the same rng seed (see [`crate::sweep_cache`]).
-    ///
-    /// [`discover`]: Discoverer::discover
-    pub fn discover_resumable(
-        &self,
-        rng: &mut dyn RngCore,
-        series: &Tensor,
-        dir: &Path,
-    ) -> std::io::Result<CausalGraph> {
-        let payload = fingerprint_payload(&format!("{:?}", self.config), series);
-        let cache = SweepCache::open(dir, "cMLP", &payload)?;
-        Ok(self.discover_impl(rng, series, Some(&cache)))
     }
 }
 
@@ -93,17 +73,6 @@ impl Discoverer for Cmlp {
     }
 
     fn discover(&self, rng: &mut dyn RngCore, series: &Tensor) -> CausalGraph {
-        self.discover_impl(rng, series, None)
-    }
-}
-
-impl Cmlp {
-    fn discover_impl(
-        &self,
-        rng: &mut dyn RngCore,
-        series: &Tensor,
-        cache: Option<&SweepCache>,
-    ) -> CausalGraph {
         let cfg = self.config;
         let n = series.shape()[0];
         let std_series = standardize(series);
@@ -142,37 +111,11 @@ impl Cmlp {
             })
             .collect();
 
-        // Resume: restore already-trained input layers from the sweep
-        // cache (sequentially — cache reads must not race). Only the input
-        // layer needs restoring: Phase C reads nothing else.
-        let restored: Vec<bool> = if let Some(c) = cache {
-            states
-                .iter_mut()
-                .enumerate()
-                .map(|(t, st)| match c.load(t).as_deref() {
-                    Some([(name, w)])
-                        if name == "in.weight"
-                            && w.shape() == st.store.value(st.l1.weight()).shape() =>
-                    {
-                        *st.store.value_mut(st.l1.weight()) = w.clone();
-                        true
-                    }
-                    _ => false,
-                })
-                .collect()
-        } else {
-            vec![false; n]
-        };
-
-        // Phase B: parallel rng-free training (restored targets skip it).
+        // Phase B: parallel rng-free training.
         // The heartbeat unit opens at 0/n from serial code so repeated
         // sweeps in one process restart the bar.
         cf_obs::heartbeat::progress("baseline.cmlp.target", 0, n as u64);
-        cf_par::par_each_mut(&mut states, |idx, st| {
-            if restored[idx] {
-                cf_obs::heartbeat::progress_inc("baseline.cmlp.target", n as u64);
-                return;
-            }
+        cf_par::par_each_mut(&mut states, |_, st| {
             let mut adam = Adam::new(cfg.lr);
             for _ in 0..cfg.epochs {
                 with_pooled_tape(|tape| {
@@ -217,16 +160,6 @@ impl Cmlp {
             // Per-target heartbeat tick: sweep progress for the monitor.
             cf_obs::heartbeat::progress_inc("baseline.cmlp.target", n as u64);
         });
-
-        // Checkpoint each freshly trained target (sequential writes, so a
-        // crash mid-sweep loses at most the in-flight target).
-        if let Some(c) = cache {
-            for (t, st) in states.iter().enumerate() {
-                if !restored[t] {
-                    c.store(t, &[("in.weight", st.store.value(st.l1.weight()))]);
-                }
-            }
-        }
 
         // Phase C: sequential edge selection (consumes rng).
         let mut graph = CausalGraph::new(n);

@@ -55,7 +55,7 @@ impl Default for CutsConfig {
     }
 }
 
-/// The CUTS-lite discoverer. See the [module docs](self).
+/// The CUTS-lite discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cuts {
     /// Hyper-parameters.

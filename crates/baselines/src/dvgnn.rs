@@ -49,7 +49,7 @@ impl Default for DvgnnConfig {
     }
 }
 
-/// The DVGNN-lite discoverer. See the [module docs](self).
+/// The DVGNN-lite discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dvgnn {
     /// Hyper-parameters.

@@ -42,7 +42,7 @@ impl Default for DynotearsConfig {
     }
 }
 
-/// The DYNOTEARS-lite discoverer. See the [module docs](self).
+/// The DYNOTEARS-lite discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dynotears {
     /// Hyper-parameters.

@@ -5,20 +5,20 @@
 //! substrate:
 //!
 //! * [`Cmlp`] — component-wise MLP neural Granger causality (Tank et al.
-//!   [31]): one MLP per target over lagged inputs, group-sparse penalty on
+//!   \[31\]): one MLP per target over lagged inputs, group-sparse penalty on
 //!   the input layer; causal scores are input-group norms, delays come from
 //!   the strongest lag group.
-//! * [`Clstm`] — component-wise LSTM neural Granger causality [31]: one
+//! * [`Clstm`] — component-wise LSTM neural Granger causality \[31\]: one
 //!   LSTM per target, group-sparse penalty on the input projections; no
 //!   delay output (matching the paper's Table 2, which omits cLSTM).
 //! * [`Tcdf`] — the Temporal Causal Discovery Framework (Nauta et al.
-//!   [10]): attention-gated causal convolutions per target; causes are
+//!   \[10\]): attention-gated causal convolutions per target; causes are
 //!   selected with TCDF's largest-gap rule on sorted attention scores and
 //!   delays read from the convolution kernels.
-//! * [`Dvgnn`] — DVGNN-lite [49]: a learned dense adjacency (edge
+//! * [`Dvgnn`] — DVGNN-lite \[49\]: a learned dense adjacency (edge
 //!   probabilities) driving a two-lag graph predictor; the paper applies
 //!   k-means to its edge scores, as do we. No delay output.
-//! * [`Cuts`] — CUTS-lite [50]: per-edge multiplicative gates on lagged
+//! * [`Cuts`] — CUTS-lite \[50\]: per-edge multiplicative gates on lagged
 //!   inputs of per-target MLPs with a sparsity penalty; k-means on the
 //!   learned gates. No delay output.
 //!
@@ -44,7 +44,6 @@ mod cuts;
 mod dvgnn;
 mod dynotears;
 mod pcmci_lite;
-pub mod sweep_cache;
 mod tcdf;
 mod var_granger;
 
@@ -55,7 +54,6 @@ pub use cuts::{Cuts, CutsConfig};
 pub use dvgnn::{Dvgnn, DvgnnConfig};
 pub use dynotears::{Dynotears, DynotearsConfig};
 pub use pcmci_lite::{Pcmci, PcmciConfig};
-pub use sweep_cache::SweepCache;
 pub use tcdf::{Tcdf, TcdfConfig};
 pub use var_granger::{VarGranger, VarGrangerConfig};
 

@@ -39,7 +39,7 @@ impl Default for PcmciConfig {
     }
 }
 
-/// The PCMCI-lite discoverer. See the [module docs](self).
+/// The PCMCI-lite discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pcmci {
     /// Hyper-parameters.

@@ -51,7 +51,7 @@ impl Default for TcdfConfig {
     }
 }
 
-/// The TCDF discoverer. See the [module docs](self).
+/// The TCDF discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tcdf {
     /// Hyper-parameters.

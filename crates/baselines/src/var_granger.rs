@@ -34,7 +34,7 @@ impl Default for VarGrangerConfig {
     }
 }
 
-/// The VAR-Granger discoverer. See the [module docs](self).
+/// The VAR-Granger discoverer. See the [crate docs](crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VarGranger {
     /// Hyper-parameters.

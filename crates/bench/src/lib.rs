@@ -15,10 +15,9 @@
 //!
 //! All binaries accept `--quick` (fewer seeds, shorter series, smaller
 //! epoch budgets), `--seeds K`, and `--json PATH` to dump machine-readable
-//! results. The Criterion benches under `benches/` measure the
-//! computational kernels behind each experiment. Speed and memory of the
-//! library itself are measured by the repository benchmark, `perfbench/`
-//! (workloads and bounds in `BENCHMARK.json`), not by this crate.
+//! results. Speed and memory of the library are measured by the
+//! repository benchmark, `perfbench/` (workloads and bounds in
+//! `BENCHMARK.json`), not by this crate.
 
 pub mod harness;
 pub mod methods;

@@ -107,15 +107,15 @@ pub fn generate_datasets(kind: DatasetKind, seed: u64, quick: bool) -> Vec<Datas
 /// The methods of the paper's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MethodKind {
-    /// cMLP neural Granger causality [31].
+    /// cMLP neural Granger causality \[31\].
     Cmlp,
-    /// cLSTM neural Granger causality [31].
+    /// cLSTM neural Granger causality \[31\].
     Clstm,
-    /// Temporal Causal Discovery Framework [10].
+    /// Temporal Causal Discovery Framework \[10\].
     Tcdf,
-    /// DVGNN-lite [49].
+    /// DVGNN-lite \[49\].
     Dvgnn,
-    /// CUTS-lite [50].
+    /// CUTS-lite \[50\].
     Cuts,
     /// This paper's method.
     CausalFormer,

@@ -146,7 +146,7 @@ generate options:
                   chunks, so --length can far exceed RAM
   --chunk-len N   store chunk length in time steps (default 65536)
   --codec NAME    store chunk codec: raw | delta | delta-varint
-                  (default delta-varint)
+                  (default raw)
 
 report options:
   --out FILE      HTML output path (required)
@@ -288,7 +288,7 @@ impl Default for GenerateArgs {
             output: String::new(),
             store_out: None,
             chunk_len: 65536,
-            codec: "delta-varint".into(),
+            codec: "raw".into(),
         }
     }
 }
@@ -1392,6 +1392,11 @@ mod tests {
                 assert_eq!(a.chunk_len, 512);
                 assert_eq!(a.codec, "delta");
             }
+            other => panic!("wrong command {other:?}"),
+        }
+        // Without --codec a store is written raw.
+        match parse(&s(&["generate", "--dataset", "fork", "--store-out", "d"])).unwrap() {
+            Command::Generate(a) => assert_eq!(a.codec, "raw"),
             other => panic!("wrong command {other:?}"),
         }
         // Neither output nor store-out → usage error.

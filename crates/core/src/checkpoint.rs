@@ -392,9 +392,8 @@ fn decode_payload(path: &Path, payload: &[u8]) -> Result<SavedCheckpoint, Checkp
 }
 
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch torn writes
-/// and bit rot (this is an integrity check, not an adversarial one). Also
-/// used by the baseline sweep caches to fingerprint their inputs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// and bit rot (this is an integrity check, not an adversarial one).
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -406,8 +405,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Writes `payload` under the checksummed envelope, atomically: temp file
 /// in the same directory, `fsync`, `rename` over the target, directory
 /// `fsync`. A crash at any point leaves either the old file or the new
-/// one, never a torn hybrid. Shared by the trainer and the per-target
-/// baseline checkpoints.
+/// one, never a torn hybrid.
 pub fn write_envelope(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     let header = format!(
         "{ENVELOPE_MAGIC} len={} fnv1a64={:016x}\n",

@@ -1,6 +1,6 @@
 //! NetSim-style simulated fMRI BOLD data.
 //!
-//! The paper evaluates on the Smith et al. fMRI benchmark [48]: 28 brain
+//! The paper evaluates on the Smith et al. fMRI benchmark \[48\]: 28 brain
 //! networks of 5/10/15/50 regions with series lengths between 50 and 5000.
 //! That benchmark is itself *simulated* BOLD data; since the original files
 //! cannot be redistributed, this module re-implements the generative

@@ -1,4 +1,4 @@
-//! 1-D k-means (Lloyd's algorithm [46] with k-means++ seeding).
+//! 1-D k-means (Lloyd's algorithm \[46\] with k-means++ seeding).
 //!
 //! The decomposition-based causality detector clusters the causal scores of
 //! each target series into `n` classes and keeps the top `m` classes as

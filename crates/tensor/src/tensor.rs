@@ -244,15 +244,6 @@ impl<E: Scalar> TensorBase<E> {
         })
     }
 
-    /// Builds a tensor from `f64` data, converting each element to `E`
-    /// (exact for `E = f64`, round-to-nearest for `E = f32`). The typed
-    /// counterpart of [`TensorBase::from_vec`] for dtype-agnostic callers
-    /// such as checkpoint restore.
-    pub fn from_f64_vec(shape: Vec<usize>, data: Vec<f64>) -> Result<Self, TensorError> {
-        let converted: Vec<E> = data.iter().map(|&v| E::from_f64(v)).collect();
-        Self::from_vec(shape, converted)
-    }
-
     /// Internal constructor: an empty pooled buffer the caller will fill to
     /// exactly `shape.iter().product()` elements.
     #[inline]
@@ -604,12 +595,6 @@ impl<E: Scalar> TensorBase<E> {
     pub fn scale(&self, alpha: f64) -> Self {
         let alpha = E::from_f64(alpha);
         self.map(move |v| v * alpha)
-    }
-
-    /// Add a scalar to every element.
-    pub fn add_scalar(&self, alpha: f64) -> Self {
-        let alpha = E::from_f64(alpha);
-        self.map(move |v| v + alpha)
     }
 
     /// Elementwise absolute value.

@@ -60,7 +60,11 @@ fn check<E: Scalar>(
 }
 
 fn lift<E: Scalar>(shape: &[usize], vals: &[f64]) -> TensorBase<E> {
-    TensorBase::from_f64_vec(shape.to_vec(), vals.to_vec()).expect("sized")
+    TensorBase::from_vec(
+        shape.to_vec(),
+        vals.iter().map(|&v| E::from_f64(v)).collect(),
+    )
+    .expect("sized")
 }
 
 // ---------------------------------------------------------------------

@@ -10,13 +10,12 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Core, observability, tensor and store docs build warning-free, so
-# intra-doc links cannot point at removed or private items. Scoped to
-# those four: documenting causalformer together with cf-cli collides on
-# the `causalformer` output name, and the other crates still carry older
-# rustdoc warnings.
-echo "== cargo doc -p causalformer -p cf-obs -p cf-tensor -p cf-store (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p causalformer -p cf-obs -p cf-tensor -p cf-store --offline
+# The workspace docs build warning-free, so intra-doc links cannot point
+# at removed or private items, and a bracketed citation like `\[31\]` must
+# be escaped. cf-cli is left out: its `causalformer` binary collides with
+# the core crate's doc output name.
+echo "== cargo doc --workspace --exclude cf-cli (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude cf-cli --offline
 
 # The suite runs twice — serial and with a 4-worker pool — to enforce the
 # determinism contract: results must be identical at any thread count.
