@@ -38,7 +38,7 @@ fn main() {
 
     let cf = causalformer_for(kind, n, true);
     let std_series = window::standardize(&data.series);
-    let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+    let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
     let mut rng = StdRng::seed_from_u64(0xAB1E);
     let (trained, report) = trainer::train(&mut rng, cf.model, cf.train, &windows);
     println!(

@@ -49,7 +49,7 @@ fn main() {
                 cf.model.temperature = temp;
                 cf.model.lambda_mask = lam;
                 let std_series = window::standardize(&data.series);
-                let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+                let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
                 let (trained, _) = trainer::train(&mut rng, cf.model, cf.train, &windows);
 

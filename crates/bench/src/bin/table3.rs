@@ -18,7 +18,9 @@
 
 use causalformer::{detector, trainer, DetectorMode};
 use cf_bench::{methods, parse_options, print_table, SerMeanStd};
+use cf_data::window;
 use cf_metrics::{score, MeanStd};
+use cf_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,8 +72,9 @@ fn main() {
             let cf = methods::causalformer_for(methods::DatasetKind::Fmri, n, options.quick);
 
             // Standardise + window exactly as the pipeline does.
-            let std_series = standardize(&data.series);
-            let windows = slice_windows(&std_series, cf.model.window, cf.train.stride);
+            let std_series = window::standardize(&data.series);
+            let windows: Vec<Tensor> =
+                window::windows(&std_series, cf.model.window, cf.train.stride);
 
             // Train the shared (multi-kernel) model once per network.
             let mut rng = StdRng::seed_from_u64(seed ^ 0xAB1E);
@@ -163,16 +166,4 @@ fn main() {
     // Ablations share one training per network, so there are no per-cell
     // timings; the artifact still carries the op profile and span summary.
     cf_bench::maybe_dump_metrics(&options, &[]);
-}
-
-fn standardize(series: &cf_tensor::Tensor) -> cf_tensor::Tensor {
-    cf_data::window::standardize(series)
-}
-
-fn slice_windows(
-    series: &cf_tensor::Tensor,
-    t_window: usize,
-    stride: usize,
-) -> Vec<cf_tensor::Tensor> {
-    cf_data::window::windows(series, t_window, stride)
 }

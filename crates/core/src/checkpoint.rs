@@ -1,10 +1,11 @@
 //! Crash-safe training checkpoints.
 //!
-//! A checkpoint captures *everything* the training loop mutates — parameter
-//! values, best-epoch snapshot, Adam moments and step count, early-stopping
-//! state, the RNG state, the (accumulated) shuffle order, and the loss
-//! history — so a killed run resumed from disk continues **bitwise
-//! identically** to one that never died (see `tests/resume_determinism.rs`).
+//! A checkpoint is the trainer's `TrainState` — everything the loop carries
+//! from one epoch to the next — beside the identity of the run that wrote
+//! it (dtype, model config, window count, batch size, parameter names). A
+//! killed run resumed from disk restores the state through the same path
+//! as a non-finite rollback and continues **bitwise identically** to one
+//! that never died (see `tests/resume_determinism.rs`).
 //!
 //! ## On-disk format
 //!
@@ -17,22 +18,26 @@
 //! CFTENS1\n<header_len><JSON header><raw little-endian tensors>
 //! ```
 //!
-//! The scalar training state (epoch counters, Adam step, early-stopping
-//! counters, config) lives in the CFTENS1 `meta` JSON string; every array
-//! (parameters, best-epoch snapshot, Adam moments, RNG words, shuffle
-//! order, loss history) is a named tensor section read back with a bulk
-//! copy instead of per-element JSON parsing. Format versions ≤ 2 used a
-//! JSON payload and are rejected with a clear [`CheckpointError::Mismatch`].
+//! The identity and the scalar state live in the CFTENS1 `meta` JSON
+//! string; every array (parameters, best-epoch snapshot, Adam moments, RNG
+//! words, shuffle order, loss history) is a named tensor section, widened
+//! to f64 whatever the run's dtype. Format versions ≤ 2 used a JSON payload
+//! and are rejected with a clear [`CheckpointError::Mismatch`]; version 3
+//! is pinned by `tests/checkpoint_fixtures.rs`.
 //!
 //! The checksum turns silent corruption (torn writes, bad disks) into a
 //! loud [`CheckpointError::Corrupt`]; `load_latest` then falls back to
-//! the next-newest intact file. Writes are atomic — temp file, `fsync`,
-//! `rename`, directory `fsync` — so a crash mid-write can never destroy an
-//! existing checkpoint. Retention keeps the newest
-//! [`CheckpointConfig::keep`] files.
+//! the next-newest intact file. Whether an intact state fits the resuming
+//! run is the trainer's check, and a difference there is a hard error.
+//! Writes are atomic — temp file, `fsync`, `rename`, directory `fsync` — so
+//! a crash mid-write can never destroy an existing checkpoint. Retention
+//! keeps the newest [`CheckpointConfig::keep`] files.
 
-use crate::persist::{SavedConfig, SavedParam};
+use crate::config::ModelConfig;
+use crate::trainer::TrainState;
+use cf_nn::{AdamStateBase, StopperState};
 use cf_store::{TensorFile, TensorFileBuilder};
+use cf_tensor::{Scalar, TensorBase};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
@@ -178,63 +183,54 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> CheckpointError {
     }
 }
 
-/// The full training state, mirroring every variable the training loop
-/// mutates across epochs. Flat primitives/containers only — the vendored
-/// serde derive handles exactly non-generic named-field structs.
-#[derive(Serialize, Deserialize)]
-pub(crate) struct SavedCheckpoint {
-    pub(crate) format_version: u32,
-    /// Element type the run trained in (`"f32"`/`"f64"`); resume refuses a
-    /// dtype mismatch. Parameter payloads below are always stored widened
-    /// to f64 regardless of this tag.
+/// What a checkpoint records about the run it belongs to. Resume compares
+/// it with its own run's and refuses a checkpoint from another run.
+pub(crate) struct RunIdentity {
+    /// Element type the run trained in (`"f32"`/`"f64"`); arrays are stored
+    /// widened to f64 whatever this says.
     pub(crate) dtype: String,
-    /// Architecture this state belongs to; resume verifies equality.
-    pub(crate) config: SavedConfig,
-    /// Total window count of the run (train + validation split derives
-    /// from it deterministically).
+    pub(crate) config: ModelConfig,
+    /// Total window count (the train/validation split follows from it).
     pub(crate) n_windows: usize,
     pub(crate) batch_size: usize,
-    /// Epochs completed; resume continues at this epoch index.
-    pub(crate) next_epoch: usize,
-    /// Global gradient-step counter (drives `CF_FAULT=nan:stepN` indices).
-    pub(crate) step: u64,
-    /// Total rollback retries consumed so far (telemetry).
-    pub(crate) retries: u64,
-    /// RNG state words (see `cf_tensor::capture_rng`).
-    pub(crate) rng: Vec<u64>,
-    /// The accumulated shuffle order. Each epoch shuffles the *previous*
-    /// epoch's order in place, so the permutation itself is state.
-    pub(crate) order: Vec<usize>,
-    /// Current parameter values.
-    pub(crate) params: Vec<SavedParam>,
-    /// Best-validation-epoch parameter values.
-    pub(crate) best_params: Vec<SavedParam>,
-    pub(crate) adam_t: u64,
-    pub(crate) adam_lr: f64,
-    /// Adam first moments, indexed by parameter; data only, shapes follow
-    /// the architecture.
-    pub(crate) adam_m: Vec<Option<Vec<f64>>>,
-    /// Adam second moments.
-    pub(crate) adam_v: Vec<Option<Vec<f64>>>,
-    pub(crate) stopper_best: f64,
-    pub(crate) stopper_best_epoch: usize,
-    pub(crate) stopper_epochs_seen: usize,
-    pub(crate) stopper_stale: usize,
-    pub(crate) train_losses: Vec<f64>,
-    pub(crate) val_losses: Vec<f64>,
-    pub(crate) epoch_wall_secs: Vec<f64>,
-    pub(crate) grad_norms: Vec<f64>,
+    /// Parameter names, in registration order.
+    pub(crate) param_names: Vec<String>,
+}
+
+impl RunIdentity {
+    /// Names the first field in which a checkpoint's identity `saved`
+    /// differs from this run's. A checkpoint continues one run's trajectory
+    /// bit for bit, so any difference — even only the dtype — refuses it.
+    pub(crate) fn differs_from(&self, saved: &RunIdentity) -> Option<String> {
+        macro_rules! check {
+            ($field:ident, $name:literal) => {
+                if saved.$field != self.$field {
+                    return Some(format!(
+                        concat!($name, " differs: checkpoint {:?}, this run {:?}"),
+                        saved.$field, self.$field
+                    ));
+                }
+            };
+        }
+        check!(dtype, "dtype");
+        check!(config, "model config");
+        check!(n_windows, "window count");
+        check!(batch_size, "batch size");
+        check!(param_names, "parameter names");
+        None
+    }
 }
 
 /// The scalar half of a v3 checkpoint, serialised as the CFTENS1 `meta`
-/// JSON string. Floating-point scalars that may be non-finite
-/// (`stopper_best` starts at `+∞`) live in the `scalars` tensor section
-/// instead, where the raw-bits encoding is exact by construction.
+/// JSON string; the field order is part of the format. Floating-point
+/// scalars that may be non-finite (`stopper.best` starts at `+∞`) live in
+/// the `scalars` tensor section instead, where the raw-bits encoding is
+/// exact by construction.
 #[derive(Serialize, Deserialize)]
 struct MetaV3 {
     format_version: u32,
     dtype: String,
-    config: SavedConfig,
+    config: ModelConfig,
     n_windows: usize,
     batch_size: usize,
     next_epoch: usize,
@@ -247,54 +243,57 @@ struct MetaV3 {
     param_names: Vec<String>,
 }
 
-/// Encodes the full training state as a CFTENS1 document.
-fn encode_payload(saved: &SavedCheckpoint) -> Result<Vec<u8>, String> {
+/// Encodes a run's training state as a CFTENS1 document.
+fn encode<E: Scalar>(id: &RunIdentity, st: &TrainState<E>) -> Result<Vec<u8>, String> {
     let meta = MetaV3 {
-        format_version: saved.format_version,
-        dtype: saved.dtype.clone(),
-        config: saved.config.clone(),
-        n_windows: saved.n_windows,
-        batch_size: saved.batch_size,
-        next_epoch: saved.next_epoch,
-        step: saved.step,
-        retries: saved.retries,
-        adam_t: saved.adam_t,
-        stopper_best_epoch: saved.stopper_best_epoch,
-        stopper_epochs_seen: saved.stopper_epochs_seen,
-        stopper_stale: saved.stopper_stale,
-        param_names: saved.params.iter().map(|p| p.name.clone()).collect(),
+        format_version: CHECKPOINT_FORMAT_VERSION,
+        dtype: id.dtype.clone(),
+        config: id.config,
+        n_windows: id.n_windows,
+        batch_size: id.batch_size,
+        next_epoch: st.epoch,
+        step: st.step,
+        retries: st.retries,
+        adam_t: st.adam.t,
+        stopper_best_epoch: st.stopper.best_epoch,
+        stopper_epochs_seen: st.stopper.epochs_seen,
+        stopper_stale: st.stopper.stale,
+        param_names: id.param_names.clone(),
     };
     let meta_json = serde_json::to_string(&meta).map_err(|e| format!("meta encoding: {e}"))?;
     let mut b = TensorFileBuilder::new().meta(meta_json);
-    for (i, p) in saved.params.iter().enumerate() {
-        b.push_slice(&format!("param.{i}"), p.shape.clone(), &p.data);
-    }
-    for (i, p) in saved.best_params.iter().enumerate() {
-        b.push_slice(&format!("best.{i}"), p.shape.clone(), &p.data);
-    }
-    for (i, m) in saved.adam_m.iter().enumerate() {
-        if let Some(m) = m {
-            b.push_f64(&format!("adam_m.{i}"), m);
+    for (prefix, values) in [("param", &st.params), ("best", &st.best)] {
+        for (i, t) in values.iter().enumerate() {
+            b.push_tensor(&format!("{prefix}.{i}"), &t.to_f64_tensor());
         }
     }
-    for (i, v) in saved.adam_v.iter().enumerate() {
-        if let Some(v) = v {
-            b.push_f64(&format!("adam_v.{i}"), v);
+    for (prefix, moments) in [("adam_m", &st.adam.m), ("adam_v", &st.adam.v)] {
+        for (i, m) in moments.iter().enumerate() {
+            if let Some(m) = m {
+                b.push_f64(&format!("{prefix}.{i}"), m.to_f64_tensor().data());
+            }
         }
     }
-    b.push_u64("rng", &saved.rng);
-    let order: Vec<u64> = saved.order.iter().map(|&o| o as u64).collect();
+    b.push_u64("rng", st.rng.as_deref().unwrap_or_default());
+    let order: Vec<u64> = st.order.iter().map(|&o| o as u64).collect();
     b.push_u64("order", &order);
-    b.push_f64("scalars", &[saved.adam_lr, saved.stopper_best]);
-    b.push_f64("train_losses", &saved.train_losses);
-    b.push_f64("val_losses", &saved.val_losses);
-    b.push_f64("epoch_wall_secs", &saved.epoch_wall_secs);
-    b.push_f64("grad_norms", &saved.grad_norms);
+    b.push_f64("scalars", &[st.adam.lr, st.stopper.best]);
+    b.push_f64("train_losses", &st.train_losses);
+    b.push_f64("val_losses", &st.val_losses);
+    b.push_f64("epoch_wall_secs", &st.epoch_wall_secs);
+    b.push_f64("grad_norms", &st.grad_norms);
     Ok(b.finish())
 }
 
-/// Decodes a CFTENS1 checkpoint payload back into the training state.
-fn decode_payload(path: &Path, payload: &[u8]) -> Result<SavedCheckpoint, CheckpointError> {
+/// Decodes a CFTENS1 checkpoint payload into the run's identity and its
+/// training state. Only the file's own consistency is checked here, so a
+/// failure is [`CheckpointError::Corrupt`] (and `load_latest` tries the
+/// next-newest file); whether the state fits the run resuming it is
+/// checked by the trainer, where a difference is a hard error.
+fn decode<E: Scalar>(
+    path: &Path,
+    payload: &[u8],
+) -> Result<(RunIdentity, TrainState<E>), CheckpointError> {
     // Versions ≤ 2 stored JSON here; give those a version message rather
     // than a baffling "bad magic".
     if payload.first() == Some(&b'{') {
@@ -319,76 +318,101 @@ fn decode_payload(path: &Path, payload: &[u8]) -> Result<SavedCheckpoint, Checkp
             ),
         });
     }
-    let n = meta.param_names.len();
     let read = |e: cf_store::StoreError| corrupt(path, e.to_string());
-    let mut params = Vec::with_capacity(n);
-    let mut best_params = Vec::with_capacity(n);
-    let mut adam_m = Vec::with_capacity(n);
-    let mut adam_v = Vec::with_capacity(n);
-    for (i, name) in meta.param_names.iter().enumerate() {
-        let pk = format!("param.{i}");
-        let bk = format!("best.{i}");
-        params.push(SavedParam {
-            name: name.clone(),
-            shape: file.shape(&pk).map_err(read)?.to_vec(),
-            data: file.f64s(&pk).map_err(read)?,
-        });
-        best_params.push(SavedParam {
-            name: name.clone(),
-            shape: file.shape(&bk).map_err(read)?.to_vec(),
-            data: file.f64s(&bk).map_err(read)?,
-        });
-        let mk = format!("adam_m.{i}");
-        adam_m.push(if file.has(&mk) {
-            Some(file.f64s(&mk).map_err(read)?)
-        } else {
-            None
-        });
-        let vk = format!("adam_v.{i}");
-        adam_v.push(if file.has(&vk) {
-            Some(file.f64s(&vk).map_err(read)?)
-        } else {
-            None
-        });
-    }
+    let tensor = |name: &str, shape: Option<&[usize]>| -> Result<TensorBase<E>, CheckpointError> {
+        let data: Vec<E> = file
+            .f64s(name)
+            .map_err(read)?
+            .into_iter()
+            .map(E::from_f64)
+            .collect();
+        let shape = shape.map_or_else(|| vec![data.len()], <[usize]>::to_vec);
+        TensorBase::from_vec(shape, data)
+            .map_err(|e| corrupt(path, format!("section {name:?}: {e}")))
+    };
+    let n = meta.param_names.len();
+    let values = |prefix: &str| -> Result<Vec<TensorBase<E>>, CheckpointError> {
+        (0..n)
+            .map(|i| {
+                let key = format!("{prefix}.{i}");
+                tensor(&key, Some(file.shape(&key).map_err(read)?))
+            })
+            .collect()
+    };
+    // Moments are stored flat, and only for parameters that have one. Past
+    // the last parameter, any further moments in sequence are read too, so
+    // one the file has no parameter for reaches the trainer's count check
+    // instead of vanishing here.
+    let moments = |prefix: &str| -> Result<Vec<Option<TensorBase<E>>>, CheckpointError> {
+        (0..)
+            .map(|i| (i, format!("{prefix}.{i}")))
+            .take_while(|(i, key)| *i < n || file.has(key))
+            .map(|(_, key)| file.has(&key).then(|| tensor(&key, None)).transpose())
+            .collect()
+    };
     let scalars = file.f64s("scalars").map_err(read)?;
-    if scalars.len() != 2 {
+    let &[lr, stopper_best] = scalars.as_slice() else {
         return Err(corrupt(
             path,
             format!("scalars section has {} entries, expected 2", scalars.len()),
         ));
-    }
-    Ok(SavedCheckpoint {
-        format_version: meta.format_version,
-        dtype: meta.dtype,
-        config: meta.config,
-        n_windows: meta.n_windows,
-        batch_size: meta.batch_size,
-        next_epoch: meta.next_epoch,
+    };
+    let st = TrainState {
+        epoch: meta.next_epoch,
         step: meta.step,
         retries: meta.retries,
-        rng: file.u64s("rng").map_err(read)?,
+        rng: Some(file.u64s("rng").map_err(read)?),
         order: file
             .u64s("order")
             .map_err(read)?
             .into_iter()
             .map(|o| o as usize)
             .collect(),
-        params,
-        best_params,
-        adam_t: meta.adam_t,
-        adam_lr: scalars[0],
-        adam_m,
-        adam_v,
-        stopper_best: scalars[1],
-        stopper_best_epoch: meta.stopper_best_epoch,
-        stopper_epochs_seen: meta.stopper_epochs_seen,
-        stopper_stale: meta.stopper_stale,
+        params: values("param")?,
+        best: values("best")?,
+        adam: AdamStateBase {
+            t: meta.adam_t,
+            lr,
+            m: moments("adam_m")?,
+            v: moments("adam_v")?,
+        },
+        stopper: StopperState {
+            best: stopper_best,
+            best_epoch: meta.stopper_best_epoch,
+            epochs_seen: meta.stopper_epochs_seen,
+            stale: meta.stopper_stale,
+        },
         train_losses: file.f64s("train_losses").map_err(read)?,
         val_losses: file.f64s("val_losses").map_err(read)?,
         epoch_wall_secs: file.f64s("epoch_wall_secs").map_err(read)?,
         grad_norms: file.f64s("grad_norms").map_err(read)?,
-    })
+    };
+    let id = RunIdentity {
+        dtype: meta.dtype,
+        config: meta.config,
+        n_windows: meta.n_windows,
+        batch_size: meta.batch_size,
+        param_names: meta.param_names,
+    };
+    Ok((id, st))
+}
+
+/// Decodes a checkpoint payload and encodes the result again. Format v3
+/// has one encoding per state, so this gives `payload` back byte for byte.
+/// Public only for the format tests: `tests/checkpoint_fixtures.rs` pins
+/// the bytes against files an earlier build wrote, and
+/// `tests/resume_refusals.rs` probes the decoder with damaged payloads.
+#[doc(hidden)]
+pub fn reencode(path: &Path, payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+    fn again<E: Scalar>(path: &Path, payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+        let (id, st) = decode::<E>(path, payload)?;
+        encode(&id, &st).map_err(|e| corrupt(path, e))
+    }
+    // At the run's own dtype, so an f32 state makes the trip through f32.
+    match decode::<f64>(path, payload)?.0.dtype.as_str() {
+        "f32" => again::<f32>(path, payload),
+        _ => again::<f64>(path, payload),
+    }
 }
 
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch torn writes
@@ -524,11 +548,12 @@ pub(crate) fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
 /// Saves a checkpoint taken after `epoch` completed epochs, then prunes old
 /// files down to `cfg.keep`. Plants the `io_fail` fault point (indexed by
 /// epoch) so checkpoint-write failures are drillable.
-pub(crate) fn save(
+pub(crate) fn save<E: Scalar>(
     cfg: &CheckpointConfig,
-    saved: &SavedCheckpoint,
-    epoch: u64,
+    id: &RunIdentity,
+    st: &TrainState<E>,
 ) -> Result<PathBuf, CheckpointError> {
+    let epoch = st.epoch as u64;
     fs::create_dir_all(&cfg.dir).map_err(|e| io_err(&cfg.dir, e))?;
     let path = cfg.dir.join(file_name(epoch));
     if cf_faults::fire(cf_faults::FaultSite::IoFail, epoch) {
@@ -537,7 +562,7 @@ pub(crate) fn save(
             cf_faults::injected_io_error(&format!("checkpoint write at epoch {epoch}")),
         ));
     }
-    let payload = encode_payload(saved).map_err(|e| CheckpointError::Corrupt {
+    let payload = encode(id, st).map_err(|e| CheckpointError::Corrupt {
         path: path.clone(),
         detail: format!("payload encoding failed: {e}"),
     })?;
@@ -560,9 +585,11 @@ fn prune(cfg: &CheckpointConfig) {
 }
 
 /// Loads and verifies one checkpoint file.
-pub(crate) fn load(path: &Path) -> Result<SavedCheckpoint, CheckpointError> {
+pub(crate) fn load<E: Scalar>(
+    path: &Path,
+) -> Result<(RunIdentity, TrainState<E>), CheckpointError> {
     let payload = read_envelope(path)?;
-    decode_payload(path, &payload)
+    decode(path, &payload)
 }
 
 /// Loads the newest *usable* checkpoint in `dir`.
@@ -572,9 +599,9 @@ pub(crate) fn load(path: &Path) -> Result<SavedCheckpoint, CheckpointError> {
 /// warning and falls back to its predecessor — this is the whole point of
 /// retaining more than one. Only when every file is unreadable does this
 /// fail, with [`CheckpointError::NoUsableCheckpoint`].
-pub(crate) fn load_latest(
+pub(crate) fn load_latest<E: Scalar>(
     dir: &Path,
-) -> Result<Option<(SavedCheckpoint, PathBuf)>, CheckpointError> {
+) -> Result<Option<(RunIdentity, TrainState<E>, PathBuf)>, CheckpointError> {
     let files = list(dir)?;
     if files.is_empty() {
         return Ok(None);
@@ -582,7 +609,7 @@ pub(crate) fn load_latest(
     let mut last_reason = String::new();
     for (_, path) in files.iter().rev() {
         match load(path) {
-            Ok(saved) => return Ok(Some((saved, path.clone()))),
+            Ok((id, st)) => return Ok(Some((id, st, path.clone()))),
             Err(e) => {
                 cf_obs::warn!("skipping unusable checkpoint: {e}");
                 last_reason = e.to_string();
@@ -671,67 +698,78 @@ mod tests {
 
     #[test]
     fn v3_payload_roundtrips_bitwise() {
-        let config = crate::persist::saved_config(&crate::config::ModelConfig::compact(3, 6));
-        let mk = |name: &str, k: usize| SavedParam {
-            name: name.to_string(),
-            shape: vec![2, k],
-            data: (0..2 * k).map(|i| (i as f64 * 0.7).sin()).collect(),
+        let mk = |k: usize| {
+            let data = (0..2 * k).map(|i| (i as f64 * 0.7).sin()).collect();
+            TensorBase::from_vec(vec![2, k], data).unwrap()
         };
-        let saved = SavedCheckpoint {
-            format_version: CHECKPOINT_FORMAT_VERSION,
+        let flat = |v: &[f64]| TensorBase::from_vec(vec![v.len()], v.to_vec()).unwrap();
+        let id = RunIdentity {
             dtype: "f64".to_string(),
-            config,
+            config: ModelConfig::compact(3, 6),
             n_windows: 12,
             batch_size: 4,
-            next_epoch: 7,
+            param_names: vec!["a".into(), "b".into()],
+        };
+        let st = TrainState::<f64> {
+            epoch: 7,
             step: 99,
             retries: 1,
-            rng: vec![0xDEAD_BEEF, 7, u64::MAX],
+            rng: Some(vec![0xDEAD_BEEF, 7, u64::MAX]),
             order: vec![3, 0, 2, 1],
-            params: vec![mk("a", 3), mk("b", 5)],
-            best_params: vec![mk("a", 3), mk("b", 5)],
-            adam_t: 42,
-            adam_lr: 1e-3,
-            adam_m: vec![Some(vec![0.1, -0.2]), None],
-            adam_v: vec![None, Some(vec![f64::MIN_POSITIVE])],
+            params: vec![mk(3), mk(5)],
+            best: vec![mk(3), mk(5)],
+            adam: AdamStateBase {
+                t: 42,
+                lr: 1e-3,
+                m: vec![Some(flat(&[0.1, -0.2])), None],
+                v: vec![None, Some(flat(&[f64::MIN_POSITIVE]))],
+            },
             // +∞ is the stopper's initial best: it must survive the trip
             // (the old JSON payload could not have represented it).
-            stopper_best: f64::INFINITY,
-            stopper_best_epoch: 5,
-            stopper_epochs_seen: 7,
-            stopper_stale: 2,
+            stopper: StopperState {
+                best: f64::INFINITY,
+                best_epoch: 5,
+                epochs_seen: 7,
+                stale: 2,
+            },
             train_losses: vec![1.5, 1.25, 1.0],
             val_losses: vec![],
             epoch_wall_secs: vec![0.01; 3],
             grad_norms: vec![2.0, 1.0, 0.5],
         };
-        let payload = encode_payload(&saved).unwrap();
-        let back = decode_payload(Path::new("ckpt-000007.cfck"), &payload).unwrap();
-        assert_eq!(back.dtype, "f64");
-        assert_eq!(back.n_windows, 12);
-        assert_eq!(back.next_epoch, 7);
+        let payload = encode(&id, &st).unwrap();
+        let path = Path::new("ckpt-000007.cfck");
+        let (back_id, back) = decode::<f64>(path, &payload).unwrap();
+        assert_eq!(back_id.dtype, "f64");
+        assert_eq!(back_id.config, id.config);
+        assert_eq!(back_id.n_windows, 12);
+        assert_eq!(back_id.param_names, id.param_names);
+        assert_eq!(back.epoch, 7);
         assert_eq!(back.step, 99);
-        assert_eq!(back.rng, saved.rng);
-        assert_eq!(back.order, saved.order);
+        assert_eq!(back.rng, st.rng);
+        assert_eq!(back.order, st.order);
         assert_eq!(back.params.len(), 2);
-        assert_eq!(back.params[1].name, "b");
-        assert_eq!(back.params[1].shape, vec![2, 5]);
-        for (a, b) in back.params[1].data.iter().zip(&saved.params[1].data) {
+        assert_eq!(back.params[1].shape(), &[2, 5]);
+        for (a, b) in back.params[1].data().iter().zip(st.params[1].data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(back.adam_m[0].as_deref(), Some(&[0.1, -0.2][..]));
-        assert!(back.adam_m[1].is_none());
-        assert!(back.adam_v[0].is_none());
-        assert_eq!(back.adam_v[1].as_deref(), Some(&[f64::MIN_POSITIVE][..]));
-        assert_eq!(back.adam_lr.to_bits(), saved.adam_lr.to_bits());
-        assert!(back.stopper_best.is_infinite() && back.stopper_best > 0.0);
+        assert_eq!(back.adam.m[0].as_ref().unwrap().data(), &[0.1, -0.2]);
+        assert!(back.adam.m[1].is_none() && back.adam.v[0].is_none());
+        assert_eq!(
+            back.adam.v[1].as_ref().unwrap().data(),
+            &[f64::MIN_POSITIVE]
+        );
+        assert_eq!(back.adam.lr.to_bits(), st.adam.lr.to_bits());
+        assert!(back.stopper.best.is_infinite() && back.stopper.best > 0.0);
         assert_eq!(back.val_losses, Vec::<f64>::new());
-        assert_eq!(back.grad_norms, saved.grad_norms);
+        assert_eq!(back.grad_norms, st.grad_norms);
+        // One encoding per state: the decoded state encodes to the same bytes.
+        assert!(encode(&back_id, &back).unwrap() == payload);
     }
 
     #[test]
     fn legacy_json_payload_is_rejected_with_version_message() {
-        let err = decode_payload(
+        let err = decode::<f64>(
             Path::new("ckpt-000001.cfck"),
             br#"{"format_version":2,"dtype":"f64"}"#,
         )
@@ -746,7 +784,7 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_corrupt_not_a_panic() {
-        let err = decode_payload(Path::new("ckpt-000001.cfck"), b"CFTENS1\nzzzzzzzz")
+        let err = decode::<f64>(Path::new("ckpt-000001.cfck"), b"CFTENS1\nzzzzzzzz")
             .err()
             .expect("garbage must be rejected");
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");

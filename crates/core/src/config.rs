@@ -1,10 +1,15 @@
 //! Configuration types for the model, the trainer, and the detector.
 
 use cf_tensor::Dtype;
+use serde::{Deserialize, Serialize};
 
 /// Architecture hyper-parameters of the causality-aware transformer
 /// (paper §4.1 and the per-dataset settings of §5.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Saved models and checkpoints store it as a JSON object with these field
+/// names in this order, so renaming or reordering a field changes both
+/// file formats (`tests/checkpoint_fixtures.rs` pins the checkpoint one).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Number of time series `N`.
     pub n_series: usize,

@@ -778,7 +778,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data = generate(&mut rng, Structure::Fork, 300);
         let std_series = window::standardize(&data.series);
-        let windows = window::windows(&std_series, 8, 2);
+        let windows: Vec<Tensor> = window::windows(&std_series, 8, 2);
         let mc = ModelConfig {
             d_model: 12,
             d_qk: 12,

@@ -20,8 +20,8 @@
 use crate::config::ModelConfig;
 use crate::model::CausalityAwareTransformer;
 use crate::trainer::{TrainedModel, TrainedModelBase};
-use cf_nn::{ParamStore, ParamStoreBase};
-use cf_tensor::{Scalar, TensorBase};
+use cf_nn::ParamStore;
+use cf_tensor::{Scalar, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -32,37 +32,16 @@ use std::path::{Path, PathBuf};
 #[derive(Serialize, Deserialize)]
 struct SavedModel {
     format_version: u32,
-    config: SavedConfig,
+    config: ModelConfig,
     params: Vec<SavedParam>,
 }
 
-/// `ModelConfig` mirror with explicit field names (stable on-disk format,
-/// decoupled from the in-memory struct). Shared with the training
-/// checkpoint format (`checkpoint.rs`).
-#[derive(Clone, Serialize, Deserialize)]
-pub(crate) struct SavedConfig {
-    n_series: usize,
-    window: usize,
-    d_model: usize,
-    d_qk: usize,
-    d_ffn: usize,
-    heads: usize,
-    temperature: f64,
-    lambda_kernel: f64,
-    lambda_mask: f64,
-    lambda_lag: f64,
-    leaky_slope: f64,
-    single_kernel: bool,
-}
-
-/// One named parameter's values, in registration order. Shared with the
-/// training checkpoint format (`checkpoint.rs`), which packs the `data`
-/// payloads into CFTENS1 tensor sections.
+/// One named parameter's values, in registration order.
 #[derive(Serialize, Deserialize)]
-pub(crate) struct SavedParam {
-    pub(crate) name: String,
-    pub(crate) shape: Vec<usize>,
-    pub(crate) data: Vec<f64>,
+struct SavedParam {
+    name: String,
+    shape: Vec<usize>,
+    data: Vec<f64>,
 }
 
 /// Errors from model persistence.
@@ -133,121 +112,61 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// Converts a live config into its on-disk mirror.
-pub(crate) fn saved_config(c: &ModelConfig) -> SavedConfig {
-    SavedConfig {
-        n_series: c.n_series,
-        window: c.window,
-        d_model: c.d_model,
-        d_qk: c.d_qk,
-        d_ffn: c.d_ffn,
-        heads: c.heads,
-        temperature: c.temperature,
-        lambda_kernel: c.lambda_kernel,
-        lambda_mask: c.lambda_mask,
-        lambda_lag: c.lambda_lag,
-        leaky_slope: c.leaky_slope,
-        single_kernel: c.single_kernel,
-    }
-}
-
-/// Converts an on-disk config mirror back into a live config.
-pub(crate) fn model_config(sc: &SavedConfig) -> ModelConfig {
-    ModelConfig {
-        n_series: sc.n_series,
-        window: sc.window,
-        d_model: sc.d_model,
-        d_qk: sc.d_qk,
-        d_ffn: sc.d_ffn,
-        heads: sc.heads,
-        temperature: sc.temperature,
-        lambda_kernel: sc.lambda_kernel,
-        lambda_mask: sc.lambda_mask,
-        lambda_lag: sc.lambda_lag,
-        leaky_slope: sc.leaky_slope,
-        single_kernel: sc.single_kernel,
-    }
-}
-
-/// Serialises the store's current values, in registration order. The
-/// on-disk payload is always f64; narrower dtypes widen losslessly here.
-pub(crate) fn saved_params<E: Scalar>(store: &ParamStoreBase<E>) -> Vec<SavedParam> {
-    store
-        .ids()
-        .map(|id| SavedParam {
-            name: store.name(id).to_string(),
-            shape: store.value(id).shape().to_vec(),
-            data: store.value(id).data().iter().map(|v| v.to_f64()).collect(),
-        })
-        .collect()
-}
-
-/// Serialises an external snapshot (e.g. best-epoch weights) using the
-/// store's names and registration order.
-pub(crate) fn saved_params_from<E: Scalar>(
-    store: &ParamStoreBase<E>,
-    values: &[TensorBase<E>],
-) -> Vec<SavedParam> {
-    assert_eq!(values.len(), store.len(), "snapshot length mismatch");
-    store
-        .ids()
-        .zip(values)
-        .map(|(id, v)| SavedParam {
-            name: store.name(id).to_string(),
-            shape: v.shape().to_vec(),
-            data: v.data().iter().map(|v| v.to_f64()).collect(),
-        })
-        .collect()
-}
-
-/// Validates saved parameters against the architecture in `store` (count,
-/// names, shapes) and rebuilds them as tensors ready for
-/// `ParamStore::restore`. Errors are human-readable detail strings so both
-/// [`PersistError`] and checkpoint errors can wrap them.
-pub(crate) fn restore_values<E: Scalar>(
-    store: &ParamStoreBase<E>,
-    params: &[SavedParam],
-) -> Result<Vec<TensorBase<E>>, String> {
+/// Rebuilds the architecture of `config` (registration order is
+/// deterministic; the RNG only seeds throwaway initial values) and loads
+/// `params` into it after checking their count, names and shapes.
+fn rebuild(config: ModelConfig, params: Vec<SavedParam>) -> Result<TrainedModel, PersistError> {
+    config.validate();
+    let mut store = ParamStore::new();
+    let model = CausalityAwareTransformer::new(&mut store, &mut StdRng::seed_from_u64(0), config);
     if params.len() != store.len() {
-        return Err(format!(
+        return Err(PersistError::Mismatch(format!(
             "file has {} parameters, architecture expects {}",
             params.len(),
             store.len()
-        ));
+        )));
     }
     let mut values = Vec::with_capacity(params.len());
     for (id, sp) in store.ids().zip(params) {
         if store.name(id) != sp.name {
-            return Err(format!(
+            return Err(PersistError::Mismatch(format!(
                 "parameter order mismatch: expected {:?}, found {:?}",
                 store.name(id),
                 sp.name
-            ));
+            )));
         }
         if store.value(id).shape() != sp.shape.as_slice() {
-            return Err(format!(
+            return Err(PersistError::Mismatch(format!(
                 "shape mismatch for {:?}: expected {:?}, found {:?}",
                 sp.name,
                 store.value(id).shape(),
                 sp.shape
-            ));
+            )));
         }
-        let data = sp.data.iter().copied().map(E::from_f64).collect();
-        let tensor = TensorBase::from_vec(sp.shape.clone(), data)
-            .map_err(|e| format!("parameter {:?}: {e}", sp.name))?;
+        let tensor = Tensor::from_vec(sp.shape, sp.data)
+            .map_err(|e| PersistError::Mismatch(format!("parameter {:?}: {e}", sp.name)))?;
         values.push(tensor);
     }
-    Ok(values)
+    store.restore(&values);
+    Ok(TrainedModel { model, store })
 }
 
 /// Serialises a trained model to JSON. Parameters are stored as f64
 /// whatever the store's dtype — an f32-trained model widens losslessly on
 /// save and loads back as the f64 model with the same weights.
 pub fn to_json<E: Scalar>(trained: &TrainedModelBase<E>) -> Result<String, PersistError> {
+    let store = &trained.store;
     let saved = SavedModel {
         format_version: 1,
-        config: saved_config(trained.model.config()),
-        params: saved_params(&trained.store),
+        config: *trained.model.config(),
+        params: store
+            .ids()
+            .map(|id| SavedParam {
+                name: store.name(id).to_string(),
+                shape: store.value(id).shape().to_vec(),
+                data: store.value(id).data().iter().map(|v| v.to_f64()).collect(),
+            })
+            .collect(),
     };
     Ok(serde_json::to_string(&saved)?)
 }
@@ -261,17 +180,7 @@ pub fn from_json(json: &str) -> Result<TrainedModel, PersistError> {
             saved.format_version
         )));
     }
-    let config = model_config(&saved.config);
-    config.validate();
-
-    // Rebuild the architecture (registration order is deterministic); the
-    // RNG only seeds throwaway initial values.
-    let mut store = ParamStore::new();
-    let model = CausalityAwareTransformer::new(&mut store, &mut StdRng::seed_from_u64(0), config);
-
-    let values = restore_values(&store, &saved.params).map_err(PersistError::Mismatch)?;
-    store.restore(&values);
-    Ok(TrainedModel { model, store })
+    rebuild(saved.config, saved.params)
 }
 
 /// File extension that selects the binary CFTENS1 model encoding.
@@ -283,7 +192,7 @@ struct BinaryModelMeta {
     format_version: u32,
     kind: String,
     dtype: String,
-    config: SavedConfig,
+    config: ModelConfig,
     param_names: Vec<String>,
 }
 
@@ -298,7 +207,7 @@ pub fn to_bytes<E: Scalar>(trained: &TrainedModelBase<E>) -> Result<Vec<u8>, Per
         format_version: 1,
         kind: BINARY_MODEL_KIND.to_string(),
         dtype: E::DTYPE.as_str().to_string(),
-        config: saved_config(trained.model.config()),
+        config: *trained.model.config(),
         param_names: store.ids().map(|id| store.name(id).to_string()).collect(),
     };
     let meta_json = serde_json::to_string(&meta)?;
@@ -336,13 +245,7 @@ pub fn from_bytes(bytes: &[u8], origin: &str) -> Result<TrainedModel, PersistErr
             data: tensor.into_data(),
         });
     }
-    let config = model_config(&meta.config);
-    config.validate();
-    let mut store = ParamStore::new();
-    let model = CausalityAwareTransformer::new(&mut store, &mut StdRng::seed_from_u64(0), config);
-    let values = restore_values(&store, &params).map_err(PersistError::Mismatch)?;
-    store.restore(&values);
-    Ok(TrainedModel { model, store })
+    rebuild(meta.config, params)
 }
 
 /// Saves a trained model. The encoding follows the file extension:
@@ -387,7 +290,7 @@ mod tests {
     use crate::detector::detect;
     use crate::trainer::train;
     use crate::TrainConfig;
-    use cf_tensor::{uniform, Tensor};
+    use cf_tensor::{uniform, Tensor, TensorBase};
 
     fn tiny_trained() -> (TrainedModel, Vec<Tensor>) {
         let mut rng = StdRng::seed_from_u64(4);

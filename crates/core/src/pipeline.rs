@@ -17,7 +17,7 @@ use crate::config::{DetectorConfig, ModelConfig, TrainConfig};
 use crate::detector::{detect, CausalScores};
 use crate::persist::{self, PersistError};
 use crate::trainer::{train, TrainError, TrainReport, TrainedModelBase, Trainer};
-use cf_data::window::standardize;
+use cf_data::window::{standardize, windows};
 use cf_metrics::CausalGraph;
 use cf_store::{SeriesStore, StoreError};
 use cf_tensor::{Dtype, Scalar, Tensor, TensorBase};
@@ -228,12 +228,8 @@ impl CausalFormer {
                 );
                 let stride = self.train.stride;
                 let windows = stage("windowing", || {
-                    slice_windows(&standardize(series), window, stride)
+                    windows(&standardize(series), window, stride)
                 });
-                assert!(
-                    !windows.is_empty(),
-                    "series of length {len} yields no windows of size {window}"
-                );
                 (n, len, stride, windows)
             }
             Windows::Store(store, stream) => {
@@ -429,24 +425,6 @@ pub fn effective_stride(
         return span + 1;
     }
     base_stride.max(span.div_ceil(max_windows - 1))
-}
-
-/// Cuts `t_window`-slot windows every `stride` slots, casting each element
-/// into the compute dtype as the window is filled.
-fn slice_windows<E: Scalar>(series: &Tensor, t_window: usize, stride: usize) -> Vec<TensorBase<E>> {
-    let (n, l) = (series.shape()[0], series.shape()[1]);
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start + t_window <= l {
-        let mut data = Vec::with_capacity(n * t_window);
-        for i in 0..n {
-            let row = &series.row(i)[start..start + t_window];
-            data.extend(row.iter().map(|&v| E::from_f64(v)));
-        }
-        out.push(TensorBase::from_vec(vec![n, t_window], data).expect("consistent"));
-        start += stride;
-    }
-    out
 }
 
 /// Per-dataset presets mirroring the paper's §5.3 hyper-parameter table.
@@ -709,9 +687,7 @@ mod tests {
         cf.train.stride = 3;
 
         let std_series = window::standardize(&series);
-        let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
-        let sliced: Vec<Tensor> = slice_windows(&std_series, cf.model.window, cf.train.stride);
-        assert_eq!(windows, sliced);
+        let windows: Vec<Tensor> = window::windows(&std_series, cf.model.window, cf.train.stride);
         // The floored row is rescaled, not left at its raw ~1e-14 spread.
         assert!(windows.iter().any(|w| w.get2(2, 0).abs() > 1e-3));
 

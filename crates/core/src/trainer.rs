@@ -7,40 +7,40 @@
 //!
 //! ## Fault tolerance
 //!
-//! The loop is built to survive the two ways long CPU runs actually die:
+//! Everything the loop carries from one epoch to the next is one value,
+//! `TrainState`: parameters and best-epoch parameters, Adam and
+//! early-stopping state, the RNG words, the shuffle order, the counters
+//! and the loss history. It survives the two ways long CPU runs die:
 //!
 //! * **Non-finite values.** Every gradient step checks the step loss and
 //!   the pre-clip gradient norm for finiteness *before* Adam touches the
-//!   parameters; validation is checked too. A non-finite value rolls the
-//!   epoch back to a guard snapshot taken at its start and retries, at most
-//!   [`TrainConfig::max_retries`] consecutive times; after that the run
-//!   *degrades* — it stops early and returns the best weights seen so far
-//!   rather than panicking or emitting NaN weights.
-//! * **Crashes.** With a [`CheckpointConfig`], [`Trainer::fit`] writes a
-//!   full-state checkpoint every `every` epochs and can resume from the
-//!   newest usable one. Resumption is bitwise: the checkpoint carries the
-//!   RNG state, Adam moments, the accumulated shuffle order, and the
-//!   early-stopping state, so a killed-and-resumed run produces exactly the
-//!   weights (and downstream causal graph) of an uninterrupted one.
+//!   parameters; validation is checked too. The state is taken at the top
+//!   of each epoch, and a non-finite value restores it and retries the
+//!   epoch, at most [`TrainConfig::max_retries`] consecutive times; after
+//!   that the run *degrades* — it stops early and returns the best weights
+//!   seen so far rather than panicking or emitting NaN weights.
+//! * **Crashes.** With a [`CheckpointConfig`], [`Trainer::fit`] writes the
+//!   state to disk every `every` epochs (see [`crate::checkpoint`]) and can
+//!   resume from the newest usable file. Resume restores it through the
+//!   same path as a rollback, so a killed-and-resumed run produces exactly
+//!   the weights (and downstream causal graph) of an uninterrupted one.
 //!
 //! Fault points for all of this live in `cf-faults` (`CF_FAULT=nan:step17`,
 //! `io_fail:epoch3`, `kill:epoch2`), so the recovery paths are tested
 //! rather than hoped for — see `tests/fault_injection.rs`.
 
-use crate::checkpoint::{self, CheckpointConfig, CheckpointError, CHECKPOINT_FORMAT_VERSION};
+use crate::checkpoint::{self, CheckpointConfig, CheckpointError, RunIdentity};
 use crate::config::{ModelConfig, TrainConfig};
 use crate::model::CausalityAwareTransformer;
-use crate::persist;
 use cf_nn::{
     clip_global_norm, AdamBase, AdamStateBase, EarlyStopper, Optimizer, ParamId, ParamStoreBase,
-    StopDecision,
+    StopDecision, StopperState,
 };
 use cf_tensor::{with_pooled_tape, Scalar, TensorBase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::fmt;
-use std::path::Path;
 
 /// A trained causality-aware transformer: the model definition plus the
 /// parameter store holding the best weights found.
@@ -279,18 +279,182 @@ impl<E: Scalar, R: Rng + ?Sized> TrainRng<E> for OpaqueRng<'_, R> {
     }
 }
 
-/// Everything the training loop mutates, captured at the top of an epoch so
-/// a mid-epoch non-finite value can rewind as if the epoch never ran.
-struct Guard<E: Scalar> {
+/// Everything the training loop carries from one epoch to the next, as one
+/// value: the epoch guard taken at the top of each epoch, the contents of
+/// a checkpoint, and what rollback and resume put back with
+/// [`Run::restore`].
+#[derive(Clone)]
+pub(crate) struct TrainState<E: Scalar> {
+    /// Epochs completed: the index of the next epoch to run.
+    pub(crate) epoch: usize,
+    /// Global gradient-step counter (drives `CF_FAULT=nan:stepN` indices).
+    pub(crate) step: u64,
+    /// Non-finite rollback retries consumed by the run so far.
+    pub(crate) retries: u64,
+    /// RNG state words (see `cf_tensor::capture_rng`); `None` for an RNG
+    /// whose state cannot be captured.
+    pub(crate) rng: Option<Vec<u64>>,
+    /// The accumulated shuffle order. Each epoch shuffles the *previous*
+    /// epoch's order in place, so the permutation itself is state.
+    pub(crate) order: Vec<usize>,
+    /// Parameter values, in registration order.
+    pub(crate) params: Vec<TensorBase<E>>,
+    /// Parameter values of the best validation epoch.
+    pub(crate) best: Vec<TensorBase<E>>,
+    pub(crate) adam: AdamStateBase<E>,
+    pub(crate) stopper: StopperState,
+    pub(crate) train_losses: Vec<f64>,
+    pub(crate) val_losses: Vec<f64>,
+    pub(crate) epoch_wall_secs: Vec<f64>,
+    pub(crate) grad_norms: Vec<f64>,
+}
+
+/// The loop's working objects: [`Run::state`] reads them as a
+/// [`TrainState`], [`Run::restore`] sets them from one.
+struct Run<'r, E: Scalar, Q> {
+    rng: &'r mut Q,
+    store: ParamStoreBase<E>,
+    adam: AdamBase<E>,
+    stopper: EarlyStopper,
+    epoch: usize,
     step: u64,
-    params: Vec<TensorBase<E>>,
-    best: Vec<TensorBase<E>>,
-    adam: AdamStateBase<E>,
-    stopper: cf_nn::StopperState,
-    rng: Option<Vec<u64>>,
+    retries: u64,
     order: Vec<usize>,
-    /// History length (all four telemetry vectors move in lock step).
-    hist: usize,
+    best: Vec<TensorBase<E>>,
+    train_losses: Vec<f64>,
+    val_losses: Vec<f64>,
+    epoch_wall_secs: Vec<f64>,
+    grad_norms: Vec<f64>,
+}
+
+impl<E: Scalar, Q: TrainRng<E>> Run<'_, E, Q> {
+    fn state(&self) -> TrainState<E> {
+        TrainState {
+            epoch: self.epoch,
+            step: self.step,
+            retries: self.retries,
+            rng: self.rng.capture(),
+            order: self.order.clone(),
+            params: self.store.snapshot(),
+            best: self.best.clone(),
+            adam: self.adam.export_state(),
+            stopper: self.stopper.export_state(),
+            train_losses: self.train_losses.clone(),
+            val_losses: self.val_losses.clone(),
+            epoch_wall_secs: self.epoch_wall_secs.clone(),
+            grad_norms: self.grad_norms.clone(),
+        }
+    }
+
+    /// Sets the loop to `st` once it is checked to fit this run: the order
+    /// permutes the training split, the history covers `st.epoch` epochs,
+    /// the learning rate is positive, and the parameters, best parameters
+    /// and Adam moments have the architecture's count and shapes. A refused
+    /// state leaves the run as it was; the error names what disagrees.
+    fn restore(&mut self, st: TrainState<E>) -> Result<(), String> {
+        let n = self.order.len();
+        let mut seen = vec![false; n];
+        let permutes = st.order.len() == n
+            && st
+                .order
+                .iter()
+                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true));
+        if !permutes {
+            return Err(format!(
+                "shuffle order is not a permutation of the {n} training windows"
+            ));
+        }
+        let hist = [
+            st.train_losses.len(),
+            st.val_losses.len(),
+            st.epoch_wall_secs.len(),
+            st.grad_norms.len(),
+        ];
+        if hist.iter().any(|&h| h != st.epoch) {
+            return Err(format!(
+                "history lengths {hist:?} disagree with {} completed epochs",
+                st.epoch
+            ));
+        }
+        if !(st.adam.lr.is_finite() && st.adam.lr > 0.0) {
+            return Err(format!(
+                "saved learning rate {} is not positive",
+                st.adam.lr
+            ));
+        }
+        self.check_shapes(&st.params, "parameters")?;
+        self.check_shapes(&st.best, "best-epoch parameters")?;
+        let m = self.shaped_moments(st.adam.m, "Adam first moments")?;
+        let v = self.shaped_moments(st.adam.v, "Adam second moments")?;
+        if let Some(words) = &st.rng {
+            if !self.rng.restore_words(words) {
+                return Err("saved RNG state cannot be restored".into());
+            }
+        }
+        self.store.restore(&st.params);
+        self.adam.import_state(AdamStateBase { m, v, ..st.adam });
+        self.stopper.import_state(&st.stopper);
+        self.epoch = st.epoch;
+        self.step = st.step;
+        self.retries = st.retries;
+        self.order = st.order;
+        self.best = st.best;
+        self.train_losses = st.train_losses;
+        self.val_losses = st.val_losses;
+        self.epoch_wall_secs = st.epoch_wall_secs;
+        self.grad_norms = st.grad_norms;
+        Ok(())
+    }
+
+    fn check_shapes(&self, values: &[TensorBase<E>], what: &str) -> Result<(), String> {
+        if values.len() != self.store.len() {
+            return Err(format!(
+                "{what}: {} saved, architecture has {}",
+                values.len(),
+                self.store.len()
+            ));
+        }
+        for (id, t) in self.store.ids().zip(values) {
+            let want = self.store.value(id).shape();
+            if t.shape() != want {
+                return Err(format!(
+                    "{what}: shape mismatch for {:?}: expected {want:?}, found {:?}",
+                    self.store.name(id),
+                    t.shape()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Gives each Adam moment its parameter's shape (a checkpoint stores
+    /// moments flat), refusing more moments than parameters or a moment
+    /// whose length does not fit its parameter.
+    fn shaped_moments(
+        &self,
+        moments: Vec<Option<TensorBase<E>>>,
+        what: &str,
+    ) -> Result<Vec<Option<TensorBase<E>>>, String> {
+        if moments.len() > self.store.len() {
+            return Err(format!(
+                "{what} cover {} parameters, architecture has {}",
+                moments.len(),
+                self.store.len()
+            ));
+        }
+        self.store
+            .ids()
+            .zip(moments)
+            .map(|(id, m)| {
+                m.map(|m| {
+                    let shape = self.store.value(id).shape().to_vec();
+                    TensorBase::from_vec(shape, m.into_data())
+                        .map_err(|e| format!("{what} for parameter {}: {e}", self.store.name(id)))
+                })
+                .transpose()
+            })
+            .collect()
+    }
 }
 
 fn fit_inner<E: Scalar, Q: TrainRng<E>>(
@@ -318,62 +482,57 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
     let mut store = ParamStoreBase::<E>::new();
     let model = rng.init_model(&mut store, model_config);
     crate::diag::record_header(&model_config);
-    let mut adam = AdamBase::<E>::new(train_config.lr);
-    let mut stopper = EarlyStopper::new(train_config.patience, train_config.min_delta);
 
     // Temporal split: validation = chronological tail.
     let n_val = ((windows.len() as f64) * train_config.val_frac).round() as usize;
     let n_val = n_val.min(windows.len().saturating_sub(1));
     let (train_set, val_set) = windows.split_at(windows.len() - n_val);
 
-    let mut train_losses = Vec::new();
-    let mut val_losses = Vec::new();
-    let mut epoch_wall_secs = Vec::new();
-    let mut grad_norms = Vec::new();
-    let mut best_snapshot = store.snapshot();
+    let identity = RunIdentity {
+        dtype: E::DTYPE.as_str().to_string(),
+        config: model_config,
+        n_windows: windows.len(),
+        batch_size: train_config.batch_size,
+        param_names: store.ids().map(|id| store.name(id).to_string()).collect(),
+    };
+    let mut run = Run {
+        rng,
+        best: store.snapshot(),
+        store,
+        adam: AdamBase::<E>::new(train_config.lr),
+        stopper: EarlyStopper::new(train_config.patience, train_config.min_delta),
+        epoch: 0,
+        step: 0,
+        retries: 0,
+        order: (0..train_set.len()).collect(),
+        train_losses: Vec::new(),
+        val_losses: Vec::new(),
+        epoch_wall_secs: Vec::new(),
+        grad_norms: Vec::new(),
+    };
     let mut early_stopped = false;
     let mut degraded = false;
-    let mut order: Vec<usize> = (0..train_set.len()).collect();
-    let mut epoch = 0usize;
-    let mut step = 0u64;
-    let mut retries_total = 0u64;
-    let mut retries = 0u64; // consecutive, reset on each clean epoch
+    let mut consecutive_retries = 0u64; // reset on each clean epoch
     let mut resumed_at = None;
 
     if let (Some(cfg), true) = (ckpt, resume) {
-        if let Some((saved, path)) = checkpoint::load_latest(&cfg.dir)? {
-            let applied = apply_checkpoint(
-                saved,
-                &path,
-                &model_config,
-                &train_config,
-                windows.len(),
-                train_set.len(),
-                &mut store,
-                &mut adam,
-                &mut stopper,
-            )?;
-            if !rng.restore_words(&applied.rng) {
-                return Err(CheckpointError::Mismatch {
-                    path,
-                    detail: "saved RNG state cannot be restored".into(),
-                }
-                .into());
+        if let Some((saved, st, path)) = checkpoint::load_latest::<E>(&cfg.dir)? {
+            // A mismatch is a hard error naming the file: a checkpoint from
+            // another run must never be half-applied, nor silently skipped
+            // for an older one.
+            let mismatch = |detail| CheckpointError::Mismatch {
+                path: path.clone(),
+                detail,
+            };
+            if let Some(detail) = identity.differs_from(&saved) {
+                return Err(mismatch(detail).into());
             }
-            epoch = applied.next_epoch;
-            step = applied.step;
-            retries_total = applied.retries;
-            order = applied.order;
-            best_snapshot = applied.best_snapshot;
-            train_losses = applied.train_losses;
-            val_losses = applied.val_losses;
-            epoch_wall_secs = applied.epoch_wall_secs;
-            grad_norms = applied.grad_norms;
-            resumed_at = Some(epoch);
+            run.restore(st).map_err(mismatch)?;
+            resumed_at = Some(run.epoch);
             cf_obs::info!(
                 "resumed from {} at epoch {}/{}",
                 path.display(),
-                epoch + 1,
+                run.epoch + 1,
                 train_config.max_epochs
             );
         } else {
@@ -384,7 +543,8 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
         }
     }
 
-    while epoch < train_config.max_epochs {
+    while run.epoch < train_config.max_epochs {
+        let epoch = run.epoch;
         let _epoch_span = cf_obs::span!("epoch");
         // Fault point: the run wedges here without crashing (models a
         // deadlocked worker). The epoch span above stays open, so the
@@ -405,26 +565,19 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
         let mut grad_diag = crate::diag::GradGroupAccum::new();
         let diag_on = cf_obs::Recorder::current().diag.is_installed();
 
-        // Guard snapshot: enough to rewind this epoch on a non-finite value.
-        let guard = Guard {
-            step,
-            params: store.snapshot(),
-            best: best_snapshot.clone(),
-            adam: adam.export_state(),
-            stopper: stopper.export_state(),
-            rng: rng.capture(),
-            order: order.clone(),
-            hist: train_losses.len(),
-        };
+        // The epoch guard: enough to rewind this epoch on a non-finite value.
+        let guard = run.state();
 
-        rng.shuffle(&mut order);
+        run.rng.shuffle(&mut run.order);
         let mut epoch_loss = 0.0;
         let mut epoch_grad_norm = 0.0;
         let mut steps = 0usize;
         let mut stop = false;
         let mut poisoned: Option<String> = None;
-        for batch in order.chunks(train_config.batch_size) {
-            step += 1;
+        for batch in run.order.chunks(train_config.batch_size) {
+            run.step += 1;
+            let step = run.step;
+            let store = &run.store;
             // Data-parallel step: each window runs forward + backward on a
             // persistent per-thread tape (reset between uses, retaining its
             // node and buffer capacity); per-parameter gradients combine via
@@ -530,41 +683,43 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                 break;
             }
             if diag_on {
-                grad_diag.observe(&store, &pairs);
+                grad_diag.observe(store, &pairs);
             }
-            adam.step_pairs(&mut store, &pairs);
+            run.adam.step_pairs(&mut run.store, &pairs);
             epoch_grad_norm += pre_clip;
             epoch_loss += step_loss;
             steps += 1;
         }
 
         if poisoned.is_none() {
-            grad_norms.push(epoch_grad_norm / steps.max(1) as f64);
-            train_losses.push(epoch_loss / steps.max(1) as f64);
+            let train_loss = epoch_loss / steps.max(1) as f64;
+            let grad_norm = epoch_grad_norm / steps.max(1) as f64;
+            run.grad_norms.push(grad_norm);
+            run.train_losses.push(train_loss);
             if train_config.lr_decay < 1.0 {
-                adam.set_lr(adam.lr() * train_config.lr_decay);
+                run.adam.set_lr(run.adam.lr() * train_config.lr_decay);
             }
 
             // Validation loss (prediction term only, no penalty).
             let monitored = if val_set.is_empty() {
-                *train_losses.last().expect("pushed above")
+                train_loss
             } else {
-                evaluate(&model, &store, val_set)
+                evaluate(&model, &run.store, val_set)
             };
             if !monitored.is_finite() {
                 poisoned = Some(format!("epoch {}: validation loss {monitored}", epoch + 1));
             } else {
-                val_losses.push(monitored);
+                run.val_losses.push(monitored);
                 let epoch_secs = epoch_start.elapsed().as_secs_f64();
-                epoch_wall_secs.push(epoch_secs);
+                run.epoch_wall_secs.push(epoch_secs);
 
                 cf_obs::info!(
                     "epoch {:>3}/{} train_loss {:.6} val_loss {:.6} grad_norm {:.4} ({:.2}s)",
                     epoch + 1,
                     train_config.max_epochs,
-                    train_losses.last().expect("pushed above"),
+                    train_loss,
                     monitored,
-                    grad_norms.last().expect("pushed above"),
+                    grad_norm,
                     epoch_secs,
                 );
                 // The run's pool counters: one sample per epoch on the
@@ -579,9 +734,9 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
                             .str("event", "epoch")
                             .f64("ts", cf_obs::unix_time())
                             .u64("epoch", (epoch + 1) as u64)
-                            .f64("train_loss", *train_losses.last().expect("pushed above"))
+                            .f64("train_loss", train_loss)
                             .f64("val_loss", monitored)
-                            .f64("grad_norm", *grad_norms.last().expect("pushed above"))
+                            .f64("grad_norm", grad_norm)
                             .f64("wall_secs", epoch_secs)
                             .u64("pool_hit", pool.hit)
                             .u64("pool_miss", pool.miss)
@@ -591,15 +746,15 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
 
                 crate::diag::record_epoch(
                     epoch + 1,
-                    *train_losses.last().expect("pushed above"),
+                    train_loss,
                     monitored,
                     &model,
-                    &store,
+                    &run.store,
                     &grad_diag,
                 );
 
-                match stopper.observe(monitored) {
-                    StopDecision::Improved => best_snapshot = store.snapshot(),
+                match run.stopper.observe(monitored) {
+                    StopDecision::Improved => run.best = run.store.snapshot(),
                     StopDecision::NoImprovement => {}
                     StopDecision::Stop => stop = true,
                 }
@@ -607,9 +762,9 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
         }
 
         if let Some(detail) = poisoned {
-            retries += 1;
-            retries_total += 1;
-            if retries > train_config.max_retries as u64 {
+            run.retries += 1;
+            consecutive_retries += 1;
+            if consecutive_retries > train_config.max_retries as u64 {
                 cf_obs::warn!(
                     "non-finite value ({detail}); retry budget of {} exhausted — \
                      degrading to best-so-far weights",
@@ -621,60 +776,34 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
             cf_obs::warn!(
                 "non-finite value ({detail}); rolling epoch {} back (retry {}/{})",
                 epoch + 1,
-                retries,
+                consecutive_retries,
                 train_config.max_retries
             );
-            store.restore(&guard.params);
-            best_snapshot = guard.best;
-            adam.import_state(guard.adam);
-            stopper.import_state(&guard.stopper);
-            step = guard.step;
-            order = guard.order;
-            train_losses.truncate(guard.hist);
-            val_losses.truncate(guard.hist);
-            epoch_wall_secs.truncate(guard.hist);
-            grad_norms.truncate(guard.hist);
-            if let Some(words) = &guard.rng {
-                let ok = rng.restore_words(words);
-                debug_assert!(ok, "own captured state must restore");
-            }
+            // Everything rewinds but the run's retry count.
+            run.restore(TrainState {
+                retries: run.retries,
+                ..guard
+            })
+            .expect("the epoch guard fits its own run");
             continue; // re-run the same epoch
         }
-        retries = 0;
+        consecutive_retries = 0;
+        run.epoch += 1;
         // Live progress for the heartbeat sampler: done/total only —
         // the ETA (the only wall-clock-derived field) is computed on
         // the sampler thread, keeping this path bitwise invariant.
         cf_obs::heartbeat::progress(
             "train.epoch",
-            (epoch + 1) as u64,
+            run.epoch as u64,
             train_config.max_epochs as u64,
         );
 
         if let Some(cfg) = ckpt {
-            let done = (epoch + 1) as u64;
-            if (epoch + 1).is_multiple_of(cfg.every) {
-                let saved = build_checkpoint(
-                    &model_config,
-                    &train_config,
-                    windows.len(),
-                    epoch + 1,
-                    step,
-                    retries_total,
-                    rng.capture().unwrap_or_default(),
-                    &order,
-                    &store,
-                    &best_snapshot,
-                    &adam,
-                    &stopper,
-                    &train_losses,
-                    &val_losses,
-                    &epoch_wall_secs,
-                    &grad_norms,
-                );
+            if run.epoch.is_multiple_of(cfg.every) {
                 // A failed checkpoint write must not kill a healthy run:
                 // warn and keep training (the previous checkpoint stands).
                 let _ckpt_span = cf_obs::span!("checkpoint.write");
-                match checkpoint::save(cfg, &saved, done) {
+                match checkpoint::save(cfg, &identity, &run.state()) {
                     Ok(path) => cf_obs::debug!("checkpoint written: {}", path.display()),
                     Err(e) => cf_obs::warn!("checkpoint write failed (training continues): {e}"),
                 }
@@ -682,10 +811,10 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
             // Fault point: the process dies between epochs
             // (CF_FAULT=kill:epochN). Only meaningful when checkpointing —
             // there is nothing to resume from otherwise.
-            if cf_faults::fire(cf_faults::FaultSite::Kill, done) {
-                cf_obs::warn!("simulated kill after epoch {done}");
+            if cf_faults::fire(cf_faults::FaultSite::Kill, run.epoch as u64) {
+                cf_obs::warn!("simulated kill after epoch {}", run.epoch);
                 return Err(TrainError::Interrupted {
-                    epochs_done: epoch + 1,
+                    epochs_done: run.epoch,
                 });
             }
         }
@@ -694,249 +823,34 @@ fn fit_inner<E: Scalar, Q: TrainRng<E>>(
             early_stopped = true;
             break;
         }
-        epoch += 1;
     }
 
-    store.restore(&best_snapshot);
+    run.store.restore(&run.best);
     cf_obs::debug!(
         "training done: {} epochs, best epoch {}, early_stopped {}, retries {}, degraded {}",
-        train_losses.len(),
-        stopper.best_epoch(),
+        run.train_losses.len(),
+        run.stopper.best_epoch(),
         early_stopped,
-        retries_total,
+        run.retries,
         degraded,
     );
     Ok((
-        TrainedModelBase { model, store },
+        TrainedModelBase {
+            model,
+            store: run.store,
+        },
         TrainReport {
-            train_losses,
-            val_losses,
-            epoch_wall_secs,
-            grad_norms,
-            best_epoch: stopper.best_epoch(),
+            train_losses: run.train_losses,
+            val_losses: run.val_losses,
+            epoch_wall_secs: run.epoch_wall_secs,
+            grad_norms: run.grad_norms,
+            best_epoch: run.stopper.best_epoch(),
             early_stopped,
-            retries: retries_total,
+            retries: run.retries,
             degraded,
             resumed_at,
         },
     ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_checkpoint<E: Scalar>(
-    model_config: &ModelConfig,
-    train_config: &TrainConfig,
-    n_windows: usize,
-    next_epoch: usize,
-    step: u64,
-    retries: u64,
-    rng: Vec<u64>,
-    order: &[usize],
-    store: &ParamStoreBase<E>,
-    best_snapshot: &[TensorBase<E>],
-    adam: &AdamBase<E>,
-    stopper: &EarlyStopper,
-    train_losses: &[f64],
-    val_losses: &[f64],
-    epoch_wall_secs: &[f64],
-    grad_norms: &[f64],
-) -> checkpoint::SavedCheckpoint {
-    let astate = adam.export_state();
-    let sstate = stopper.export_state();
-    let moments = |m: &[Option<TensorBase<E>>]| -> Vec<Option<Vec<f64>>> {
-        m.iter()
-            .map(|o| {
-                o.as_ref()
-                    .map(|t| t.data().iter().map(|v| v.to_f64()).collect())
-            })
-            .collect()
-    };
-    checkpoint::SavedCheckpoint {
-        format_version: CHECKPOINT_FORMAT_VERSION,
-        dtype: E::DTYPE.as_str().to_string(),
-        config: persist::saved_config(model_config),
-        n_windows,
-        batch_size: train_config.batch_size,
-        next_epoch,
-        step,
-        retries,
-        rng,
-        order: order.to_vec(),
-        params: persist::saved_params(store),
-        best_params: persist::saved_params_from(store, best_snapshot),
-        adam_t: astate.t,
-        adam_lr: astate.lr,
-        adam_m: moments(&astate.m),
-        adam_v: moments(&astate.v),
-        stopper_best: sstate.best,
-        stopper_best_epoch: sstate.best_epoch,
-        stopper_epochs_seen: sstate.epochs_seen,
-        stopper_stale: sstate.stale,
-        train_losses: train_losses.to_vec(),
-        val_losses: val_losses.to_vec(),
-        epoch_wall_secs: epoch_wall_secs.to_vec(),
-        grad_norms: grad_norms.to_vec(),
-    }
-}
-
-/// The loop state recovered from a checkpoint (the pieces that are plain
-/// values; `store`/`adam`/`stopper` are restored in place).
-struct Applied<E: Scalar> {
-    next_epoch: usize,
-    step: u64,
-    retries: u64,
-    rng: Vec<u64>,
-    order: Vec<usize>,
-    best_snapshot: Vec<TensorBase<E>>,
-    train_losses: Vec<f64>,
-    val_losses: Vec<f64>,
-    epoch_wall_secs: Vec<f64>,
-    grad_norms: Vec<f64>,
-}
-
-/// Validates a loaded checkpoint against this run's configuration and
-/// applies it. Every mismatch is a typed error naming the file — a
-/// checkpoint from a different run must never be silently half-applied.
-#[allow(clippy::too_many_arguments)]
-fn apply_checkpoint<E: Scalar>(
-    saved: checkpoint::SavedCheckpoint,
-    path: &Path,
-    model_config: &ModelConfig,
-    train_config: &TrainConfig,
-    n_windows: usize,
-    train_len: usize,
-    store: &mut ParamStoreBase<E>,
-    adam: &mut AdamBase<E>,
-    stopper: &mut EarlyStopper,
-) -> Result<Applied<E>, CheckpointError> {
-    let mismatch = |detail: String| CheckpointError::Mismatch {
-        path: path.to_path_buf(),
-        detail,
-    };
-
-    // A checkpoint is a bitwise continuation of one precision's training
-    // trajectory; resuming it under another dtype would silently change
-    // every subsequent step. Refuse rather than round-trip through f64.
-    if saved.dtype != E::DTYPE.as_str() {
-        return Err(mismatch(format!(
-            "checkpoint was written by a {} run, this run uses {}",
-            saved.dtype,
-            E::DTYPE
-        )));
-    }
-
-    let saved_mc = persist::model_config(&saved.config);
-    if saved_mc != *model_config {
-        return Err(mismatch(format!(
-            "model config differs: checkpoint {saved_mc:?}, run {model_config:?}"
-        )));
-    }
-    if saved.n_windows != n_windows {
-        return Err(mismatch(format!(
-            "checkpoint trained on {} windows, this run has {n_windows}",
-            saved.n_windows
-        )));
-    }
-    if saved.batch_size != train_config.batch_size {
-        return Err(mismatch(format!(
-            "checkpoint batch size {}, this run uses {}",
-            saved.batch_size, train_config.batch_size
-        )));
-    }
-    if saved.order.len() != train_len {
-        return Err(mismatch(format!(
-            "shuffle order covers {} windows, training split has {train_len}",
-            saved.order.len()
-        )));
-    }
-    let mut seen = vec![false; train_len];
-    for &i in &saved.order {
-        if i >= train_len || seen[i] {
-            return Err(mismatch("shuffle order is not a permutation".into()));
-        }
-        seen[i] = true;
-    }
-    let hist = saved.train_losses.len();
-    if hist != saved.next_epoch
-        || saved.val_losses.len() != hist
-        || saved.epoch_wall_secs.len() != hist
-        || saved.grad_norms.len() != hist
-    {
-        return Err(mismatch(format!(
-            "history lengths ({}, {}, {}, {}) disagree with {} completed epochs",
-            hist,
-            saved.val_losses.len(),
-            saved.epoch_wall_secs.len(),
-            saved.grad_norms.len(),
-            saved.next_epoch
-        )));
-    }
-    if !(saved.adam_lr.is_finite() && saved.adam_lr > 0.0) {
-        return Err(mismatch(format!(
-            "saved learning rate {} is not positive",
-            saved.adam_lr
-        )));
-    }
-
-    let values = persist::restore_values(store, &saved.params).map_err(&mismatch)?;
-    let best_snapshot = persist::restore_values(store, &saved.best_params)
-        .map_err(|d| mismatch(format!("best-epoch snapshot: {d}")))?;
-
-    // Rebuild Adam moments with the architecture's shapes.
-    let ids: Vec<ParamId> = store.ids().collect();
-    let rebuild = |name: &str,
-                   m: Vec<Option<Vec<f64>>>|
-     -> Result<Vec<Option<TensorBase<E>>>, CheckpointError> {
-        if m.len() > ids.len() {
-            return Err(mismatch(format!(
-                "{name} covers {} parameters, architecture has {}",
-                m.len(),
-                ids.len()
-            )));
-        }
-        m.into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                o.map(|data| {
-                    let shape = store.value(ids[i]).shape().to_vec();
-                    let data = data.into_iter().map(E::from_f64).collect();
-                    TensorBase::from_vec(shape, data).map_err(|e| {
-                        mismatch(format!("{name} for parameter {}: {e}", store.name(ids[i])))
-                    })
-                })
-                .transpose()
-            })
-            .collect()
-    };
-    let adam_m = rebuild("Adam first moments", saved.adam_m)?;
-    let adam_v = rebuild("Adam second moments", saved.adam_v)?;
-
-    store.restore(&values);
-    adam.import_state(AdamStateBase {
-        t: saved.adam_t,
-        lr: saved.adam_lr,
-        m: adam_m,
-        v: adam_v,
-    });
-    stopper.import_state(&cf_nn::StopperState {
-        best: saved.stopper_best,
-        best_epoch: saved.stopper_best_epoch,
-        epochs_seen: saved.stopper_epochs_seen,
-        stale: saved.stopper_stale,
-    });
-
-    Ok(Applied {
-        next_epoch: saved.next_epoch,
-        step: saved.step,
-        retries: saved.retries,
-        rng: saved.rng,
-        order: saved.order,
-        best_snapshot,
-        train_losses: saved.train_losses,
-        val_losses: saved.val_losses,
-        epoch_wall_secs: saved.epoch_wall_secs,
-        grad_norms: saved.grad_norms,
-    })
 }
 
 /// Mean masked-MSE prediction loss of `model` over `windows` (no penalty).

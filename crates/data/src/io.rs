@@ -5,8 +5,6 @@
 //! time slot (the layout NOAA/NetSim-style exports use), with an optional
 //! header row of series names. [`write_series_csv`] round-trips exactly.
 
-use crate::Dataset;
-use cf_metrics::CausalGraph;
 use cf_tensor::Tensor;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -91,19 +89,6 @@ pub struct SeriesCsv {
     pub series: Tensor,
     /// One name per series.
     pub names: Vec<String>,
-}
-
-impl SeriesCsv {
-    /// Wraps the matrix into a [`Dataset`] with an empty ground-truth
-    /// graph (user data has no known truth).
-    pub fn into_dataset(self, name: impl Into<String>) -> Dataset {
-        let n = self.series.shape()[0];
-        Dataset {
-            name: name.into(),
-            series: self.series,
-            truth: CausalGraph::new(n),
-        }
-    }
 }
 
 /// Reads a column-per-series CSV from any reader. A first row with a cell
@@ -291,14 +276,5 @@ mod tests {
         let parsed = read_series_csv(buf.as_slice()).unwrap();
         assert_eq!(parsed.series, series);
         assert_eq!(parsed.names, names);
-    }
-
-    #[test]
-    fn into_dataset_has_empty_truth() {
-        let parsed = read_series_csv("1,2\n3,4\n".as_bytes()).unwrap();
-        let d = parsed.into_dataset("user-data");
-        assert_eq!(d.name, "user-data");
-        assert!(d.truth.is_empty());
-        assert_eq!(d.num_series(), 2);
     }
 }

@@ -6,7 +6,7 @@
 //! series so heterogeneous scales (Lorenz-96 amplitudes vs BOLD signals)
 //! do not dominate training.
 
-use cf_tensor::Tensor;
+use cf_tensor::{Scalar, Tensor, TensorBase};
 
 /// Z-scores each row (series) of an `N×L` matrix: zero mean, unit variance.
 /// The std is floored at `1e-12`, so a constant row maps to zero instead of
@@ -33,16 +33,17 @@ pub fn standardize(series: &Tensor) -> Tensor {
 }
 
 /// Slices an `N×L` matrix into `N×T` windows starting at multiples of
-/// `stride`. Windows that would run past the end are dropped.
+/// `stride`, casting each element into the compute dtype `E` as the window
+/// is filled. Windows that would run past the end are dropped.
 ///
 /// # Panics
 /// Panics if `t_window` is zero, larger than the series, or `stride` is 0.
-pub fn windows(series: &Tensor, t_window: usize, stride: usize) -> Vec<Tensor> {
+pub fn windows<E: Scalar>(series: &Tensor, t_window: usize, stride: usize) -> Vec<TensorBase<E>> {
     assert_eq!(series.rank(), 2, "windows expects N×L");
     let (n, l) = (series.shape()[0], series.shape()[1]);
     assert!(
         t_window > 0 && t_window <= l,
-        "window {t_window} vs length {l}"
+        "series of length {l} yields no windows of size {t_window}"
     );
     assert!(stride > 0, "stride must be positive");
     let mut out = Vec::new();
@@ -50,25 +51,13 @@ pub fn windows(series: &Tensor, t_window: usize, stride: usize) -> Vec<Tensor> {
     while start + t_window <= l {
         let mut data = Vec::with_capacity(n * t_window);
         for i in 0..n {
-            data.extend_from_slice(&series.row(i)[start..start + t_window]);
+            let row = &series.row(i)[start..start + t_window];
+            data.extend(row.iter().map(|&v| E::from_f64(v)));
         }
-        out.push(Tensor::from_vec(vec![n, t_window], data).expect("consistent"));
+        out.push(TensorBase::from_vec(vec![n, t_window], data).expect("consistent"));
         start += stride;
     }
     out
-}
-
-/// Splits windows into `(train, validation)` keeping temporal order: the
-/// final `val_frac` of windows become validation (no shuffling — shuffled
-/// splits leak future data into training for overlapping windows).
-pub fn split(windows: Vec<Tensor>, val_frac: f64) -> (Vec<Tensor>, Vec<Tensor>) {
-    assert!((0.0..1.0).contains(&val_frac), "val_frac in [0,1)");
-    let n_val = ((windows.len() as f64) * val_frac).round() as usize;
-    let n_val = n_val.min(windows.len().saturating_sub(1));
-    let cut = windows.len() - n_val;
-    let mut w = windows;
-    let val = w.split_off(cut);
-    (w, val)
 }
 
 #[cfg(test)]
@@ -104,7 +93,7 @@ mod tests {
     #[test]
     fn windows_cover_and_align() {
         let t = ramp(2, 10);
-        let w = windows(&t, 4, 2);
+        let w: Vec<Tensor> = windows(&t, 4, 2);
         // starts at 0, 2, 4, 6 → 4 windows
         assert_eq!(w.len(), 4);
         assert_eq!(w[0].shape(), &[2, 4]);
@@ -117,28 +106,7 @@ mod tests {
     #[test]
     fn windows_stride_one_count() {
         let t = ramp(1, 10);
-        assert_eq!(windows(&t, 4, 1).len(), 7);
-        assert_eq!(windows(&t, 10, 1).len(), 1);
-    }
-
-    #[test]
-    fn split_keeps_order_and_fraction() {
-        let t = ramp(1, 20);
-        let w = windows(&t, 4, 2); // 9 windows
-        let total = w.len();
-        let (train, val) = split(w, 0.25);
-        assert_eq!(train.len() + val.len(), total);
-        assert_eq!(val.len(), 2);
-        // Validation windows are the chronologically last ones.
-        assert!(train.last().unwrap().get2(0, 0) < val[0].get2(0, 0));
-    }
-
-    #[test]
-    fn split_never_empties_training() {
-        let t = ramp(1, 8);
-        let w = windows(&t, 4, 4); // 2 windows
-        let (train, val) = split(w, 0.9);
-        assert_eq!(train.len(), 1);
-        assert_eq!(val.len(), 1);
+        assert_eq!(windows::<f64>(&t, 4, 1).len(), 7);
+        assert_eq!(windows::<f64>(&t, 10, 1).len(), 1);
     }
 }

@@ -29,8 +29,8 @@ pub trait Optimizer<E: Scalar = f64> {
 
 /// Snapshot of an [`Adam`] optimizer's mutable state (step count, learning
 /// rate, and first/second moment estimates), for exact checkpoint/resume.
-/// The β/ε hyper-parameters are configuration, not state, and stay with
-/// the optimizer they were constructed with.
+/// The β/ε hyper-parameters are the fixed constants of [`AdamBase::new`],
+/// not state.
 #[derive(Debug, Clone)]
 pub struct AdamStateBase<E: Scalar = f64> {
     /// Bias-correction step count.
@@ -49,9 +49,6 @@ pub type AdamState = AdamStateBase<f64>;
 /// Adam (Kingma & Ba) with bias correction — the optimizer the paper uses.
 pub struct AdamBase<E: Scalar = f64> {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     // Lazily sized first/second moment estimates, indexed by ParamId.
     m: Vec<Option<TensorBase<E>>>,
@@ -61,22 +58,17 @@ pub struct AdamBase<E: Scalar = f64> {
 /// The `f64` Adam optimizer (the historical API).
 pub type Adam = AdamBase<f64>;
 
+const BETA1: f64 = 0.9;
+const BETA2: f64 = 0.999;
+const EPS: f64 = 1e-8;
+
 impl<E: Scalar> AdamBase<E> {
-    /// Adam with the given learning rate and the standard defaults
+    /// Adam with the given learning rate and the standard hyper-parameters
     /// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`.
     pub fn new(lr: f64) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Adam with explicit hyper-parameters.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -128,11 +120,10 @@ impl<E: Scalar> AdamBase<E> {
         let value = store.value_mut(id);
         let m = self.m[idx].get_or_insert_with(|| TensorBase::zeros(grad.shape()));
         let v = self.v[idx].get_or_insert_with(|| TensorBase::zeros(grad.shape()));
-        let (b1, b2) = (self.beta1, self.beta2);
+        let (b1, b2) = (BETA1, BETA2);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
         let lr = self.lr;
-        let eps = self.eps;
         for i in 0..grad.len() {
             let g = grad.data()[i].to_f64();
             let mi = b1 * m.data()[i].to_f64() + (1.0 - b1) * g;
@@ -141,7 +132,7 @@ impl<E: Scalar> AdamBase<E> {
             v.data_mut()[i] = E::from_f64(vi);
             let m_hat = mi / bc1;
             let v_hat = vi / bc2;
-            let next = value.data()[i].to_f64() - lr * m_hat / (v_hat.sqrt() + eps);
+            let next = value.data()[i].to_f64() - lr * m_hat / (v_hat.sqrt() + EPS);
             value.data_mut()[i] = E::from_f64(next);
         }
     }

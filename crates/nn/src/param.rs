@@ -64,11 +64,6 @@ impl<E: Scalar> ParamStoreBase<E> {
         self.params.is_empty()
     }
 
-    /// Total number of scalar weights across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// The current value of a parameter.
     pub fn value(&self, id: ParamId) -> &TensorBase<E> {
         &self.params[id.0].value
@@ -180,7 +175,6 @@ mod tests {
         let a = store.register("a", Tensor::zeros(&[2, 3]));
         let b = store.register("b", Tensor::ones(&[4]));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.num_scalars(), 10);
         assert_eq!(store.name(a), "a");
         assert_eq!(store.value(b).sum(), 4.0);
     }

@@ -442,13 +442,6 @@ impl<E: Scalar> TensorBase<E> {
         self.data[self.flat_index(idx)].to_f64()
     }
 
-    /// Mutable element access by multi-index.
-    #[inline]
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut E {
-        let flat = self.flat_index(idx);
-        &mut self.data[flat]
-    }
-
     /// 2-d element access: row `i`, column `j`.
     #[inline]
     pub fn get2(&self, i: usize, j: usize) -> f64 {
@@ -620,11 +613,6 @@ impl<E: Scalar> TensorBase<E> {
                 .map(|(&a, &b)| f(a, b)),
         );
         out
-    }
-
-    /// Rectifies negatives to zero (the `(·)⁺` operator of Eq. 19).
-    pub fn relu(&self) -> Self {
-        self.map(|v| v.max(E::ZERO))
     }
 
     // ---------------------------------------------------------------------
@@ -873,8 +861,6 @@ mod tests {
         t.set3(1, 2, 3, 7.5);
         assert_eq!(t.get3(1, 2, 3), 7.5);
         assert_eq!(t.at(&[1, 2, 3]), 7.5);
-        *t.at_mut(&[0, 1, 2]) = -1.0;
-        assert_eq!(t.get3(0, 1, 2), -1.0);
     }
 
     #[test]
@@ -968,12 +954,6 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn add_rejects_shape_mismatch() {
         let _ = Tensor::zeros(&[2, 2]).add(&Tensor::zeros(&[2, 3]));
-    }
-
-    #[test]
-    fn relu_rectifies() {
-        let t = Tensor::from_slice(&[-2.0, 0.0, 3.0]);
-        assert_eq!(t.relu().data(), &[0.0, 0.0, 3.0]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
 
     // Train once.
     let std_series = window::standardize(&data.series);
-    let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+    let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
     let (trained, report) = trainer::train(&mut rng, cf.model, cf.train, &windows);
     println!(
         "trained {} epochs (best validation at epoch {})",

@@ -37,15 +37,19 @@ done
 # checkpoint → resume 3 more) must be bitwise identical to 6 epochs straight
 # — parameters, loss history, and the downstream causal matrix — and the
 # fault drills (injected NaN, injected I/O failure, kill between epochs,
-# on-disk corruption) must recover. The store-pipeline gate rides along:
+# on-disk corruption) must recover. Checkpoint format v3 is pinned by
+# fixtures an earlier build wrote (they re-encode byte for byte and resume
+# to a straight run's bits), and every resume refusal is drilled one
+# damaged field at a time. The store-pipeline gate rides along:
 # discovery streamed from a chunked on-disk store must be bitwise identical
 # to the in-RAM path, and a corrupted chunk must fail loudly naming its
 # file. Run at 1, 2, and 4 worker threads: recovery and store/RAM
 # equivalence must be exact on any machine.
 for threads in 1 2 4; do
-  echo "== resume determinism + fault drills + store pipeline (CF_THREADS=$threads)"
+  echo "== resume determinism + checkpoint fixtures + fault drills + store pipeline (CF_THREADS=$threads)"
   CF_THREADS=$threads cargo test -q -p causalformer \
-    --test resume_determinism --test fault_injection --test store_pipeline
+    --test resume_determinism --test checkpoint_fixtures --test resume_refusals \
+    --test fault_injection --test store_pipeline
 done
 
 # Dtype gate: the f64 pipeline must reproduce the pre-generic-backend

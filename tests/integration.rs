@@ -103,7 +103,7 @@ fn detector_modes_all_produce_valid_graphs_from_one_trained_model() {
     let data = synthetic::generate(&mut rng, synthetic::Structure::Diamond, 250);
     let cf = quick_cf(4);
     let std_series = window::standardize(&data.series);
-    let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+    let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
     let (trained, report) = trainer::train(&mut rng, cf.model, cf.train, &windows);
     assert!(report.train_losses.last().unwrap() < &report.train_losses[0]);
 
@@ -238,7 +238,7 @@ fn permutation_scores_rank_the_true_cause_on_a_trained_model() {
     let mut cf = quick_cf(3);
     cf.model.temperature = 1.0;
     let std_series = window::standardize(&data.series);
-    let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+    let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
     let (trained, _) = trainer::train(&mut rng, cf.model, cf.train, &windows);
     let perm_scores =
         detector::permutation_scores(&mut rng, &trained.model, &trained.store, &windows[..4]);
@@ -274,7 +274,7 @@ fn persisted_model_detects_identically() {
     let data = synthetic::generate(&mut rng, synthetic::Structure::Mediator, 250);
     let cf = quick_cf(3);
     let std_series = window::standardize(&data.series);
-    let windows = window::windows(&std_series, cf.model.window, cf.train.stride);
+    let windows = window::windows::<f64>(&std_series, cf.model.window, cf.train.stride);
     let (trained, _) = trainer::train(&mut rng, cf.model, cf.train, &windows);
     let json = causalformer::persist::to_json(&trained).unwrap();
     let loaded = causalformer::persist::from_json(&json).unwrap();
