@@ -67,20 +67,38 @@ impl ModelConfig {
         }
     }
 
+    /// Checks internal consistency, naming the first constraint that
+    /// fails. Code that reads a config from outside (a model file) maps the
+    /// error to its own; [`Self::validate`] panics on it.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.n_series >= 1, "need at least one series"),
+            (self.window >= 2, "window must cover at least two slots"),
+            (
+                self.d_model >= 1 && self.d_qk >= 1 && self.d_ffn >= 1,
+                "dimensions must be positive",
+            ),
+            (self.heads >= 1, "need at least one attention head"),
+            (self.temperature > 0.0, "temperature must be positive"),
+            (
+                self.lambda_kernel >= 0.0 && self.lambda_mask >= 0.0 && self.lambda_lag >= 0.0,
+                "L1 coefficients must be non-negative",
+            ),
+        ];
+        match rules.into_iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err(msg.to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// Validates internal consistency; call before building a model.
+    ///
+    /// # Panics
+    /// Panics with [`Self::check`]'s message on an inconsistent config.
     pub fn validate(&self) {
-        assert!(self.n_series >= 1, "need at least one series");
-        assert!(self.window >= 2, "window must cover at least two slots");
-        assert!(
-            self.d_model >= 1 && self.d_qk >= 1 && self.d_ffn >= 1,
-            "dimensions must be positive"
-        );
-        assert!(self.heads >= 1, "need at least one attention head");
-        assert!(self.temperature > 0.0, "temperature must be positive");
-        assert!(
-            self.lambda_kernel >= 0.0 && self.lambda_mask >= 0.0 && self.lambda_lag >= 0.0,
-            "L1 coefficients must be non-negative"
-        );
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
     }
 }
 

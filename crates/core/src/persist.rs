@@ -51,7 +51,8 @@ pub enum PersistError {
     Io(std::io::Error),
     /// JSON (de)serialisation failure.
     Json(serde_json::Error),
-    /// A binary model file fails its structural/checksum validation.
+    /// A model file fails its structural or checksum validation, or holds
+    /// an invalid model config.
     Corrupt(String),
     /// The file's parameters do not match the reconstructed architecture.
     Mismatch(String),
@@ -116,7 +117,9 @@ impl From<serde_json::Error> for PersistError {
 /// deterministic; the RNG only seeds throwaway initial values) and loads
 /// `params` into it after checking their count, names and shapes.
 fn rebuild(config: ModelConfig, params: Vec<SavedParam>) -> Result<TrainedModel, PersistError> {
-    config.validate();
+    config
+        .check()
+        .map_err(|e| PersistError::Corrupt(format!("invalid model config: {e}")))?;
     let mut store = ParamStore::new();
     let model = CausalityAwareTransformer::new(&mut store, &mut StdRng::seed_from_u64(0), config);
     if params.len() != store.len() {
@@ -309,6 +312,83 @@ mod tests {
         };
         let (trained, _) = train(&mut rng, config, tc, &windows);
         (trained, windows)
+    }
+
+    /// `trained`'s parameters under `config`, as CFTENS1 bytes.
+    fn bytes_with_config(trained: &TrainedModel, config: ModelConfig) -> Vec<u8> {
+        let store = &trained.store;
+        let meta = BinaryModelMeta {
+            format_version: 1,
+            kind: BINARY_MODEL_KIND.to_string(),
+            dtype: "f64".to_string(),
+            config,
+            param_names: store.ids().map(|id| store.name(id).to_string()).collect(),
+        };
+        let mut b = cf_store::TensorFileBuilder::new().meta(serde_json::to_string(&meta).unwrap());
+        for (i, id) in store.ids().enumerate() {
+            b.push_tensor(&format!("param.{i}"), store.value(id));
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn invalid_configs_are_errors_not_panics() {
+        let (trained, _) = tiny_trained();
+        let good = *trained.model.config();
+        let bad = [
+            ("window", ModelConfig { window: 1, ..good }),
+            ("head", ModelConfig { heads: 0, ..good }),
+            (
+                "temperature",
+                ModelConfig {
+                    temperature: 0.0,
+                    ..good
+                },
+            ),
+            (
+                "temperature",
+                ModelConfig {
+                    temperature: -1.0,
+                    ..good
+                },
+            ),
+            (
+                "L1",
+                ModelConfig {
+                    lambda_kernel: -1e-4,
+                    ..good
+                },
+            ),
+            (
+                "L1",
+                ModelConfig {
+                    lambda_mask: -1e-4,
+                    ..good
+                },
+            ),
+            (
+                "L1",
+                ModelConfig {
+                    lambda_lag: -1e-4,
+                    ..good
+                },
+            ),
+        ];
+        for (what, config) in bad {
+            let mut saved: SavedModel = serde_json::from_str(&to_json(&trained).unwrap()).unwrap();
+            saved.config = config;
+            let json = serde_json::to_string(&saved).unwrap();
+            let bytes = bytes_with_config(&trained, config);
+            for err in [from_json(&json).err(), from_bytes(&bytes, "mem").err()] {
+                match err {
+                    Some(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+                    Some(other) => panic!("{what}: unexpected error {other}"),
+                    None => panic!("{what}: invalid config loaded"),
+                }
+            }
+        }
+        // The same path still loads a valid config.
+        from_bytes(&bytes_with_config(&trained, good), "mem").unwrap();
     }
 
     #[test]

@@ -44,6 +44,9 @@ use crate::model::CausalityAwareTransformer;
 use cf_nn::ParamStoreBase;
 use cf_tensor::{ops, Scalar, Tensor};
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
 /// Numerical stabiliser added (sign-preservingly) to RRP denominators — the
 /// ε of LRP-ε. Keeps relevance finite when an activation is ≈ 0.
 const EPS: f64 = 1e-6;
@@ -148,55 +151,119 @@ pub struct RrpLayers<'a> {
 /// # Panics
 /// Panics if `seed` is not shaped like the prediction.
 pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
+    propagate_with(rules(), layers, seed)
+}
+
+/// The signature of [`linear_rrp`].
+type LinearRule = fn(&Tensor, &Tensor, &Tensor, &Tensor, &Tensor, bool) -> Tensor;
+/// The signature of [`heads_rrp`].
+type HeadsRule = fn(&Tensor, &[f64], &[Tensor]) -> Vec<Tensor>;
+/// The signature of [`attn_rrp`]: per-head 𝒜 relevance, value relevance.
+type AttnRule = fn(&[Tensor], &[Tensor], &Tensor) -> (Vec<Tensor>, Tensor);
+/// The signature of [`conv_rrp`].
+type ConvRule = fn(&Tensor, &Tensor, &Tensor) -> Tensor;
+
+/// The four propagation rules, as one implementation. The scalar rules
+/// run everywhere and are the reference; the AVX2 ones run their lanes
+/// over independent cells and give the same bits (module `avx2`).
+#[derive(Clone, Copy)]
+struct Rules {
+    linear: LinearRule,
+    heads: HeadsRule,
+    attn: AttnRule,
+    conv: ConvRule,
+}
+
+const SCALAR: Rules = Rules {
+    linear: linear_rrp,
+    heads: heads_rrp,
+    attn: attn_rrp,
+    conv: conv_rrp,
+};
+
+/// The rules [`propagate`] runs: AVX2 where the CPU has it, chosen once
+/// per process, the scalar ones elsewhere.
+fn rules() -> &'static Rules {
+    static RULES: std::sync::OnceLock<Rules> = std::sync::OnceLock::new();
+    RULES.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(fast) = avx2::rules() {
+            return fast;
+        }
+        SCALAR
+    })
+}
+
+fn propagate_with(rules: &Rules, layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
     let _span = cf_obs::span!("rrp.propagate");
-    let n = layers.pred.shape()[0];
-    let t = layers.pred.shape()[1];
     assert_eq!(seed.shape(), layers.pred.shape(), "seed shape");
 
     let w = layers.weights;
-    // Output layer: pred = ffn_out · W_out + b_out.
-    let r_ffn_out = linear_rrp(
-        layers.ffn_out,
-        &w.w_out_t,
-        layers.pred,
-        &w.b_out,
-        seed,
-        layers.with_bias,
-    );
+    let r_att = {
+        let _span = cf_obs::span!("rrp.linear");
+        // Output layer: pred = ffn_out · W_out + b_out.
+        let r_ffn_out = (rules.linear)(
+            layers.ffn_out,
+            &w.w_out_t,
+            layers.pred,
+            &w.b_out,
+            seed,
+            layers.with_bias,
+        );
+        // FFN second linear: ffn_out = ffn_act · W2 + b2.
+        let r_ffn_act = (rules.linear)(
+            layers.ffn_act,
+            &w.w2_t,
+            layers.ffn_out,
+            &w.b2,
+            &r_ffn_out,
+            layers.with_bias,
+        );
+        // Leaky ReLU: identity under Eq. 17 (see module docs). The first
+        // FFN linear then maps relevance to the combined attention output.
+        // ffn_pre = att · W1 + b1, and r_ffn_pre == r_ffn_act.
+        (rules.linear)(
+            layers.att,
+            &w.w1_t,
+            layers.ffn_pre,
+            &w.b1,
+            &r_ffn_act,
+            layers.with_bias,
+        )
+    };
+    let r_heads = {
+        let _span = cf_obs::span!("rrp.heads");
+        (rules.heads)(&r_att, w.w_o.data(), layers.head_out)
+    };
+    let (attn_rel, r_shifted) = {
+        let _span = cf_obs::span!("rrp.attn");
+        (rules.attn)(&r_heads, layers.attn, layers.shifted)
+    };
+    let r_kernel = {
+        let _span = cf_obs::span!("rrp.conv");
+        // Self-shift: relevance relocates exactly like gradients (pure
+        // index permutation), so reuse the adjoint.
+        let r_conv = ops::self_shift_backward(&r_shifted);
+        (rules.conv)(layers.x, layers.bank, &r_conv)
+    };
+    RrpResult {
+        attn: attn_rel,
+        kernel: r_kernel,
+    }
+}
 
-    // FFN second linear: ffn_out = ffn_act · W2 + b2.
-    let r_ffn_act = linear_rrp(
-        layers.ffn_act,
-        &w.w2_t,
-        layers.ffn_out,
-        &w.b2,
-        &r_ffn_out,
-        layers.with_bias,
-    );
-
-    // Leaky ReLU: identity under Eq. 17 (see module docs). The first FFN
-    // linear then maps relevance to the combined attention output.
-    // ffn_pre = att · W1 + b1, and r_ffn_pre == r_ffn_act.
-    let r_att = linear_rrp(
-        layers.att,
-        &w.w1_t,
-        layers.ffn_pre,
-        &w.b1,
-        &r_ffn_act,
-        layers.with_bias,
-    );
-
-    // Head combination: att = Σ_h W_O[h] · head_out[h] — a sum of products;
-    // each term takes the share of its positive contribution (z⁺).
-    let h = layers.head_out.len();
-    let w_o = w.w_o.data();
-    let mut r_heads = vec![Tensor::zeros(&[n, t]); h];
+/// Head combination: att = Σ_h W_O[h] · head_out[h] — a sum of products;
+/// each term takes the share of its positive contribution (z⁺). Returns
+/// each head output's relevance (`N×T`).
+fn heads_rrp(r_att: &Tensor, w_o: &[f64], head_out: &[Tensor]) -> Vec<Tensor> {
+    let h = head_out.len();
+    let mut r_heads = vec![Tensor::zeros(r_att.shape()); h];
     let mut z = vec![0.0; h];
     for (p, &r) in r_att.data().iter().enumerate() {
         if r == 0.0 {
             continue;
         }
-        for ((zk, &wk), out) in z.iter_mut().zip(w_o).zip(layers.head_out) {
+        for ((zk, &wk), out) in z.iter_mut().zip(w_o).zip(head_out) {
             *zk = pos(wk * out.data()[p]);
         }
         let denom = stab(z.iter().sum());
@@ -204,18 +271,23 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
             r_head.data_mut()[p] = zk / denom * r;
         }
     }
+    r_heads
+}
 
-    // Attention application (Eq. 18 product rule, z⁺):
-    // out[a,t] = Σ_j 𝒜[a,j] · V[j,a,t]. Target `a` reads the value
-    // column V[:, a, :], gathered once as `v_a[t][j]` so each z⁺ row is
-    // contiguous; its relevance collects in `r_v_a` and is scattered back.
-    // The goldens pin the summation order: 𝒜 relevance sums over time,
-    // V relevance over heads, each ascending.
-    let mut attn_rel = vec![Tensor::zeros(&[n, n]); h];
-    let mut r_shifted = Tensor::zeros(layers.shifted.shape());
+/// Attention application (Eq. 18 product rule, z⁺):
+/// out[a,t] = Σ_j 𝒜[a,j] · V[j,a,t]. Target `a` reads the value column
+/// V[:, a, :], gathered once as `v_a[t][j]` so each z⁺ row is contiguous;
+/// its relevance collects in `r_v_a` and is scattered back. The goldens
+/// pin the summation order: 𝒜 relevance sums over time, V relevance over
+/// heads, each ascending. Returns each head's 𝒜 relevance (`N×N`) and the
+/// relevance of the shifted values (`N×N×T`).
+fn attn_rrp(r_heads: &[Tensor], attn: &[Tensor], shifted: &Tensor) -> (Vec<Tensor>, Tensor) {
+    let (n, t) = (shifted.shape()[0], shifted.shape()[2]);
+    let mut attn_rel = vec![Tensor::zeros(&[n, n]); r_heads.len()];
+    let mut r_shifted = Tensor::zeros(shifted.shape());
     let (mut v_a, mut r_v_a) = (vec![0.0; t * n], vec![0.0; t * n]);
     let mut z = vec![0.0; n];
-    let shifted = layers.shifted.data();
+    let shifted = shifted.data();
     for a in 0..n {
         for j in 0..n {
             let src = &shifted[(j * n + a) * t..(j * n + a + 1) * t];
@@ -224,7 +296,7 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
             }
         }
         r_v_a.fill(0.0);
-        for ((r_head, attn), r_attn) in r_heads.iter().zip(layers.attn).zip(&mut attn_rel) {
+        for ((r_head, attn), r_attn) in r_heads.iter().zip(attn).zip(&mut attn_rel) {
             let attn_row = attn.row(a);
             let r_attn_row = &mut r_attn.data_mut()[a * n..(a + 1) * n];
             for (tt, &r_out) in r_head.row(a).iter().enumerate() {
@@ -252,20 +324,21 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
             }
         }
     }
+    (attn_rel, r_shifted)
+}
 
-    // Self-shift: relevance relocates exactly like gradients (pure index
-    // permutation), so reuse the adjoint.
-    let r_conv = ops::self_shift_backward(&r_shifted);
-
-    // Convolution → kernel (conv-specialised Eq. 18, z⁺):
-    // conv[a,b,t] = Σ_s 𝒦[a,b,u]·x[a,s]/(t+1) with u = T−1−t+s, so output
-    // slot t reads the last t+1 taps of kernel row (a,b) against x[a, ..=t].
-    let mut r_kernel = Tensor::zeros(layers.bank.shape());
+/// Convolution → kernel (conv-specialised Eq. 18, z⁺):
+/// conv[a,b,t] = Σ_s 𝒦[a,b,u]·x[a,s]/(t+1) with u = T−1−t+s, so output
+/// slot t reads the last t+1 taps of kernel row (a,b) against x[a, ..=t].
+/// Returns the kernel bank's relevance (`N×N×T`).
+fn conv_rrp(x: &Tensor, bank: &Tensor, r_conv: &Tensor) -> Tensor {
+    let (n, t) = (x.shape()[0], x.shape()[1]);
+    let mut r_kernel = Tensor::zeros(bank.shape());
     let mut z = vec![0.0; t];
-    let (bank, rcd) = (layers.bank.data(), r_conv.data());
+    let (bank, rcd) = (bank.data(), r_conv.data());
     let rkd = r_kernel.data_mut();
     for a in 0..n {
-        let x_row = layers.x.row(a);
+        let x_row = x.row(a);
         for b in 0..n {
             let ab = (a * n + b) * t..(a * n + b + 1) * t;
             let (bank_row, out) = (&bank[ab.clone()], &mut rkd[ab.clone()]);
@@ -286,11 +359,7 @@ pub fn propagate(layers: &RrpLayers<'_>, seed: &Tensor) -> RrpResult {
             }
         }
     }
-
-    RrpResult {
-        attn: attn_rel,
-        kernel: r_kernel,
-    }
+    r_kernel
 }
 
 /// The parametric-layer rule (Eq. 15 with bias, Eq. 14 without) in its z⁺
@@ -505,6 +574,77 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Random operands with exact zeros, `−0.0`, values near `EPS` of both
+    /// signs, and ordinary negatives and positives.
+    fn operands(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        use rand::Rng;
+        let len = shape.iter().product();
+        let data = (0..len)
+            .map(|_| match rng.gen_range(0.0..1.0) {
+                r if r < 0.1 => 0.0,
+                r if r < 0.17 => -0.0,
+                r if r < 0.25 => EPS * rng.gen_range(-2.0..2.0),
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect();
+        Tensor::from_vec(shape.to_vec(), data).expect("sized")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The rules [`propagate`] runs (AVX2 where the CPU has it) give
+        /// the scalar rules' `attn` and `kernel` relevance, bit for bit.
+        #[test]
+        fn propagate_matches_the_scalar_oracle(
+            n in 1usize..41,
+            t in 2usize..33,
+            f in 1usize..41,
+            h in 1usize..4,
+            with_bias in 0u8..2,
+            case in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut draw = |shape: &[usize]| operands(&mut rng, shape);
+            let (x, pred, ffn_out, att) = (draw(&[n, t]), draw(&[n, t]), draw(&[n, t]), draw(&[n, t]));
+            let (ffn_act, ffn_pre) = (draw(&[n, f]), draw(&[n, f]));
+            let head_out: Vec<Tensor> = (0..h).map(|_| draw(&[n, t])).collect();
+            let attn: Vec<Tensor> = (0..h).map(|_| draw(&[n, n])).collect();
+            let (shifted, bank) = (draw(&[n, n, t]), draw(&[n, n, t]));
+            let weights = WidenedWeights {
+                w_out_t: draw(&[t, t]),
+                b_out: draw(&[t]),
+                w2_t: draw(&[t, f]),
+                b2: draw(&[t]),
+                w1_t: draw(&[f, t]),
+                b1: draw(&[f]),
+                w_o: draw(&[h]),
+            };
+            let seed = draw(&[n, t]);
+            let layers = RrpLayers {
+                x: &x,
+                pred: &pred,
+                ffn_out: &ffn_out,
+                ffn_act: &ffn_act,
+                ffn_pre: &ffn_pre,
+                att: &att,
+                head_out: &head_out,
+                attn: &attn,
+                shifted: &shifted,
+                bank: &bank,
+                weights: &weights,
+                with_bias: with_bias == 1,
+            };
+            let want = propagate_with(&SCALAR, &layers, &seed);
+            let got = propagate(&layers, &seed);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (k, (w, g)) in want.attn.iter().zip(&got.attn).enumerate() {
+                proptest::prop_assert!(bits(w) == bits(g), "attn relevance of head {k} differs");
+            }
+            proptest::prop_assert!(bits(&want.kernel) == bits(&got.kernel), "kernel relevance differs");
         }
     }
 

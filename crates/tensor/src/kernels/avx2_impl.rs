@@ -1,12 +1,13 @@
 //! The AVX2 kernels: register-tiled `std::arch` code for x86-64.
 //!
 //! Each kernel keeps a tile of output cells — up to 4 rows × 2 vectors, or
-//! one row of 4 vectors — in `ymm` registers across its whole reduction
-//! and writes it back once. Lanes always run over independent output
-//! cells; every cell sees the terms, the start value and the zero-skip of
-//! the portable loop in the same order, each term a separate multiply then
-//! add, so results are bitwise those of `portable_impl` (see the module
-//! docs of [`super`]).
+//! one row of 4 vectors, or for the f32 kernels in `dot_from` order 8
+//! cells with 8 partial sums each — in `ymm` registers across its whole
+//! reduction and writes it back once. Lanes always run over independent
+//! output cells; every cell sees the terms, the start value and the
+//! zero-skip of the portable loop in the same order, each term a separate
+//! multiply then add, so results are bitwise those of `portable_impl` (see
+//! the module docs of [`super`]).
 //!
 //! Cells past the end of a row and terms a cell does not have (the causal
 //! convolution's triangular sums) are handled with lane masks: masked
@@ -198,18 +199,20 @@ pub(super) fn f64_table() -> Option<Kernels<f64>> {
     })
 }
 
-/// The f32 table. The kernels built on f32's 8-lane `dot_from` keep their
-/// portable form: a lanes-over-cells tile would sum in a different order.
+/// The f32 table: every kernel register-tiled. The three built on f32's
+/// 8-lane `dot_from` (`gemm_nt`, `conv`, `attn_backward_attn`) run their
+/// lanes over 8 output cells, each cell keeping `dot_from`'s 8 partial
+/// sums and reducing them in its order (see [`dot8_reduce`]).
 pub(super) fn f32_table() -> Option<Kernels<f32>> {
     is_x86_feature_detected!("avx2").then_some(Kernels {
         name: "avx2",
         gemm: gemm_entry::<F32x8>,
-        gemm_nt: portable_impl::gemm_nt,
-        conv: portable_impl::conv,
+        gemm_nt: gemm_nt_f32_entry,
+        conv: conv_f32_entry,
         conv_backward_kernel: conv_backward_kernel_entry::<F32x8>,
         conv_backward_x: conv_backward_x_entry::<F32x8>,
         attn_apply: attn_apply_entry::<F32x8>,
-        attn_backward_attn: portable_impl::attn_backward_attn,
+        attn_backward_attn: attn_backward_attn_f32_entry,
         attn_backward_v: attn_backward_v_entry::<F32x8>,
     })
 }
@@ -256,13 +259,7 @@ fn gemm_nt_entry<V: Lane>(a: &[V::E], b: &[V::E], out: &mut [V::E], i0: usize, k
     V::with_scratch(|bt| {
         // bt = bᵀ (k×n), so each output row is a plain ikj product with no
         // zero-skip — exactly the f64 `dot_from` order, term p after p.
-        bt.clear();
-        bt.resize(k * n, V::E::ZERO);
-        for (j, brow) in b.chunks_exact(k).take(n).enumerate() {
-            for (p, &v) in brow.iter().enumerate() {
-                bt[p * n + j] = v;
-            }
-        }
+        pack_transposed(b, k, n, n, bt);
         let lhs = Lhs {
             data: a,
             row_stride: k,
@@ -273,6 +270,18 @@ fn gemm_nt_entry<V: Lane>(a: &[V::E], b: &[V::E], out: &mut [V::E], i0: usize, k
         // `out` `rows·n`, all asserted above.
         unsafe { gemm::<V, false>(lhs, bt.as_ptr(), out.as_mut_ptr(), i0, rows, k, n) }
     })
+}
+
+/// `bt[p·stride + j] = b[j·k + p]` for the `n` rows of `b`, zero in the
+/// columns `n .. stride`.
+fn pack_transposed<E: Scalar>(b: &[E], k: usize, n: usize, stride: usize, bt: &mut Vec<E>) {
+    bt.clear();
+    bt.resize(k * stride, E::ZERO);
+    for (j, brow) in b.chunks_exact(k).take(n).enumerate() {
+        for (p, &v) in brow.iter().enumerate() {
+            bt[p * stride + j] = v;
+        }
+    }
 }
 
 fn conv_entry<V: Lane>(xi: &[V::E], kslab: &[V::E], oslab: &mut [V::E], t_len: usize) {
@@ -360,6 +369,63 @@ fn attn_backward_attn_entry(v: &[f64], g: &[f64], ga: &mut [f64], n: usize, t_le
     assert!(v.len() >= n * n * t_len && g.len() >= n * t_len && ga.len() >= n * n);
     // SAFETY: AVX2 is present; the lengths are asserted above.
     unsafe { attn_backward_attn(v.as_ptr(), g.as_ptr(), ga.as_mut_ptr(), n, t_len) }
+}
+
+fn gemm_nt_f32_entry(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
+    if n == 0 || k == 0 || out.len() < n {
+        return;
+    }
+    let rows = out.len() / n;
+    // As for f64: below four rows packing `b` costs as much as the product.
+    if rows < 4 {
+        return portable_impl::gemm_nt(a, b, out, i0, k, n);
+    }
+    assert_eq!(rows * n, out.len(), "gemm_nt band is not whole rows");
+    assert!(a.len() >= (i0 + rows) * k, "gemm_nt lhs too short");
+    assert!(b.len() >= n * k, "gemm_nt rhs too short");
+    F32x8::with_scratch(|bt| {
+        // bt = bᵀ (k×np) with its rows padded to whole vectors, so a tile
+        // of 8 columns loads term p of its 8 cells as one vector.
+        let np = n.next_multiple_of(8);
+        pack_transposed(b, k, n, np, bt);
+        // SAFETY: AVX2 is present (see `gemm_entry`); `a` covers rows
+        // `i0 .. i0 + rows` of `k` columns, `bt` holds `k·np` elements and
+        // `out` `rows·n`, all asserted or sized above.
+        unsafe { gemm_nt_f32(a.as_ptr(), bt.as_ptr(), out.as_mut_ptr(), i0, rows, k, n) }
+    })
+}
+
+fn conv_f32_entry(xi: &[f32], kslab: &[f32], oslab: &mut [f32], t_len: usize) {
+    if t_len == 0 {
+        return;
+    }
+    let n = oslab.len() / t_len;
+    assert!(
+        xi.len() >= t_len && kslab.len() >= n * t_len,
+        "conv slab too short"
+    );
+    F32x8::with_scratch(|kt| {
+        kt.clear();
+        kt.resize(t_len.next_multiple_of(8) * 8, 0.0);
+        // SAFETY: AVX2 is present; `xi` holds `T` and `kslab`/`oslab` `n·T`
+        // elements (asserted above), `kt` `8·⌈T/8⌉·8`.
+        unsafe {
+            conv_f32(
+                xi.as_ptr(),
+                kslab.as_ptr(),
+                oslab.as_mut_ptr(),
+                kt.as_mut_ptr(),
+                n,
+                t_len,
+            )
+        }
+    })
+}
+
+fn attn_backward_attn_f32_entry(v: &[f32], g: &[f32], ga: &mut [f32], n: usize, t_len: usize) {
+    assert!(v.len() >= n * n * t_len && g.len() >= n * t_len && ga.len() >= n * n);
+    // SAFETY: AVX2 is present; the lengths are asserted above.
+    unsafe { attn_backward_attn_f32(v.as_ptr(), g.as_ptr(), ga.as_mut_ptr(), n, t_len) }
 }
 
 fn attn_backward_v_entry<V: Lane>(
@@ -914,11 +980,12 @@ unsafe fn attn_apply<V: Lane>(
     }
 }
 
-/// `ga[i,j] = 0 + Σ_t v[j,i,t]·g[i,t]` (f64 only: f32's `dot_from` sums
-/// in eight lanes). Lanes run over four `j` at a time: four value rows
-/// `v[j..j+4, i, t..t+4]` are loaded and transposed in registers, so each
-/// step `t` adds one vector of four cells. The `j` that do not fill a
-/// group of four take the sequential dot.
+/// `ga[i,j] = 0 + Σ_t v[j,i,t]·g[i,t]` in f64 `dot_from`'s sequential
+/// order (f32 sums in eight partials: [`attn_backward_attn_f32`]). Lanes
+/// run over four `j` at a time: four value rows `v[j..j+4, i, t..t+4]` are
+/// loaded and transposed in registers, so each step `t` adds one vector of
+/// four cells. The `j` that do not fill a group of four take the
+/// sequential dot.
 ///
 /// # Safety
 /// AVX2; `v` points at `n·n·T`, `g` at `n·T`, `ga` at `n·n` elements.
@@ -1001,6 +1068,231 @@ unsafe fn attn_backward_v<V: Lane>(
                 let term = a.mul(V::load_masked(grow.add(whole), tail));
                 o.add(term).store_masked(orow.add(whole), tail);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 kernels in `dot_from` order.
+// ---------------------------------------------------------------------------
+
+/// `f32::dot_from`'s reduction for 8 cells at once: `acc` plus the eight
+/// partial sums `p` (partial `l` holds terms `l, l+8, l+16, …`, each added
+/// in ascending order from `0.0`) combined as
+/// `acc + ((p0+p4)+(p1+p5)) + ((p2+p6)+(p3+p7))`, then the `tail` (the
+/// terms past the last whole chunk, summed in order from `0.0`). `acc` is
+/// added even when it is zero, as `dot_from` does: `0.0 + −0.0` is `+0.0`.
+#[inline(always)]
+unsafe fn dot8_reduce(acc: __m256, p: &[__m256; 8], tail: __m256) -> __m256 {
+    let head = _mm256_add_ps(_mm256_add_ps(p[0], p[4]), _mm256_add_ps(p[1], p[5]));
+    let rest = _mm256_add_ps(_mm256_add_ps(p[2], p[6]), _mm256_add_ps(p[3], p[7]));
+    _mm256_add_ps(_mm256_add_ps(acc, _mm256_add_ps(head, rest)), tail)
+}
+
+/// `out[c][r] = rows[r][c]`: an 8×8 transpose in registers.
+#[inline(always)]
+unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// Eight row segments `base + r·stride + col ..` of `len` elements (at
+/// most 8; the rest of each lane zero), for the rows `r < rows`; rows past
+/// `rows` read as zero.
+#[inline(always)]
+unsafe fn load_rows8(
+    base: *const f32,
+    stride: usize,
+    col: usize,
+    len: usize,
+    rows: usize,
+) -> [__m256; 8] {
+    let m = F32x8::mask(0, len as isize);
+    let mut r = [_mm256_setzero_ps(); 8];
+    for (q, rq) in r.iter_mut().enumerate().take(rows) {
+        *rq = _mm256_maskload_ps(base.add(q * stride + col), m);
+    }
+    r
+}
+
+/// One f32 `dot_from` over `len` terms for 8 cells: term `s` of lane `c`
+/// is `lhs(s)[c] · rhs(s)`. Returns the 8 partial sums and the tail.
+#[inline(always)]
+unsafe fn dot8_terms(
+    len: usize,
+    lhs: impl Fn(usize) -> __m256,
+    rhs: impl Fn(usize) -> __m256,
+) -> ([__m256; 8], __m256) {
+    let whole = len / 8 * 8;
+    let mut p = [_mm256_setzero_ps(); 8];
+    let mut s = 0;
+    while s < whole {
+        for (l, pl) in p.iter_mut().enumerate() {
+            *pl = _mm256_add_ps(*pl, _mm256_mul_ps(lhs(s + l), rhs(s + l)));
+        }
+        s += 8;
+    }
+    let mut tail = _mm256_setzero_ps();
+    for s in whole..len {
+        tail = _mm256_add_ps(tail, _mm256_mul_ps(lhs(s), rhs(s)));
+    }
+    (p, tail)
+}
+
+/// `out[i−i0, j] += a[i,·]·b[j,·]` in `dot_from`'s panels of `PB` terms,
+/// lanes over 8 columns `j`: term `p` of the 8 cells is `a[i,p]` times
+/// row `p` of the packed `bᵀ`.
+///
+/// # Safety
+/// AVX2; `a` covers rows `i0 .. i0 + rows` × `k`, `bt` points at
+/// `k·⌈n/8⌉·8` elements (bᵀ, zero-padded rows), `out` at `rows·n`.
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_nt_f32(
+    a: *const f32,
+    bt: *const f32,
+    out: *mut f32,
+    i0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    // The panel length of `portable_impl::gemm_nt`: each panel restarts
+    // `dot_from`'s partial sums from the cell's running value.
+    const PB: usize = 256;
+    let np = n.next_multiple_of(8);
+    for di in 0..rows {
+        let arow = a.add((i0 + di) * k);
+        let orow = out.add(di * n);
+        for j0 in (0..n).step_by(8) {
+            let valid = F32x8::mask(0, (n - j0) as isize);
+            let mut acc = _mm256_maskload_ps(orow.add(j0), valid);
+            for pb in (0..k).step_by(PB) {
+                let len = PB.min(k - pb);
+                let (p, tail) = dot8_terms(
+                    len,
+                    |s| _mm256_loadu_ps(bt.add((pb + s) * np + j0)),
+                    |s| _mm256_broadcast_ss(&*arow.add(pb + s)),
+                );
+                acc = dot8_reduce(acc, &p, tail);
+            }
+            _mm256_maskstore_ps(orow.add(j0), valid, acc);
+        }
+    }
+}
+
+/// One f32 convolution slab, lanes over 8 kernel rows. Each tile of rows
+/// is transposed into `kt` (tap `u` of the 8 rows as one vector), so slot
+/// `t`'s `dot_from` over taps `T−1−t ..` against `x[..=t]` runs as one
+/// 8-cell sum per term. The results of 8 consecutive slots are
+/// transposed back in registers and stored row by row.
+///
+/// # Safety
+/// AVX2; `x` points at `T`, `k` and `out` at `n·T` elements, `kt` at
+/// `⌈T/8⌉·8·8`.
+#[target_feature(enable = "avx2")]
+unsafe fn conv_f32(
+    x: *const f32,
+    k: *const f32,
+    out: *mut f32,
+    kt: *mut f32,
+    n: usize,
+    t_len: usize,
+) {
+    for j0 in (0..n).step_by(8) {
+        let rows = (n - j0).min(8);
+        let krows = k.add(j0 * t_len);
+        for u0 in (0..t_len).step_by(8) {
+            let cols = transpose8(load_rows8(krows, t_len, u0, t_len - u0, rows));
+            for (l, col) in cols.iter().enumerate() {
+                _mm256_storeu_ps(kt.add((u0 + l) * 8), *col);
+            }
+        }
+        let mut slots = [_mm256_setzero_ps(); 8];
+        for t in 0..t_len {
+            let taps = kt.add((t_len - 1 - t) * 8);
+            let (p, tail) = dot8_terms(
+                t + 1,
+                |s| _mm256_loadu_ps(taps.add(s * 8)),
+                |s| _mm256_broadcast_ss(&*x.add(s)),
+            );
+            let sum = dot8_reduce(_mm256_setzero_ps(), &p, tail);
+            slots[t % 8] = _mm256_div_ps(sum, _mm256_set1_ps((t + 1) as f32));
+            if t % 8 == 7 || t + 1 == t_len {
+                let t0 = t - t % 8;
+                let m = F32x8::mask(0, (t_len - t0) as isize);
+                for (r, row) in transpose8(slots).iter().enumerate().take(rows) {
+                    _mm256_maskstore_ps(out.add((j0 + r) * t_len + t0), m, *row);
+                }
+            }
+        }
+    }
+}
+
+/// `ga[i,j] = 0 + Σ_t v[j,i,t]·g[i,t]` in `dot_from` order, lanes over 8
+/// `j`: each chunk of 8 steps loads the 8 value rows and transposes them
+/// in registers, so step `t` of the 8 cells is one vector.
+///
+/// # Safety
+/// AVX2; `v` points at `n·n·T`, `g` at `n·T`, `ga` at `n·n` elements.
+#[target_feature(enable = "avx2")]
+unsafe fn attn_backward_attn_f32(
+    v: *const f32,
+    g: *const f32,
+    ga: *mut f32,
+    n: usize,
+    t_len: usize,
+) {
+    let whole = t_len / 8 * 8;
+    for i in 0..n {
+        let grow = g.add(i * t_len);
+        for j0 in (0..n).step_by(8) {
+            let rows = (n - j0).min(8);
+            // Row q of the tile is v[j0+q, i, ·].
+            let base = v.add((j0 * n + i) * t_len);
+            let stride = n * t_len;
+            let mut p = [_mm256_setzero_ps(); 8];
+            for t0 in (0..whole).step_by(8) {
+                let cols = transpose8(load_rows8(base, stride, t0, 8, rows));
+                for (l, (pl, col)) in p.iter_mut().zip(cols).enumerate() {
+                    let gt = _mm256_broadcast_ss(&*grow.add(t0 + l));
+                    *pl = _mm256_add_ps(*pl, _mm256_mul_ps(col, gt));
+                }
+            }
+            let mut tail = _mm256_setzero_ps();
+            if whole < t_len {
+                let cols = transpose8(load_rows8(base, stride, whole, t_len - whole, rows));
+                for (l, col) in cols.iter().enumerate().take(t_len - whole) {
+                    let gt = _mm256_broadcast_ss(&*grow.add(whole + l));
+                    tail = _mm256_add_ps(tail, _mm256_mul_ps(*col, gt));
+                }
+            }
+            let sum = dot8_reduce(_mm256_setzero_ps(), &p, tail);
+            let valid = F32x8::mask(0, rows as isize);
+            _mm256_maskstore_ps(ga.add(i * n + j0), valid, sum);
         }
     }
 }

@@ -20,18 +20,19 @@
 //! # Bitwise contract
 //!
 //! The AVX2 kernels run their SIMD lanes over *independent output cells*,
-//! never over the terms of one sum. Each cell keeps the start value,
-//! ascending term order and zero-skip of the portable loop, and every term
-//! is a separate multiply then add (no fused multiply-add), so each f64
-//! result — and each f32 result of a kernel that accumulates in plain
-//! ascending order — is bitwise equal to the portable one. The f32 kernels
-//! built on the 8-lane [`Scalar::dot_from`] (the `matmul_nt` panels, the
-//! convolution forward and the attention-matrix gradient) reassociate on
-//! purpose; the AVX2 table keeps their portable form, so f32 results do
-//! not move either. The speed-up comes from keeping a tile of output
-//! cells in registers across the whole reduction, which turns one
-//! dependent add chain (or one load-add-store per term) into several
-//! independent chains.
+//! never over the terms of one sum. Each cell keeps the start value, term
+//! order and zero-skip of the portable loop, and every term is a separate
+//! multiply then add (no fused multiply-add), so every result, f64 and
+//! f32, is bitwise equal to the portable one. For the f32 kernels built on
+//! the 8-lane [`Scalar::dot_from`] (the `matmul_nt` panels, the
+//! convolution forward and the attention-matrix gradient) each cell keeps
+//! `dot_from`'s 8 partial sums — term `p` into partial `p mod 8`, the
+//! terms past the last whole chunk into a sequential tail — and reduces
+//! them in its order, `acc + ((p0+p4)+(p1+p5)) + ((p2+p6)+(p3+p7)) +
+//! tail`. The speed-up comes from keeping a tile of output cells in
+//! registers across the whole reduction, which turns one dependent add
+//! chain (or one load-add-store per term) into several independent
+//! chains.
 
 use crate::scalar::Scalar;
 

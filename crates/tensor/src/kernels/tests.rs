@@ -120,6 +120,26 @@ fn matmul_family<E: Scalar>(special: bool) {
     }
 }
 
+/// `matmul_nt` with reductions longer than one of `gemm_nt`'s 256-term
+/// panels, which restart the f32 partial sums from the running value.
+fn matmul_nt_panels<E: Scalar>() {
+    let Some(tables) = tables::<E>() else {
+        return;
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    for k in [255, 256, 257, 263, 520] {
+        for (m, n) in [(4, 9), (5, 16), (7, 3)] {
+            let shape = [m, k, n];
+            let a = operands::<E>(&mut rng, m * k, false);
+            let bt = operands::<E>(&mut rng, n * k, false);
+            let out = operands::<E>(&mut rng, m * n, false);
+            both(&tables, "matmul_nt panels", &shape, &out, |t, o| {
+                (t.gemm_nt)(&a, &bt, o, 0, k, n)
+            });
+        }
+    }
+}
+
 fn conv_family<E: Scalar>(special: bool) {
     let Some(tables) = tables::<E>() else {
         return;
@@ -182,12 +202,14 @@ fn attn_family<E: Scalar>(special: bool) {
 fn matmul_kernels_agree_f64() {
     matmul_family::<f64>(false);
     matmul_family::<f64>(true);
+    matmul_nt_panels::<f64>();
 }
 
 #[test]
 fn matmul_kernels_agree_f32() {
     matmul_family::<f32>(false);
     matmul_family::<f32>(true);
+    matmul_nt_panels::<f32>();
 }
 
 #[test]

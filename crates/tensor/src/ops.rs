@@ -275,9 +275,9 @@ pub fn attn_apply_backward_v<E: Scalar>(
     grad_v
 }
 
-/// In-place form of [`attn_apply_backward_v`]: accumulates into a
-/// caller-provided freshly zeroed `grad_v` (bitwise identical to the
-/// allocating form).
+/// In-place form of [`attn_apply_backward_v`]: adds one term,
+/// `attn[i,j]·grad_out[i,t]`, into each cell of `grad_v` (bitwise the
+/// allocating form when `grad_v` starts zeroed).
 pub fn attn_apply_backward_v_into<E: Scalar>(
     attn: &TensorBase<E>,
     grad_out: &TensorBase<E>,

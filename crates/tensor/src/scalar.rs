@@ -15,10 +15,11 @@
 //!   The `f64` implementation accumulates strictly in ascending index order
 //!   — that ordering is part of the crate's bitwise-reproducibility contract
 //!   (pool on/off, any thread count, and across refactors). The `f32`
-//!   implementation has no such contract (f32 results are pinned by
-//!   tolerance tests instead) and uses eight independent accumulator lanes,
-//!   which LLVM maps onto SIMD registers and which doubles throughput again
-//!   on top of the 2× vector-width win of f32 itself.
+//!   implementation uses eight independent accumulator lanes, which LLVM
+//!   maps onto SIMD registers and which doubles throughput again on top of
+//!   the 2× vector-width win of f32 itself. Its reduction order is pinned
+//!   too: the AVX2 kernels reproduce it cell by cell, and
+//!   `crates/core/tests/f32_golden.rs` pins the bits of an f32 discovery.
 //! * **Storage policy**: Rust thread-locals cannot be generic, so each
 //!   dtype owns its statics (buffer-pool free lists, tape pool, gradient
 //!   scratch) and exposes them through the `#[doc(hidden)]` hooks below.
@@ -36,8 +37,9 @@ use crate::tensor::TensorBase;
 /// to the generic compute path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dtype {
-    /// IEEE-754 single precision: 2× memory bandwidth and SIMD width; the
-    /// training path is pinned by tolerance tests, not bitwise.
+    /// IEEE-754 single precision: 2× memory bandwidth and SIMD width; its
+    /// results are held to f64's within a tolerance, and its own bits are
+    /// pinned.
     F32,
     /// IEEE-754 double precision — the default, bitwise-reproducible path.
     #[default]

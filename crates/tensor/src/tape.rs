@@ -372,6 +372,32 @@ impl<E: Scalar, W: Fn(VarId) -> bool> GradSink<'_, E, W> {
             slot @ None => *slot = Some(contribution),
         }
     }
+
+    /// Like [`Self::accumulate_into`], for a `fill` that adds exactly one
+    /// term to each cell: an occupied slot is filled in place, with no
+    /// zeroed temporary and no second pass. For one term `x` the staged
+    /// path computes `g + (0 + x)` and this one `g + x`; they differ only
+    /// when `x` is `−0.0`, where the staged path adds `+0.0` and so may turn
+    /// a `−0.0` gradient into `+0.0`. A `fill` with several terms per cell
+    /// would round differently and must stay on `accumulate_into`.
+    fn accumulate_one_term(
+        &mut self,
+        id: VarId,
+        shape: &[usize],
+        fill: impl FnOnce(&mut TensorBase<E>),
+    ) {
+        if !self.wants(id) {
+            return;
+        }
+        match &mut self.grads[id.0] {
+            Some(existing) => fill(existing),
+            slot @ None => {
+                let mut contribution = TensorBase::zeros(shape);
+                fill(&mut contribution);
+                *slot = Some(contribution);
+            }
+        }
+    }
 }
 
 /// A reverse-mode autodiff tape over element type `E`: a define-by-run
@@ -1027,7 +1053,8 @@ impl<E: Scalar> TapeBase<E> {
                 sink.accumulate_into(*attn, self.value(*attn).shape(), |ga| {
                     ops::attn_apply_backward_attn_into(self.value(*v), g, ga)
                 });
-                sink.accumulate_into(*v, self.value(*v).shape(), |gv| {
+                // One term per value cell: a second head adds in place.
+                sink.accumulate_one_term(*v, self.value(*v).shape(), |gv| {
                     ops::attn_apply_backward_v_into(self.value(*attn), g, gv)
                 });
             }

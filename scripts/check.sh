@@ -58,6 +58,15 @@ done
 echo "== dtype equivalence gate (f64 goldens + f32 tolerance)"
 cargo test -q -p causalformer --test dtype_equivalence
 
+# Kernel bits in the optimised build: the AVX2 kernel tables, the RRP
+# rules against their scalar oracle, and the f32 golden pin, compiled with
+# the release profile that ships the `target_feature` code (the suite
+# above runs them in the dev profile).
+echo "== release-mode bit checks (kernel tables, RRP oracle, f32 pin)"
+cargo test -q --release -p cf-tensor --lib kernels
+cargo test -q --release -p causalformer --lib rrp
+cargo test -q --release -p causalformer --test f32_golden
+
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 
